@@ -2,9 +2,9 @@
 
 Prints the projection table (paper: Rabbit best at 17.4x on 48 threads,
 BFS/LLP ~12x, SlashBurn omitted as sequential) and benchmarks the
-threaded Rabbit detection at several thread counts (wall time is
-GIL-bound — the point of benchmarking it is to confirm the lock-free
-path adds no pathological overhead as threads increase).
+Algorithm 3 interleaving model at several modelled thread counts (one OS
+thread — the point of benchmarking it is to confirm the lock-free
+protocol adds no pathological overhead as the window widens).
 """
 
 import pytest

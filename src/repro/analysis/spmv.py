@@ -10,9 +10,8 @@ Three kernels:
   exactly this loop order).
 * :func:`spmv_blocked` — the thread-blocking decomposition of Williams et
   al. (the paper's §IV-A parallelisation [26]): rows are split into
-  near-equal-nnz blocks, each computed independently; with real threads
-  this is exactly the paper's outermost-loop parallel SpMV (GIL-bound in
-  CPython, but the numpy kernels release the GIL for large blocks).
+  near-equal-nnz blocks, each computed independently — the unit of work
+  the paper's outermost-loop parallel SpMV hands to each thread.
 """
 
 from __future__ import annotations
@@ -93,42 +92,24 @@ def row_blocks(graph: CSRGraph, num_blocks: int) -> list[tuple[int, int]]:
     ] or [(0, n)]
 
 
-def spmv_blocked(
-    graph: CSRGraph, x, *, num_blocks: int = 8, num_threads: int | None = None
-) -> np.ndarray:
+def spmv_blocked(graph: CSRGraph, x, *, num_blocks: int = 8) -> np.ndarray:
     """Thread-blocked ``y = A x`` (Williams et al.; the paper's parallel
-    SpMV).  Each row block is an independent vectorised kernel; with
-    ``num_threads`` set, blocks run on a real thread pool.
+    SpMV).  Each row block is an independent vectorised kernel.
     """
     x = _check_vector(graph, x)
     n = graph.num_vertices
     y = np.zeros(n, dtype=np.float64)
     if graph.num_edges == 0:
         return y
-    blocks = row_blocks(graph, num_blocks)
     indptr, indices = graph.indptr, graph.indices
     weights = graph.edge_weights()
-
-    def run_block(lo: int, hi: int) -> None:
+    for lo, hi in row_blocks(graph, num_blocks):
         s, e = int(indptr[lo]), int(indptr[hi])
         if s == e:
-            return
+            continue
         contrib = weights[s:e] * x[indices[s:e]]
         rows = np.repeat(
             np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1])
         )
         y[lo:hi] = np.bincount(rows - lo, weights=contrib, minlength=hi - lo)
-
-    if num_threads is None or num_threads <= 1 or len(blocks) == 1:
-        for lo, hi in blocks:
-            run_block(lo, hi)
-        return y
-    from repro.parallel.scheduler import ThreadedRunner
-
-    def task(lo: int, hi: int):
-        run_block(lo, hi)
-        return
-        yield  # pragma: no cover - generator marker
-
-    ThreadedRunner(num_threads).run(task(lo, hi) for lo, hi in blocks)
     return y

@@ -8,16 +8,15 @@ here, as plain reviewable data.
 Two tables:
 
 * :data:`DISPATCH_EDGES` — call edges that exist at runtime through
-  table-driven dispatch (the Table III ordering registry, the process
-  pool's worker entry).  The call-graph builder adds them with kind
+  table-driven dispatch (the Table III ordering registry).  The call-graph builder adds them with kind
   ``registry`` so reachability analyses see through the tables.  A fact
   that no longer binds to a real function is surfaced by the self-host
   test (``CallGraph.unbound_facts``) — facts must not rot.
 
 * :data:`OWNERSHIP_FACTS` — the shared-state ownership table: each
-  protected attribute (the flat engine's shard table, the arena's bump
-  cursor, the atomic record's arrays, the serve cache's LRU dict, the
-  daemon's coalescing table) maps to its owning module(s) and the
+  protected attribute (the arena's bump cursor, the atomic record's
+  arrays, the serve cache's LRU dict, the daemon's coalescing table)
+  maps to its owning module(s) and the
   *protocol entry points* through which other modules are sanctioned to
   reach it.  The ``state-ownership`` analyzer flags any write to a
   protected attribute that is reachable from outside an owner context
@@ -42,7 +41,7 @@ __all__ = [
 class OwnershipFact:
     """One protected attribute and the protocol that guards it."""
 
-    #: the private attribute name (``_shards``, ``_cursor``, ...)
+    #: the private attribute name (``_cursor``, ``_degree``, ...)
     attr: str
     #: dotted modules allowed to touch the attribute directly
     owner_modules: Tuple[str, ...]
@@ -54,21 +53,6 @@ class OwnershipFact:
 
 
 OWNERSHIP_FACTS: Tuple[OwnershipFact, ...] = (
-    OwnershipFact(
-        attr="_shards",
-        owner_modules=("repro.rabbit.fastpar",),
-        entry_points=(
-            "repro.rabbit.fastpar.ShardedAdjacency.__init__",
-            "repro.rabbit.fastpar.ShardedAdjacency.from_pools",
-            "repro.rabbit.fastpar.ShardedAdjacency.new_shard",
-            "repro.rabbit.fastpar.ShardedAdjacency.store",
-        ),
-        note=(
-            "the flat parallel engine's single-writer shard table; one "
-            "append-only shard per worker task, published by "
-            "regrow-by-swap"
-        ),
-    ),
     OwnershipFact(
         attr="_cursor",
         owner_modules=("repro.rabbit.arena",),
@@ -129,7 +113,7 @@ def lexical_owner_files() -> Dict[str, Tuple[str, ...]]:
     The ``private-atomic-state`` rule predates this table and works on
     file suffixes, not modules; deriving its map here keeps the two
     rules on one source of truth.  Returns attr -> owner ``.py`` path
-    fragments (``repro.rabbit.fastpar`` -> ``repro/rabbit/fastpar.py``).
+    fragments (``repro.rabbit.arena`` -> ``repro/rabbit/arena.py``).
     """
     return {
         fact.attr: tuple(

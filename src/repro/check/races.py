@@ -29,9 +29,9 @@ classic happens-before race detector over vector clocks:
   of the algorithm.
 
 Event collection is cooperative: :func:`tag_worker` wraps each worker
-generator so a thread-local carries the logical worker id across both
-executors (the single-threaded interleaving scheduler *and* real
-threads), the atomic array calls :meth:`EventLog.atomic_*` hooks from
+generator so a thread-local carries the logical worker id across every
+resumption by the interleaving scheduler (or any OS thread that drives
+the generator), the atomic array calls :meth:`EventLog.atomic_*` hooks from
 inside its per-record critical sections (so the log order of sync events
 matches their true linearisation), and thin :class:`TracingArray` /
 :class:`TracingList` proxies record the plain accesses.  Accesses made
@@ -103,7 +103,7 @@ def tag_worker(gen: Iterator[object], worker: int) -> Iterator[object]:
     """Wrap a worker generator so every step runs with *worker* as the
     current logical worker id.
 
-    Works under both executors without modifying them: the wrapper sets
+    Works under any driver without modifying it: the wrapper sets
     the thread-local immediately before resuming the inner generator and
     clears it at every yield point, so whichever OS thread happens to
     drive the task attributes its accesses correctly.
@@ -339,8 +339,8 @@ def analyze_log(log: EventLog) -> RaceReport:
     reported iff no chain of program order and record acquire/release
     edges orders it.  Order within the log is only assumed per worker
     (program order) and per atomic record (the hooks run inside the
-    record's critical section), which is exactly what both executors
-    provide.
+    record's critical section), which is exactly what the interleaving
+    scheduler provides.
     """
     report = RaceReport(dropped_events=log.dropped)
     clocks: Dict[int, VectorClock] = {}

@@ -11,16 +11,10 @@ code grows:
   are the intentional, suppressed exceptions.
 * ``private-atomic-state`` — nothing outside the owning layer may reach
   into concurrent private storage: :class:`AtomicPairArray`'s arrays
-  (``_degree``, ``_child``, ``_locks``, ``_lock_for``), the flat
-  engine's shard table (``_shards``), or the arena's bump cursor
-  (``_cursor``).  Shared mutable state is only touched through the
-  owner's operations (``load``/``swap``/``cas``, ``neighbours``/fold,
-  ``alloc``) or the quiesced bulk views.
-* ``unsupervised-process`` — no bare child processes
-  (``multiprocessing.Process``, ``os.fork``,
-  ``concurrent.futures.ProcessPoolExecutor``) anywhere in ``repro/``
-  outside :mod:`repro.parallel.procpool`, the one place that supervises
-  them (heartbeats, lease reclamation, respawn budgets).
+  (``_degree``, ``_child``, ``_locks``, ``_lock_for``) or the arena's
+  bump cursor (``_cursor``).  Shared mutable state is only touched
+  through the owner's operations (``load``/``swap``/``cas``,
+  ``reserve``/``commit``) or the quiesced bulk views.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from repro.check.astutil import collect_imports
 from repro.check.engine import FileContext, Finding, Rule, register_rule
 from repro.check.facts import lexical_owner_files
 
-__all__ = ["LockInLockfreePath", "PrivateAtomicState", "UnsupervisedProcess"]
+__all__ = ["LockInLockfreePath", "PrivateAtomicState"]
 
 #: Blocking primitives whose construction the rule flags.
 _BLOCKING = {
@@ -95,7 +89,7 @@ class PrivateAtomicState(Rule):
     rationale = (
         "All cross-thread state must flow through its owning layer's "
         "public operations (load/swap/cas on the atomic record, "
-        "neighbours/fold on the sharded adjacency, alloc on the arena); "
+        "reserve/commit on the arena); "
         "touching the private storage bypasses both the locking and the "
         "race detector's instrumentation."
     )
@@ -117,47 +111,5 @@ class PrivateAtomicState(Rule):
             )
 
 
-#: Process-creating callables that must stay behind the supervised pool.
-_BARE_PROCESS = {
-    "multiprocessing.Process",
-    "os.fork",
-    "concurrent.futures.ProcessPoolExecutor",
-}
-
-
-class UnsupervisedProcess(Rule):
-    id = "unsupervised-process"
-    rationale = (
-        "A bare child process has no heartbeat, no lease reclamation, "
-        "and no respawn budget — an OOM kill silently loses its work.  "
-        "All process parallelism goes through the supervised pool in "
-        "repro.parallel.procpool, which owns those guarantees."
-    )
-    scope = ("repro/",)
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if not super().applies_to(ctx):
-            return False
-        # procpool.py *is* the supervised pool.
-        return not ctx.rel.endswith("repro/parallel/procpool.py")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = collect_imports(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = imports.resolve(node.func)
-            if resolved in _BARE_PROCESS:
-                yield ctx.finding(
-                    self.id,
-                    node,
-                    f"bare child process via {resolved}(); use the "
-                    "supervised pool (repro.parallel.procpool."
-                    "ProcessPool) so worker loss is detected and the "
-                    "work is reclaimed",
-                )
-
-
 register_rule(LockInLockfreePath())
 register_rule(PrivateAtomicState())
-register_rule(UnsupervisedProcess())

@@ -163,18 +163,13 @@ def _reorder_resilient(args, graph):
     policy = SupervisorPolicy(
         budgets=budgets,
         ladder=(
-            default_ladder(args.threads, num_procs=args.procs)
-            if args.ladder is None
-            else parse_ladder(args.ladder, args.threads,
-                              num_procs=args.procs)
+            default_ladder() if args.ladder is None
+            else parse_ladder(args.ladder)
         ),
         checkpoint=checkpoint,
         seed=args.seed,
     )
-    result, report = supervised_rabbit_order(
-        graph, policy=policy, num_threads=args.threads,
-        num_procs=args.procs,
-    )
+    result, report = supervised_rabbit_order(graph, policy=policy)
     print(report.summary())
     return result
 
@@ -182,7 +177,6 @@ def _reorder_resilient(args, graph):
 def _cmd_reorder(args) -> int:
     from repro.order import get_algorithm
 
-    _require_positive(args, "threads", "procs")
     resilient = _resilience_flags(args)
     if (args.engine or resilient) and args.algorithm not in (
         "Rabbit", "RabbitDict"
@@ -231,20 +225,33 @@ def _cmd_reorder(args) -> int:
     return 0
 
 
+#: Detection paths that no longer exist; their snapshots cannot be resumed.
+_RETIRED_EXECUTORS = ("threads", "procs")
+
+
 def _cmd_resume(args) -> int:
     """``repro resume``: finish a checkpointed detection run.
 
-    The run configuration (engine, executor, thread count, scheduler
-    seed, merge threshold, snapshot cadence) is reconstructed from the
-    snapshot's own metadata — the caller only points at the checkpoint
-    and the graph it came from (fingerprint-verified).
+    The run configuration (engine, thread count, scheduler seed, merge
+    threshold, snapshot cadence) is reconstructed from the snapshot's own
+    metadata — the caller only points at the checkpoint and the graph it
+    came from (fingerprint-verified).  Snapshots written by a retired
+    executor fail closed with a :class:`~repro.errors.CheckpointError`.
     """
+    from repro.errors import CheckpointError
     from repro.rabbit.order import rabbit_order, resolve_resume
     from repro.resilience import CheckpointConfig
 
-    _require_positive(args, "threads", "procs")
+    _require_positive(args, "threads")
     snap = resolve_resume(args.checkpoint)
     cfg = snap.config
+    for source in (snap.engine, cfg.get("executor")):
+        if source in _RETIRED_EXECUTORS:
+            raise CheckpointError(
+                f"checkpoint was written by the removed {source!r} "
+                "executor and cannot be resumed; rerun detection from "
+                "scratch"
+            )
     fingerprint = snap.meta.get("fingerprint", {})
     graph = _load_graph(args.input)
     kwargs = {
@@ -260,13 +267,10 @@ def _cmd_resume(args) -> int:
             every=int(cfg.get("checkpoint_every", 1024)),
         )
     if cfg.get("parallel", False):
-        executor = cfg.get("executor")
-        workers = args.procs if executor == "procs" else args.threads
         kwargs.update(
             parallel=True,
-            executor=executor,
-            num_threads=int(workers or cfg.get("num_threads", 4)),
-            scheduler_seed=cfg.get("scheduler_seed"),
+            num_threads=int(args.threads or cfg.get("num_threads", 4)),
+            scheduler_seed=int(cfg.get("scheduler_seed") or 0),
         )
     else:
         kwargs["engine"] = cfg.get("engine", "fast")
@@ -381,31 +385,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stress(args) -> int:
-    from repro.experiments.stress import run_chaos, run_procs_chaos, run_stress
+    from repro.experiments.stress import run_chaos, run_stress
 
-    _require_positive(args, "threads", "procs")
+    _require_positive(args, "threads")
     if args.seeds < 1:
         print(f"error: --seeds must be >= 1, got {args.seeds}", file=sys.stderr)
         return 2
-    if args.executor == "procs" and not args.chaos:
-        print(
-            "error: --executor procs runs the worker-kill chaos campaign; "
-            "combine it with --chaos (the fault-plan sweep instruments the "
-            "thread and interleave executors)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.chaos and args.executor == "procs":
-        report = run_procs_chaos(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            graph_seed=args.graph_seed,
-            num_seeds=args.seeds,
-            num_procs=args.procs,
-            quick=args.quick,
-        )
-        print(report.table())
-        return 0 if report.ok else 1
     if args.chaos:
         report = run_chaos(
             scale=args.scale,
@@ -414,7 +399,6 @@ def _cmd_stress(args) -> int:
             num_seeds=args.seeds,
             num_threads=args.threads,
             quick=args.quick,
-            executor=args.executor,
         )
         print(report.table())
         return 0 if report.ok else 1
@@ -425,9 +409,7 @@ def _cmd_stress(args) -> int:
         num_seeds=args.seeds,
         num_threads=args.threads,
         quick=args.quick,
-        executor=args.executor,
         detect_races=args.races,
-        engine=args.engine,
     )
     print(report.table())
     return 0 if report.ok else 1
@@ -644,13 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run under the supervisor with this RSS budget")
     p.add_argument("--ladder", metavar="SPEC",
                    help="supervisor degradation ladder, comma-separated "
-                        "rung names (default: par-procs,par-threads,"
-                        "par-interleave,fastseq,dict)")
-    p.add_argument("--threads", type=int, default=4,
-                   help="threads for supervised parallel rungs")
-    p.add_argument("--procs", type=int, default=None,
-                   help="worker processes for the par-procs rung "
-                        "(default 2)")
+                        "rung names (default: fastseq,dict)")
     p.add_argument("--verbose", "-v", action="store_true",
                    help="print the per-phase span breakdown")
     p.set_defaults(fn=_cmd_reorder)
@@ -666,11 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="continue snapshotting into DIR (default: the "
                         "checkpoint's own directory)")
     p.add_argument("--threads", type=int, default=None,
-                   help="override the snapshot's thread count for "
-                        "parallel resumes")
-    p.add_argument("--procs", type=int, default=None,
-                   help="override the snapshot's worker-process count "
-                        "for process-pool resumes")
+                   help="override the snapshot's modelled thread count "
+                        "(the interleaving window) for parallel resumes")
     p.add_argument("--perm-out", help="write pi as .npy")
     p.add_argument("--graph-out", help="write the reordered graph")
     p.add_argument("--verbose", "-v", action="store_true",
@@ -714,24 +687,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph-seed", type=int, default=3)
     p.add_argument("--threads", type=int, default=4,
                    help="modelled hardware threads (scheduler window)")
-    p.add_argument("--procs", type=int, default=2,
-                   help="worker processes for --executor procs")
-    p.add_argument("--executor", choices=["interleave", "threads", "procs"],
-                   default="interleave",
-                   help="deterministic interleaving scheduler, real "
-                        "threads, or (with --chaos) the shared-memory "
-                        "process pool")
     p.add_argument("--races", action="store_true",
                    help="run the happens-before race detector on every cell")
-    p.add_argument("--engine", choices=["fast", "dict"], default="fast",
-                   help="aggregation-state engine under test: flat "
-                        "arena-backed arrays (fast, default) or the dict "
-                        "reference; the chaos campaign always sweeps both")
     p.add_argument("--chaos", action="store_true",
                    help="chaos campaign instead: SIGKILL a checkpointing "
-                        "subprocess mid-detection (or, with --executor "
-                        "procs, random pool workers mid-round), resume or "
-                        "reclaim, verify the permutation")
+                        "subprocess mid-detection, resume, verify the "
+                        "permutation")
     p.set_defaults(fn=_cmd_stress)
 
     p = sub.add_parser(

@@ -161,10 +161,6 @@ class Dendrogram:
             dtype=np.int64,
         )
 
-    def _dfs_single(self, root: int) -> np.ndarray:
-        """Post-order DFS of one tree, iterative (graphs can be deep)."""
-        return np.array(self._reverse_preorder([int(root)]), dtype=np.int64)
-
     def ordering(self) -> np.ndarray:
         """Permutation π with ``π[old] = new`` (Algorithm 2's output)."""
         return permutation_from_order(self.dfs_visit_order())

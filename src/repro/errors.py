@@ -22,7 +22,6 @@ __all__ = [
     "CheckError",
     "PrecisionError",
     "CheckpointError",
-    "ProcPoolError",
     "AttemptAbortedError",
     "BudgetExceededError",
     "StallError",
@@ -97,13 +96,6 @@ class CheckpointError(ReproError):
     """A checkpoint file is corrupt (bad magic/CRC/truncation), has an
     unsupported schema version, or is stale (its fingerprint does not
     match the run being resumed)."""
-
-
-class ProcPoolError(ReproError):
-    """The supervised process pool cannot make progress: misconfigured
-    (zero workers), its respawn budget is exhausted with work still
-    pending and no sequential fallback, or its workers cannot be
-    spawned at all."""
 
 
 class AttemptAbortedError(ReproError):

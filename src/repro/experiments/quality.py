@@ -4,9 +4,10 @@ Rabbit Order.
 The paper's point: the asynchronous parallel execution changes the
 extracted communities, but neither the modularity nor the downstream
 PageRank time meaningfully degrades (48-thread quality matches or exceeds
-sequential).  We compare the sequential run against a real-thread
-parallel run and report the same three columns plus the percentage
-runtime change.
+sequential).  We compare the sequential run against Algorithm 3 under the
+seeded interleaving model (``num_threads`` modelled threads, seed 0, so
+the table is deterministic) and report the same three columns plus the
+percentage runtime change.
 """
 
 from __future__ import annotations

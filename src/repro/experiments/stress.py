@@ -43,9 +43,6 @@ __all__ = [
     "ChaosOutcome",
     "ChaosReport",
     "run_chaos",
-    "ProcsChaosOutcome",
-    "ProcsChaosReport",
-    "run_procs_chaos",
 ]
 
 
@@ -178,9 +175,7 @@ def _run_cell(
     seed: int,
     num_threads: int,
     *,
-    executor: str = "interleave",
     detect_races: bool = False,
-    engine: str = "fast",
 ) -> StressOutcome:
     plan = None if case.plan is None else replace(case.plan, seed=seed)
     outcome = StressOutcome(case=case.name, seed=seed, ok=False)
@@ -188,13 +183,10 @@ def _run_cell(
         res = community_detection_par(
             graph,
             num_threads=num_threads,
-            # "threads" hands the cell to real threads (not replayable);
-            # the seed then only parameterises the fault plan.
-            scheduler_seed=seed if executor == "interleave" else None,
+            scheduler_seed=seed,
             fault_plan=plan,
             audit=True,
             detect_races=detect_races,
-            engine=engine,
         )
         if res.race_report is not None:
             outcome.races = len(res.race_report.races)
@@ -238,35 +230,22 @@ def run_stress(
     num_threads: int = 4,
     cases: tuple[StressCase, ...] | None = None,
     quick: bool = False,
-    executor: str = "interleave",
     detect_races: bool = False,
-    engine: str = "fast",
 ) -> StressReport:
     """Sweep ``cases`` × ``num_seeds`` scheduler seeds on one R-MAT graph.
 
     ``quick`` shrinks the sweep (3 seeds) for a CI smoke job; a full run
-    uses every seed for every case.  ``executor`` selects the
-    deterministic interleaving scheduler (replayable; the default) or
-    real threads.  ``detect_races=True`` runs the happens-before race
-    detector (:mod:`repro.check.races`) on every cell and fails any cell
-    whose report is not clean.  ``engine`` picks the aggregation-state
-    layout under test: the flat arena-backed ``"fast"`` engine (the
-    default) or the ``"dict"`` reference.
+    uses every seed for every case.  ``detect_races=True`` runs the
+    happens-before race detector (:mod:`repro.check.races`) on every
+    cell and fails any cell whose report is not clean.
     """
-    if executor not in ("interleave", "threads"):
-        raise ReproError(
-            f"executor must be 'interleave' or 'threads', got {executor!r}"
-        )
-    if engine not in ("fast", "dict"):
-        raise ReproError(f"engine must be 'fast' or 'dict', got {engine!r}")
     if quick:
         num_seeds = min(num_seeds, 3)
     graph = rmat_graph(scale, edge_factor=edge_factor, rng=graph_seed)
     report = StressReport(
         graph_desc=(
             f"R-MAT scale={scale} ({graph.num_vertices} vertices, "
-            f"{graph.num_undirected_edges} edges), {num_seeds} seeds/case, "
-            f"executor={executor}, engine={engine}"
+            f"{graph.num_undirected_edges} edges), {num_seeds} seeds/case"
             + (", race detection on" if detect_races else "")
         )
     )
@@ -280,9 +259,7 @@ def run_stress(
                     case,
                     seed,
                     num_threads,
-                    executor=executor,
                     detect_races=detect_races,
-                    engine=engine,
                 )
             )
     report.metrics = counter_delta(counters_before, registry.counter_values())
@@ -312,18 +289,10 @@ CHAOS_KILL_PLAN = FaultPlan(
 _CHILD_NOT_KILLED = 3
 
 
-def _par_engine(engine: str) -> str:
-    """Aggregation-state engine of a parallel chaos engine name:
-    ``"par"`` runs the flat fastpar layout, ``"par-dict"`` the dict
-    reference."""
-    return "dict" if engine == "par-dict" else "fast"
-
-
 def _checkpointed_permutation(
     graph,
     *,
     engine: str,
-    executor: str,
     num_threads: int,
     seed: int,
     plan: FaultPlan | None,
@@ -341,16 +310,15 @@ def _checkpointed_permutation(
     from repro.resilience.checkpoint import CheckpointConfig
 
     checkpoint = CheckpointConfig(directory=directory, every=every)
-    if engine.startswith("par"):
+    if engine == "par":
         res = community_detection_par(
             graph,
             num_threads=num_threads,
-            scheduler_seed=seed if executor == "interleave" else None,
+            scheduler_seed=seed,
             fault_plan=plan,
             audit=True,
             checkpoint=checkpoint,
             resume=resume,
-            engine=_par_engine(engine),
         )
         return res.dendrogram.ordering()
     from repro.rabbit.seq import community_detection_seq
@@ -387,16 +355,13 @@ def _chaos_child_main(spec_path: str) -> int:
     )
     plan = None if spec["plan"] is None else FaultPlan(**spec["plan"])
     engine = spec["engine"]
-    if engine.startswith("par"):
+    if engine == "par":
         community_detection_par(
             graph,
             num_threads=int(spec["num_threads"]),
-            scheduler_seed=(
-                int(spec["seed"]) if spec["executor"] == "interleave" else None
-            ),
+            scheduler_seed=int(spec["seed"]),
             fault_plan=plan,
             checkpoint=checkpointer,
-            engine=_par_engine(engine),
         )
     else:
         from repro.rabbit.seq import community_detection_seq
@@ -421,9 +386,6 @@ class ChaosOutcome:
     ok: bool
     #: progress of the newest checkpoint the killed child left behind
     resumed_from: int = 0
-    #: whether the resumed permutation was bit-compared to the baseline
-    #: (real multi-threaded runs are audit-validated instead)
-    compared: bool = False
     error: str | None = None
 
 
@@ -445,14 +407,13 @@ class ChaosReport:
     def table(self) -> str:
         header = (
             f"{'engine':<8} {'case':<10} {'seed':>5} {'resumed@':>9} "
-            f"{'compared':>9} {'ok':>4}"
+            f"{'ok':>4}"
         )
         lines = [f"chaos campaign on {self.graph_desc}", header,
                  "-" * len(header)]
         for o in self.outcomes:
             lines.append(
                 f"{o.engine:<8} {o.case:<10} {o.seed:>5} {o.resumed_from:>9} "
-                f"{'yes' if o.compared else 'audit':>9} "
                 f"{'ok' if o.ok else 'FAIL':>4}"
             )
         for o in self.failures:
@@ -480,15 +441,11 @@ def _run_chaos_cell(
     case: str,
     plan: FaultPlan | None,
     seed: int,
-    executor: str,
     num_threads: int,
     every: int,
-    resume_engine: str | None = None,
 ) -> ChaosOutcome:
-    """One chaos cell.  ``resume_engine`` (the ``cross`` case) resumes
-    the killed child's checkpoint under a *different* aggregation-state
-    engine — the snapshot wire format is engine-neutral, and replayable
-    executions must land on the baseline permutation either way."""
+    """One chaos cell: uninterrupted baseline, SIGKILLed child, resume,
+    bit-compare."""
     import repro
     from repro.resilience.checkpoint import latest_checkpoint
 
@@ -501,7 +458,6 @@ def _run_chaos_cell(
         baseline = _checkpointed_permutation(
             graph,
             engine=engine,
-            executor=executor,
             num_threads=num_threads,
             seed=seed,
             plan=plan,
@@ -511,7 +467,6 @@ def _run_chaos_cell(
         spec = {
             "graph": str(graph_path),
             "engine": engine,
-            "executor": executor,
             "num_threads": num_threads,
             "seed": seed,
             "plan": None if plan is None else plan.__dict__,
@@ -545,8 +500,7 @@ def _run_chaos_cell(
         outcome.resumed_from = found[1].progress
         resumed = _checkpointed_permutation(
             graph,
-            engine=resume_engine or engine,
-            executor=executor,
+            engine=engine,
             num_threads=num_threads,
             seed=seed,
             plan=plan,
@@ -555,10 +509,7 @@ def _run_chaos_cell(
             resume=found[1],
         )
         validate_permutation(resumed, graph.num_vertices)
-        # Real multi-threaded schedules are nondeterministic, so resumed
-        # runs are audit-validated above rather than bit-compared.
-        outcome.compared = executor == "interleave" or num_threads == 1
-        if outcome.compared and not np.array_equal(resumed, baseline):
+        if not np.array_equal(resumed, baseline):
             raise ReproError(
                 "resumed permutation differs from the uninterrupted run"
             )
@@ -581,7 +532,6 @@ def run_chaos(
     num_seeds: int = 5,
     num_threads: int = 4,
     quick: bool = False,
-    executor: str = "interleave",
     engines: tuple[str, ...] | None = None,
 ) -> ChaosReport:
     """SIGKILL-and-resume campaign over engines × seeds.
@@ -590,28 +540,16 @@ def run_chaos(
     baseline); (2) run the identical configuration in a *subprocess*
     whose checkpointer SIGKILLs it mid-detection; (3) resume in-process
     from the newest snapshot the corpse left behind and require the
-    finished permutation to be valid — and, for replayable executions
-    (the interleaving scheduler, or one real thread), bit-identical to
-    the baseline.  Parallel engines come in both state layouts —
-    ``par`` (flat fastpar arrays, the default everywhere) and
-    ``par-dict`` (the reference) — and additionally run a ``cross`` case
-    that resumes the killed run under the *other* layout, pinning the
-    engine-neutral snapshot format.  ``par`` cells also run a
+    finished permutation to be valid and bit-identical to the baseline.
+    Engines are ``par`` (Algorithm 3 under the interleaving model) and
+    the sequential ``fast``/``dict`` engines; ``par`` cells also run a
     ``faulted`` case where the kill is composed with
     :data:`CHAOS_KILL_PLAN` injection.
     """
     from repro.graph.npz import save_npz
 
-    if executor not in ("interleave", "threads"):
-        raise ReproError(
-            f"executor must be 'interleave' or 'threads', got {executor!r}"
-        )
     if engines is None:
-        engines = (
-            ("par", "fast")
-            if quick
-            else ("par", "par-dict", "fast", "dict")
-        )
+        engines = ("par", "fast") if quick else ("par", "fast", "dict")
     if quick:
         num_seeds = min(num_seeds, 2)
     graph = rmat_graph(scale, edge_factor=edge_factor, rng=graph_seed)
@@ -620,20 +558,17 @@ def run_chaos(
         graph_desc=(
             f"R-MAT scale={scale} ({graph.num_vertices} vertices, "
             f"{graph.num_undirected_edges} edges), {num_seeds} seeds, "
-            f"executor={executor}, engines={'/'.join(engines)}"
+            f"engines={'/'.join(engines)}"
         )
     )
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
         graph_path = Path(workdir) / "graph.npz"
         save_npz(graph, graph_path)
         for engine in engines:
-            cases = [("clean", None, None)]
+            cases: list[tuple[str, FaultPlan | None]] = [("clean", None)]
             if engine == "par":
-                cases.append(("faulted", CHAOS_KILL_PLAN, None))
-            if engine.startswith("par"):
-                other = "par-dict" if engine == "par" else "par"
-                cases.append(("cross", None, other))
-            for case, plan, resume_engine in cases:
+                cases.append(("faulted", CHAOS_KILL_PLAN))
+            for case, plan in cases:
                 for seed in range(num_seeds):
                     report.outcomes.append(
                         _run_chaos_cell(
@@ -644,181 +579,8 @@ def run_chaos(
                             case=case,
                             plan=plan,
                             seed=seed,
-                            executor=executor,
                             num_threads=num_threads,
                             every=every,
-                            resume_engine=resume_engine,
                         )
                     )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Process-pool worker-kill campaign (``--chaos --executor procs``).
-
-
-@dataclass
-class ProcsChaosOutcome:
-    """One seed of the worker-kill campaign."""
-
-    seed: int
-    ok: bool
-    error: str | None = None
-    kills: int = 0
-    workers_lost: int = 0
-    reclaimed: int = 0
-    quarantined: int = 0
-    fallback_tasks: int = 0
-    conflicts: int = 0
-
-
-@dataclass
-class ProcsChaosReport:
-    """All seeds of a worker-kill campaign plus the registry deltas."""
-
-    graph_desc: str
-    outcomes: list[ProcsChaosOutcome] = field(default_factory=list)
-    metrics: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(o.ok for o in self.outcomes)
-
-    @property
-    def failures(self) -> list[ProcsChaosOutcome]:
-        return [o for o in self.outcomes if not o.ok]
-
-    def table(self) -> str:
-        header = (
-            f"{'seed':>5} {'kills':>6} {'lost':>5} {'reclaim':>8} "
-            f"{'poison':>7} {'fallback':>9} {'conflict':>9} {'ok':>4}"
-        )
-        lines = [f"worker-kill campaign on {self.graph_desc}", header,
-                 "-" * len(header)]
-        for o in self.outcomes:
-            lines.append(
-                f"{o.seed:>5} {o.kills:>6} {o.workers_lost:>5} "
-                f"{o.reclaimed:>8} {o.quarantined:>7} "
-                f"{o.fallback_tasks:>9} {o.conflicts:>9} "
-                f"{'ok' if o.ok else 'FAIL':>4}"
-            )
-        for o in self.failures:
-            lines.append(f"FAILED seed={o.seed}: {o.error}")
-        if self.metrics:
-            lines.append("")
-            lines.append("metrics registry (this campaign):")
-            for name, value in sorted(self.metrics.items()):
-                lines.append(f"  {name:<40} {value:>14.0f}")
-        verdict = (
-            "every kill was absorbed: permutations bit-identical to the "
-            "sequential oracle"
-            if self.ok
-            else f"{len(self.failures)} of {len(self.outcomes)} seeds FAILED"
-        )
-        lines.append(verdict)
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.table()
-
-
-def run_procs_chaos(
-    *,
-    scale: int = 6,
-    edge_factor: int = 4,
-    graph_seed: int = 3,
-    num_seeds: int = 25,
-    num_procs: int = 2,
-    kill_rate: float = 0.5,
-    max_kills: int = 4,
-    quick: bool = False,
-) -> ProcsChaosReport:
-    """SIGKILL random pool workers mid-round, ``num_seeds`` campaigns.
-
-    Each seed runs the process-pool detection engine under a seeded
-    :class:`~repro.parallel.procpool.PoolChaosPlan` that SIGKILLs a
-    random busy worker in roughly every other round, with ``audit=True``,
-    and requires the finished permutation to be **bit-identical** to the
-    sequential dict-engine oracle — worker loss must be fully absorbed by
-    lease reclamation (and, for poison-tier repeat offenders, the
-    in-parent fallback), never visible in the output.  The
-    ``procpool.*`` lifecycle counters are captured per seed and summed
-    into the report's registry delta.
-    """
-    from repro.parallel.procpool import PoolChaosPlan, PoolConfig
-    from repro.rabbit.order import rabbit_order
-    from repro.rabbit.parproc import community_detection_procs
-
-    if quick:
-        num_seeds = min(num_seeds, 3)
-    registry = get_registry()
-    graph = rmat_graph(scale, edge_factor=edge_factor, rng=graph_seed)
-    oracle = rabbit_order(graph, engine="dict").permutation
-    report = ProcsChaosReport(
-        graph_desc=(
-            f"R-MAT scale={scale} ({graph.num_vertices} vertices, "
-            f"{graph.num_undirected_edges} edges), {num_seeds} seeds, "
-            f"{num_procs} workers, kill_rate={kill_rate}"
-        )
-    )
-    campaign_before = registry.counter_values("procpool")
-    pool_config = PoolConfig(
-        num_workers=num_procs,
-        heartbeat_timeout_s=10.0,
-        poll_interval_s=0.01,
-    )
-    for seed in range(num_seeds):
-        outcome = ProcsChaosOutcome(seed=seed, ok=False)
-        before = registry.counter_values("procpool")
-        try:
-            res = community_detection_procs(
-                graph,
-                num_procs=num_procs,
-                chaos=PoolChaosPlan(
-                    seed=seed, kill_rate=kill_rate, max_kills=max_kills
-                ),
-                pool_config=pool_config,
-                audit=True,
-            )
-            delta = counter_delta(before, registry.counter_values("procpool"))
-            outcome.kills = int(delta.get("procpool.chaos.kills", 0))
-            outcome.workers_lost = int(delta.get("procpool.workers.lost", 0))
-            outcome.reclaimed = int(
-                delta.get("procpool.leases.reclaimed", 0)
-            )
-            outcome.quarantined = int(
-                delta.get("procpool.tasks.quarantined", 0)
-            )
-            outcome.fallback_tasks = int(
-                delta.get("procpool.fallback.tasks", 0)
-            )
-            outcome.conflicts = int(
-                delta.get("procpool.speculation.conflicts", 0)
-            )
-            perm = res.dendrogram.ordering()
-            validate_permutation(perm, graph.num_vertices)
-            if not np.array_equal(perm, oracle):
-                raise ReproError(
-                    "permutation differs from the sequential oracle"
-                )
-            if delta.get("procpool.workers.spawned", 0) < num_procs:
-                raise ReproError("pool never spawned its workers")
-            if outcome.workers_lost < outcome.kills:
-                raise ReproError(
-                    f"{outcome.kills} kills but only "
-                    f"{outcome.workers_lost} workers declared lost"
-                )
-            s = res.stats
-            if s.merges + s.toplevels != graph.num_vertices:
-                raise ReproError(
-                    f"counter mismatch: {s.merges} merges + "
-                    f"{s.toplevels} toplevels != {graph.num_vertices}"
-                )
-            outcome.ok = True
-        except (ReproError, PermutationError) as exc:
-            outcome.error = f"{type(exc).__name__}: {exc}"
-        report.outcomes.append(outcome)
-    report.metrics = counter_delta(
-        campaign_before, registry.counter_values("procpool")
-    )
     return report

@@ -197,11 +197,10 @@ register_suite(
             ),
         ),
         # "Rabbit" is the fast flat-array engine; "RabbitDict" is the
-        # reference per-edge engine; "RabbitPar" is the parallel
-        # flat-array engine under the deterministic interleaving
-        # scheduler — all three stay on the roster so every run measures
-        # the engines side by side (equal permutations, different
-        # reorder_s) and the regression gate covers each.
+        # reference per-edge engine; "RabbitPar" is Algorithm 3 on the
+        # reference state under the deterministic interleaving scheduler
+        # — all three stay on the roster so every run measures the paths
+        # side by side and the regression gate covers each.
         orderings=("Rabbit", "RabbitDict", "RabbitPar", "RCM", "Degree",
                    "Random"),
         analyses=("pagerank", "bfs"),
@@ -251,11 +250,9 @@ register_suite(
     BenchSuite(
         name="scale",
         description=(
-            "Parallel scaling suite: the sequential engines plus the "
-            "thread and process executors at 1/2/4/8 workers on the "
-            "largest bench graph (R-MAT scale 13); deterministic cells "
-            "are bit-checked against the sequential oracle "
-            "(docs/PERF.md)."
+            "Scale suite: the production engine and the reference oracle "
+            "on the largest bench graph (R-MAT scale 13), bit-checked "
+            "against each other (docs/PERF.md)."
         ),
         graphs=(),
         orderings=(),

@@ -10,8 +10,8 @@ of spelunking per-module result objects.
 
 Instruments are monotonic within a process run; harnesses that need
 per-run deltas snapshot before and after (:meth:`MetricsRegistry.counter_values`
-plus :func:`counter_delta`).  All instruments are thread-safe: workers
-under :class:`~repro.parallel.scheduler.ThreadedRunner` may increment
+plus :func:`counter_delta`).  All instruments are thread-safe: the serving
+daemon's executor threads and the supervisor's watchdog may increment
 concurrently.
 """
 

@@ -1,29 +1,21 @@
-"""Scaling bench suite: fastpar executors × worker counts.
+"""Scale bench suite: the two sequential engines on the largest bench graph.
 
-One cell per engine configuration — the two sequential engines plus the
-thread and process executors at 1/2/4/8 workers — all reordering the
-*largest* bench graph (R-MAT scale 13, edge factor 8; an order of
-magnitude beyond the ``core`` suite's graphs).  The committed
-``BENCH_scale.json`` is the scaling record the ROADMAP's "parallel
-engine beats sequential" claim reports against, and the CI ``--compare``
-gate keeps any engine from silently regressing.
+One cell per engine — ``fastseq`` (the production engine) and
+``seq-dict`` (the reference oracle) — both reordering the *largest*
+bench graph (R-MAT scale 13, edge factor 8; an order of magnitude
+beyond the ``core`` suite's graphs).  The committed ``BENCH_scale.json``
+is the record the CI ``--compare`` gate keeps either engine from
+silently regressing against.
 
-Reading the numbers
--------------------
-Wall-clock scaling is a property of the *host*, not just the code: on a
-single-core container every executor's worker compute serialises, so
-``procs-w4`` can never beat ``fastseq`` there no matter how good the
-engine is.  Each cell therefore records the detected topology
-(``machine.physical_cores`` / ``machine.hardware_threads`` counters, via
+Each cell records the detected topology (``machine.physical_cores`` /
+``machine.hardware_threads`` counters, via
 :meth:`~repro.parallel.costmodel.ParallelMachine.detect`) so a baseline
 is always interpreted against the machine that produced it, and
 cross-machine comparisons use the generous tolerance the CI gate passes
 explicitly.
 
-Correctness is gated alongside speed: the deterministic configurations
-(both sequential engines and every ``procs-wN`` cell) must reproduce the
-flat sequential oracle's permutation bit-for-bit; thread cells — real
-preemption, nondeterministic schedules — are validated as permutations.
+Correctness is gated alongside speed: ``seq-dict`` must reproduce the
+``fastseq`` permutation bit-for-bit.
 """
 
 from __future__ import annotations
@@ -46,10 +38,7 @@ from repro.obs.metrics import counter_delta, get_registry
 from repro.parallel.costmodel import ParallelMachine
 from repro.rabbit.order import rabbit_order
 
-__all__ = ["run_scale_suite", "WORKER_COUNTS", "SCALE_GRAPH"]
-
-#: Worker counts probed per parallel executor.
-WORKER_COUNTS = (1, 2, 4, 8)
+__all__ = ["run_scale_suite", "SCALE_GRAPH"]
 
 #: The largest bench graph: R-MAT scale 13, edge factor 8 (~8k vertices,
 #: ~100k undirected edges) — big enough that folding dominates fixed
@@ -57,22 +46,12 @@ WORKER_COUNTS = (1, 2, 4, 8)
 SCALE_GRAPH = ("rmat-s13", 13, 8, 7)
 
 
-def _configs() -> list[tuple[str, dict[str, Any]]]:
-    configs: list[tuple[str, dict[str, Any]]] = [
-        ("fastseq", dict(engine="fast")),
-        ("seq-dict", dict(engine="dict")),
-    ]
-    for w in WORKER_COUNTS:
-        configs.append(
-            (f"threads-w{w}",
-             dict(parallel=True, executor="threads", num_threads=w))
-        )
-    for w in WORKER_COUNTS:
-        configs.append(
-            (f"procs-w{w}",
-             dict(parallel=True, executor="procs", num_threads=w))
-        )
-    return configs
+#: (cell name, rabbit_order keyword arguments); the first cell's
+#: permutation is the reference every later cell must match.
+CONFIGS: tuple[tuple[str, dict[str, Any]], ...] = (
+    ("fastseq", dict(engine="fast")),
+    ("seq-dict", dict(engine="dict")),
+)
 
 
 def run_scale_suite(repeats: int = 1) -> list[dict[str, Any]]:
@@ -85,7 +64,7 @@ def run_scale_suite(repeats: int = 1) -> list[dict[str, Any]]:
     registry = get_registry()
     results: list[dict[str, Any]] = []
     oracle: np.ndarray | None = None
-    for ordering, kwargs in _configs():
+    for ordering, kwargs in CONFIGS:
         before = registry.counter_values()
         samples: list[float] = []
         result = None
@@ -97,30 +76,21 @@ def run_scale_suite(repeats: int = 1) -> list[dict[str, Any]]:
         assert result is not None
         perm = result.permutation
         validate_permutation(perm, graph.num_vertices)
-        if ordering == "fastseq":
+        if oracle is None:
             oracle = perm
-        elif ordering == "seq-dict" or ordering.startswith("procs"):
-            # Deterministic configurations are also the equivalence gate:
-            # a scaling win that changes the answer is not a win.
-            assert oracle is not None
-            if not np.array_equal(perm, oracle):
-                raise ReproError(
-                    f"scale cell {ordering!r} diverged from the "
-                    "sequential oracle permutation"
-                )
+        elif not np.array_equal(perm, oracle):
+            # The cells are also the equivalence gate: a speed win that
+            # changes the answer is not a win.
+            raise ReproError(
+                f"scale cell {ordering!r} diverged from the "
+                "fastseq permutation"
+            )
         permuted = graph.permute(perm)
         locality = {
+            "average_neighbor_gap": float(average_neighbor_gap(permuted)),
             "bandwidth": float(bandwidth(permuted)),
             "block_density_64": float(diagonal_block_density(permuted, 64)),
         }
-        # Real-thread schedules (beyond one worker) are nondeterministic,
-        # so their permutation — and hence the gap metric the compare
-        # gate judges at a tight tolerance — varies run to run; only
-        # deterministic cells commit it.
-        if not (ordering.startswith("threads") and not ordering.endswith("-w1")):
-            locality["average_neighbor_gap"] = float(
-                average_neighbor_gap(permuted)
-            )
         t1 = time.perf_counter()
         ANALYSES["pagerank"](permuted)
         pagerank_s = time.perf_counter() - t1

@@ -14,10 +14,10 @@ Design constraints, in order:
    carry their instrumentation permanently; only *coarse* phases are
    bracketed (never per-vertex loops), which a guard test enforces.
 2. **Thread/worker awareness.**  Each thread keeps its own span stack
-   (``threading.local``), so spans opened by :class:`ThreadedRunner`
-   workers nest correctly within their own thread and surface as roots
-   tagged with the thread name rather than corrupting another thread's
-   tree.
+   (``threading.local``), so spans opened on worker threads (the
+   serving daemon's executor) nest correctly within their own thread and
+   surface as roots tagged with the thread name rather than corrupting
+   another thread's tree.
 3. **Replayable exports.**  A finished trace serialises to JSON
    (:meth:`Span.to_dict`) or an indented flat-text tree
    (:func:`format_spans`), and aggregates to per-phase totals

@@ -52,7 +52,6 @@ def rabbit_order_result(
     parallel: bool = False,
     num_threads: int = 4,
     scheduler_seed: int | None = None,
-    deterministic: bool = True,
     engine: str = "fast",
     rng: np.random.Generator | int | None = None,  # accepted for interface parity
 ) -> OrderingResult:
@@ -62,15 +61,13 @@ def rabbit_order_result(
     engine="fast"``) — the fastest way to actually produce a permutation
     in this process, which is what the wall-clock benches measure.  Pass
     ``engine="dict"`` for the reference per-edge engine (bit-identical
-    output) or ``parallel=True`` for the lock-free Algorithm 3 model;
-    with ``deterministic=True`` a parallel run uses the seeded
-    interleaving scheduler, so the measured work/span profile — and hence
-    every recorded experiment table — is replayable.  The scalability
-    probes pass ``deterministic=False`` to measure genuine thread timing.
+    output) or ``parallel=True`` for the lock-free Algorithm 3 model
+    under the seeded interleaving scheduler (seed ``scheduler_seed``,
+    else an integer ``rng``, else 0), so the measured work/span profile —
+    and hence every recorded experiment table — is replayable.
     """
-    if parallel and deterministic and scheduler_seed is None:
-        seed_src = rng if isinstance(rng, int) else 0
-        scheduler_seed = seed_src
+    if scheduler_seed is None:
+        scheduler_seed = rng if isinstance(rng, int) else 0
     res = rabbit_order(
         graph,
         parallel=parallel,
@@ -107,14 +104,12 @@ def rabbit_order_result(
 
 
 def rabbit_par_order_result(graph: CSRGraph, **kwargs) -> OrderingResult:
-    """Registry entry ``"RabbitPar"``: parallel Algorithm 3 on the flat
-    arena-backed state (:mod:`repro.rabbit.fastpar`).
+    """Registry entry ``"RabbitPar"``: Algorithm 3 on the dict oracle's
+    aggregation state under the seeded interleaving scheduler.
 
-    Runs under the deterministic interleaving scheduler by default, so
-    the bench rows it produces are replayable rather than
-    schedule-noisy; the true-multicore wall-clock story lives in the
-    ``scale`` bench suite, which probes the thread and process executors
-    at several worker counts.
+    The bench rows it produces are replayable rather than
+    schedule-noisy; they measure the paper-fidelity model, not a
+    production engine (``"Rabbit"`` is the production engine).
     """
     kwargs.setdefault("parallel", True)
     res = rabbit_order_result(graph, **kwargs)

@@ -39,9 +39,9 @@ ALGORITHMS: dict[str, OrderingFn] = {
         # of Table III but kept registered so the bench suites measure
         # both engines and the regression gate covers the oracle too.
         "RabbitDict": rabbit_dict_order_result,
-        # The parallel flat-array engine under the deterministic
-        # interleaving scheduler — replayable bench rows; the real
-        # thread/process wall-clock lives in the "scale" bench suite.
+        # Algorithm 3 on the reference state under the deterministic
+        # interleaving scheduler — replayable bench rows of the
+        # paper-fidelity model.
         "RabbitPar": rabbit_par_order_result,
         "Slash": slashburn_order,
         "BFS": bfs_order,

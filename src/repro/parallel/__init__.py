@@ -1,4 +1,5 @@
-"""Parallel runtime substrate: atomics, schedulers, cost model."""
+"""Parallel runtime substrate: atomics, the interleaving scheduler, faults,
+cost model."""
 
 from repro.parallel.atomics import (
     INVALID_DEGREE,
@@ -17,12 +18,7 @@ from repro.parallel.faults import (
     FaultPlan,
     FaultyAtomicPairArray,
 )
-from repro.parallel.scheduler import (
-    InterleavingScheduler,
-    ThreadedRunner,
-    drive,
-    run_tasks,
-)
+from repro.parallel.scheduler import InterleavingScheduler, drive
 
 __all__ = [
     "INVALID_DEGREE",
@@ -34,9 +30,7 @@ __all__ = [
     "FaultPlan",
     "FaultyAtomicPairArray",
     "InterleavingScheduler",
-    "ThreadedRunner",
     "drive",
-    "run_tasks",
     "ParallelMachine",
     "projected_time",
     "projected_speedup",

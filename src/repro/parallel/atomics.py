@@ -7,9 +7,9 @@ same *semantics* in two grades:
 
 * :class:`AtomicPairArray` — an array of ``(degree, child)`` records whose
   ``load`` / ``swap`` / ``cas`` operations are made atomic with sharded
-  locks.  Used by the real-thread executor; the sharding keeps the
-  lock-per-operation cost pattern close to cache-line-granular hardware
-  CAS (no global serialisation point).
+  locks, so they stay atomic if driven from several OS threads; the
+  sharding keeps the lock-per-operation cost pattern close to
+  cache-line-granular hardware CAS (no global serialisation point).
 * The same class used under the deterministic interleaving scheduler,
   where operations are trivially atomic (single OS thread) but the
   scheduler controls *where* tasks interleave, so every CAS-failure /

@@ -124,8 +124,8 @@ class ParallelMachine:
         counting unique ``(physical id, core id)`` pairs in
         ``/proc/cpuinfo``.  Hosts where that is unreadable or masked
         (macOS, some containers) are assumed SMT-free — physical ==
-        hardware threads — which is the conservative choice for sizing a
-        process pool.  The memory-parallelism ceiling is scaled from the
+        hardware threads — which is the conservative choice.  The
+        memory-parallelism ceiling is scaled from the
         testbed's measured saturation ratio (20 of 24 cores).
 
         Results for the default path are cached per process; pass an

@@ -20,8 +20,8 @@ A plan is pure data; the runtime state lives in :class:`FaultInjector`,
 whose RNG is seeded from the plan so any schedule is replayable under the
 deterministic :class:`~repro.parallel.scheduler.InterleavingScheduler`.
 The hooks are opt-in at construction time: the unfaulted
-:class:`~repro.parallel.atomics.AtomicPairArray` and the executors' plain
-run loops are untouched when no plan is given, so the hot path pays
+:class:`~repro.parallel.atomics.AtomicPairArray` and the scheduler's plain
+run loop are untouched when no plan is given, so the hot path pays
 nothing for this machinery.
 """
 
@@ -127,10 +127,8 @@ class FaultCounters:
 class FaultInjector:
     """Runtime state of a :class:`FaultPlan`: RNG, windows, counters.
 
-    Thread-safe (one lock around every decision) so the same injector
-    drives both the single-threaded interleaving scheduler and the real
-    :class:`~repro.parallel.scheduler.ThreadedRunner`.  ``disable()``
-    turns every hook benign — crash recovery uses it to guarantee the
+    Thread-safe (one lock around every decision).  ``disable()`` turns
+    every hook benign — crash recovery uses it to guarantee the
     sequential fallback pass runs fault-free.
     """
 
@@ -211,7 +209,7 @@ class FaultInjector:
                 return True
             return False
 
-    # -- executor hooks -------------------------------------------------
+    # -- scheduler hooks ------------------------------------------------
     def schedule_action(self) -> str:
         """Decide the fate of a live task at a scheduling point."""
         plan = self.plan

@@ -1,43 +1,36 @@
-"""Task executors for the lock-free algorithms.
+"""Seeded interleaving model for the lock-free algorithms.
 
 Algorithm 3's worker logic is written once, as a *generator* that yields
-control at every atomic-operation boundary.  Two executors drive such
-generators:
-
-* :class:`InterleavingScheduler` — single OS thread, seeded pseudo-random
-  scheduling: at every step one runnable task is chosen and advanced to its
-  next yield point.  Because yields bracket the atomic operations, this
-  explores exactly the interleavings that matter for the CAS protocol, and
-  any schedule can be replayed from its seed.  This is how the test suite
-  drives the rollback/retry paths deterministically.
-* :class:`ThreadedRunner` — real ``threading`` threads, each draining a
-  queue of tasks to completion.  Under CPython the GIL serialises bytecode
-  but preempts between the same yield points (and everywhere else), so
-  conflicts and CAS failures genuinely occur; throughput does not scale,
-  which is why performance is *projected* by :mod:`repro.parallel.costmodel`
-  from the work/contention counters instead of wall time.
+control at every atomic-operation boundary.  :class:`InterleavingScheduler`
+drives such generators on a single OS thread with seeded pseudo-random
+scheduling: at every step one runnable task is chosen and advanced to its
+next yield point.  Because yields bracket the atomic operations, this
+explores exactly the interleavings that matter for the CAS protocol, and
+any schedule can be replayed from its seed.  Performance at a given
+thread count is *projected* by :mod:`repro.parallel.costmodel` from the
+work/contention counters the model records, not from wall time.
 
 A task generator may yield either ``None`` (a pure scheduling point) or a
 new generator (a "spawned" subtask, appended to the runnable set).
+:func:`drive` runs one generator to completion (the crash-recovery
+fallback pass).
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Generator, Iterable
+from typing import TYPE_CHECKING, Generator, Iterable
 
 import numpy as np
 
-from repro.errors import LivelockError, SchedulerError
+from repro.errors import LivelockError
 from repro.obs.metrics import get_registry
 from repro.parallel.faults import CRASH, STALL
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.parallel.faults import FaultInjector
 
-__all__ = ["InterleavingScheduler", "ThreadedRunner", "drive"]
+__all__ = ["InterleavingScheduler", "drive"]
 
 TaskGen = Generator
 
@@ -185,203 +178,3 @@ class InterleavingScheduler:
         registry.counter("scheduler.interleave.crashed_tasks").inc(
             self.crashed_tasks
         )
-
-
-class ThreadedRunner:
-    """Drain task generators with a pool of real threads.
-
-    Tasks are distributed through a shared deque (dynamic scheduling, like
-    OpenMP ``schedule(dynamic)``); each thread drives one task to
-    completion at a time.  Exceptions in workers are re-raised in the
-    caller after all threads join.
-
-    With a :class:`~repro.parallel.faults.FaultInjector`, each thread
-    consults the injector before every task step: a stall briefly yields
-    the GIL ``stall_steps`` times (letting other threads race ahead), a
-    crash abandons the task mid-flight without cleanup.
-
-    ``join_timeout_s`` bounds how long :meth:`run` waits for the pool to
-    quiesce.  The supervisor's watchdog can only cancel *cooperatively*
-    (at a heartbeat), so a worker wedged between heartbeats — a retry
-    livelock that never returns to the queue, a deadlocked generator —
-    would otherwise hang the join forever.  With a timeout set, worker
-    threads are daemonic and each records its last scheduling point
-    (steps taken, current task, seconds since the last step); on timeout
-    :meth:`run` raises :class:`~repro.errors.LivelockError` naming every
-    stuck worker and where it last advanced.  The default (``None``)
-    keeps the original untimed join and the untracked hot path.
-    """
-
-    def __init__(
-        self,
-        num_threads: int,
-        faults: "FaultInjector | None" = None,
-        join_timeout_s: float | None = None,
-    ):
-        if num_threads < 1:
-            raise SchedulerError(f"num_threads must be >= 1, got {num_threads}")
-        if join_timeout_s is not None and join_timeout_s <= 0:
-            raise SchedulerError(
-                f"join_timeout_s must be positive, got {join_timeout_s}"
-            )
-        self.num_threads = num_threads
-        self._faults = faults
-        self.join_timeout_s = join_timeout_s
-        #: number of tasks abandoned by injected crashes in the last run
-        self.crashed_tasks = 0
-        #: per-worker last scheduling point (only tracked with a timeout)
-        self.last_points: dict[str, dict] = {}
-
-    def _describe_point(self, name: str) -> str:
-        point = self.last_points.get(name)
-        if point is None:
-            return "never reached a scheduling point"
-        # repro: ignore[wall-clock-in-result-path]  livelock diagnostics
-        # on the failure path only; never part of a computed result.
-        idle = time.monotonic() - point["at"]
-        return (
-            f"task #{point['task']}, step {point['steps']}, "
-            f"idle {idle:.2f}s"
-        )
-
-    def run(self, tasks: Iterable[TaskGen]) -> None:
-        queue: deque[TaskGen] = deque(tasks)
-        # repro: ignore[lock-in-lockfree-path]  executor infrastructure:
-        # protects the task queue between yield points, never held
-        # across the algorithm's atomic operations.
-        lock = threading.Lock()
-        errors: list[BaseException] = []
-        injector = self._faults
-        self.crashed_tasks = 0
-        num_tasks = len(queue)
-
-        def drive_task(task: TaskGen, note=None) -> None:
-            if injector is None and note is None:
-                for spawned in task:
-                    if spawned is not None:
-                        with lock:
-                            queue.append(spawned)
-                return
-            if injector is None:
-                while True:
-                    note()
-                    try:
-                        spawned = next(task)
-                    except StopIteration:
-                        return
-                    if spawned is not None:
-                        with lock:
-                            queue.append(spawned)
-            while True:
-                if note is not None:
-                    note()
-                action = injector.schedule_action()
-                if action == CRASH:
-                    with lock:
-                        self.crashed_tasks += 1
-                    return  # abandoned: no cleanup, like a dying worker
-                if action == STALL:
-                    for _ in range(injector.plan.stall_steps):
-                        time.sleep(0)  # release the GIL; others race ahead
-                    continue
-                try:
-                    spawned = next(task)
-                except StopIteration:
-                    return
-                if spawned is not None:
-                    with lock:
-                        queue.append(spawned)
-
-        timeout = self.join_timeout_s
-        self.last_points = {}
-
-        def worker() -> None:
-            note = None
-            if timeout is not None:
-                # repro: ignore[wall-clock-in-result-path]  liveness
-                # bookkeeping for the join-timeout diagnostics; never
-                # part of a computed result.
-                point = {"task": 0, "steps": 0, "at": time.monotonic()}
-                self.last_points[threading.current_thread().name] = point
-
-                def note() -> None:
-                    point["steps"] += 1
-                    # repro: ignore[wall-clock-in-result-path]  as above.
-                    point["at"] = time.monotonic()
-
-            while True:
-                with lock:
-                    if not queue:
-                        return
-                    task = queue.popleft()
-                if timeout is not None:
-                    point["task"] += 1
-                try:
-                    drive_task(task, note)
-                except BaseException as exc:  # noqa: BLE001 - reraised below
-                    with lock:
-                        errors.append(exc)
-                    return
-
-        if self.num_threads == 1:
-            worker()
-        else:
-            threads = [
-                threading.Thread(
-                    target=worker,
-                    name=f"repro-worker-{i}",
-                    # A stuck worker must not pin the interpreter open
-                    # once the timed join has already given up on it.
-                    daemon=timeout is not None,
-                )
-                for i in range(self.num_threads)
-            ]
-            for t in threads:
-                t.start()
-            if timeout is None:
-                for t in threads:
-                    t.join()
-            else:
-                # repro: ignore[wall-clock-in-result-path]  join deadline;
-                # failure path only.
-                deadline = time.monotonic() + timeout
-                for t in threads:
-                    # repro: ignore[wall-clock-in-result-path]  as above.
-                    t.join(max(0.0, deadline - time.monotonic()))
-                stuck = [t for t in threads if t.is_alive()]
-                if stuck:
-                    details = "; ".join(
-                        f"{t.name}: {self._describe_point(t.name)}"
-                        for t in stuck
-                    )
-                    raise LivelockError(
-                        f"{len(stuck)} worker thread(s) failed to quiesce "
-                        f"within join_timeout_s={timeout}: {details}"
-                    )
-        registry = get_registry()
-        registry.counter("scheduler.threaded.runs").inc()
-        registry.counter("scheduler.threaded.tasks").inc(num_tasks)
-        registry.counter("scheduler.threaded.crashed_tasks").inc(
-            self.crashed_tasks
-        )
-        if errors:
-            raise errors[0]
-
-
-def run_tasks(
-    task_factories: Iterable[Callable[[], TaskGen]],
-    *,
-    num_threads: int = 1,
-    scheduler_seed: int | None = None,
-) -> None:
-    """Convenience front door: build tasks and run them.
-
-    ``scheduler_seed is not None`` selects the deterministic interleaving
-    scheduler (single OS thread); otherwise a :class:`ThreadedRunner` with
-    *num_threads* threads is used.
-    """
-    tasks = [f() for f in task_factories]
-    if scheduler_seed is not None:
-        InterleavingScheduler(seed=scheduler_seed).run(tasks)
-    else:
-        ThreadedRunner(num_threads).run(tasks)

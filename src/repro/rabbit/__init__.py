@@ -1,7 +1,15 @@
 """Rabbit Order: the paper's primary contribution.
 
-Public API: :func:`rabbit_order` (Algorithm 2) plus the component pieces
-(sequential and parallel community detection, ordering generation).
+Public API: :func:`rabbit_order` (Algorithm 2) plus the component pieces.
+Three detection paths remain, each with one job:
+
+* :func:`community_detection_fastseq` — the production engine (what
+  ``rabbit_order(graph)`` runs);
+* :func:`community_detection_seq` with ``engine="dict"`` — the reference
+  oracle every other path must match bit for bit;
+* :func:`community_detection_par` — Algorithm 3 on the oracle's state
+  under the seeded interleaving model (CAS, lazy aggregation, fault
+  injection, race certification).
 """
 
 from repro.rabbit.arena import AdjacencyArena
@@ -12,7 +20,6 @@ from repro.rabbit.dynamic import DynamicReorderer, ReorderEvent
 from repro.rabbit.eager import community_detection_eager
 from repro.rabbit.order import (
     RabbitResult,
-    ordering_generation_par,
     ordering_generation_seq,
     rabbit_order,
 )
@@ -33,7 +40,6 @@ __all__ = [
     "ReorderEvent",
     "ParallelDetectionResult",
     "ordering_generation_seq",
-    "ordering_generation_par",
     "AuditReport",
     "audit_dendrogram",
 ]

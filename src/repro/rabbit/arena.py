@@ -24,16 +24,9 @@ Layout convention (mirroring the dict engine's insertion order): the
 neighbour entries come first, in first-encounter order, and the vertex's
 own self-loop entry is always the **last** element of its slice.
 
-The same pool layout backs every engine tier: the sequential fast
-engine allocates the pools as plain ndarrays here; the parallel thread
-and interleave executors shard them per worker task
-(:class:`repro.rabbit.fastpar.ShardedAdjacency`, one single-writer
-shard each); and the process executor maps them from
-``multiprocessing.shared_memory`` segments
-(:class:`repro.parallel.procpool.ShmArray` — see
-:func:`AdjacencyArena.from_pools`, which rehydrates an arena over any
-externally-owned buffers) so worker processes fold against the shared
-bytes zero-copy.
+The same pool layout is the checkpoint wire format
+(:mod:`repro.resilience.checkpoint`): :func:`AdjacencyArena.from_pools`
+rehydrates an arena over a snapshot's pools.
 """
 
 from __future__ import annotations

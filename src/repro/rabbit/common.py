@@ -84,24 +84,6 @@ class AggregationState:
             total_weight=graph.total_edge_weight(),
         )
 
-    def make_fold(self):
-        """Per-task fold closure for the engine-neutral parallel worker.
-
-        Same contract as
-        :meth:`repro.rabbit.fastpar.FlatAggregationState.make_fold`:
-        fold ``u``'s community, install the aggregated entry, and return
-        the scoring ``(neighbour, weight)`` pairs in first-encounter
-        order without the self-loop key.
-        """
-
-        def fold(u: int, stats: RabbitStats) -> list[tuple[int, float]]:
-            acc = aggregate_vertex(self, u, stats)
-            items = list(acc.items())
-            items.pop()  # the self-loop key u — always inserted last
-            return items
-
-        return fold
-
 
 def trace_dest(dest: np.ndarray, v: int) -> int:
     """Find the current community of *v*, compressing the path

@@ -16,9 +16,7 @@ from pathlib import Path
 from repro.community.dendrogram import Dendrogram
 from repro.errors import CheckpointError
 from repro.graph.csr import CSRGraph
-from repro.graph.perm import permutation_from_order
 from repro.obs.trace import span
-from repro.parallel.scheduler import ThreadedRunner
 from repro.rabbit.common import RabbitStats
 from repro.rabbit.par import ParallelDetectionResult, community_detection_par
 from repro.rabbit.seq import community_detection_seq
@@ -32,7 +30,6 @@ __all__ = [
     "RabbitResult",
     "rabbit_order",
     "ordering_generation_seq",
-    "ordering_generation_par",
     "resolve_resume",
 ]
 
@@ -75,39 +72,12 @@ def ordering_generation_seq(dendrogram: Dendrogram) -> np.ndarray:
     return dendrogram.ordering()
 
 
-def ordering_generation_par(
-    dendrogram: Dendrogram, num_threads: int = 4
-) -> np.ndarray:
-    """Parallel ordering generation (§III-C2).
-
-    Step 1 collects the top-level vertices, step 2 runs an independent DFS
-    per top level producing local orderings, step 3 concatenates them at
-    prefix-sum offsets.  The result is bit-identical to the sequential DFS
-    because the per-root DFS and the concatenation order are the same.
-    """
-    roots = dendrogram.toplevel
-    locals_: list[np.ndarray | None] = [None] * roots.size
-
-    def dfs_task(i: int, root: int):
-        locals_[i] = dendrogram._dfs_single(root)
-        return
-        yield  # pragma: no cover - makes this function a generator
-
-    ThreadedRunner(num_threads).run(
-        dfs_task(i, int(r)) for i, r in enumerate(roots)
-    )
-    if not roots.size:
-        return np.empty(0, dtype=np.int64)
-    visit = np.concatenate([lo for lo in locals_ if lo is not None])
-    return permutation_from_order(visit)
-
-
 def rabbit_order(
     graph: CSRGraph,
     *,
     parallel: bool = False,
     num_threads: int = 4,
-    scheduler_seed: int | None = None,
+    scheduler_seed: int = 0,
     merge_threshold: float = 0.0,
     collect_vertex_work: bool = False,
     fault_plan=None,
@@ -115,33 +85,27 @@ def rabbit_order(
     engine: str = "fast",
     checkpoint=None,
     resume: "Snapshot | str | Path | None" = None,
-    executor: str | None = None,
 ) -> RabbitResult:
     """Compute the Rabbit Order permutation of *graph*.
 
     Parameters
     ----------
     parallel:
-        use the lock-free parallel detection (Algorithm 3) and parallel
-        ordering generation; otherwise the sequential variants.
+        run Algorithm 3 (lock-free CAS merges with lazy aggregation) under
+        the seeded interleaving model instead of the sequential engine.
+        The model exists for paper fidelity, fault injection and race
+        certification; the sequential engine is the fast path.
     num_threads:
-        threads for the parallel variant (worker processes when
-        ``executor="procs"``).
-    executor:
-        when *parallel*, the explicit executor: ``"procs"`` (supervised
-        shared-memory process pool), ``"threads"``, ``"interleave"``, or
-        ``None`` to infer from ``scheduler_seed``.
+        when *parallel*, the modelled hardware threads (the interleaving
+        scheduler's window).
     engine:
-        detection state engine: ``"fast"`` (vectorised flat-array
+        sequential detection engine: ``"fast"`` (vectorised flat-array
         aggregation, the default) or ``"dict"`` (the reference per-edge
-        implementation).  Both are bit-identical.  Applies to the
-        sequential path *and* the parallel thread/interleave executors
-        (the ``"procs"`` executor always runs the flat shared-memory
-        layout and accepts either value).
+        oracle).  Both are bit-identical.  The parallel model always runs
+        on the dict oracle's aggregation state.
     scheduler_seed:
-        when *parallel*, run detection under the deterministic
-        interleaving scheduler with this seed (replayable) instead of
-        real threads.
+        when *parallel*, the seed of the interleaving schedule (the same
+        seed replays the same run).
     merge_threshold:
         minimum ΔQ required to merge (paper: 0).
     fault_plan:
@@ -167,8 +131,7 @@ def rabbit_order(
     """
     resume = resolve_resume(resume)
     if parallel:
-        with span("rabbit.detect", parallel=True, n=graph.num_vertices,
-                  engine=engine):
+        with span("rabbit.detect", parallel=True, n=graph.num_vertices):
             result = community_detection_par(
                 graph,
                 num_threads=num_threads,
@@ -179,11 +142,9 @@ def rabbit_order(
                 audit=audit,
                 checkpoint=checkpoint,
                 resume=resume,
-                executor=executor,
-                engine=engine,
             )
         with span("rabbit.ordering", parallel=True):
-            perm = ordering_generation_par(result.dendrogram, num_threads)
+            perm = ordering_generation_seq(result.dendrogram)
         return RabbitResult(
             permutation=perm,
             dendrogram=result.dendrogram,

@@ -1,14 +1,16 @@
 """Parallel Rabbit Order community detection (Algorithm 3).
 
 The worker logic is one generator per vertex chunk; yields mark the
-scheduling points that bracket atomic operations, so the same code runs
-
-* under :class:`~repro.parallel.scheduler.InterleavingScheduler` —
-  deterministic, seed-replayable exploration of interleavings (tests), and
-* under :class:`~repro.parallel.scheduler.ThreadedRunner` — real threads
-  with sharded-lock atomics (conflicts genuinely occur; CPython's GIL
-  caps throughput, which is why scalability is *projected* from the
-  contention counters by :mod:`repro.parallel.costmodel`).
+scheduling points that bracket atomic operations, and the workers run
+under :class:`~repro.parallel.scheduler.InterleavingScheduler` — a
+deterministic, seed-replayable model of ``num_threads`` hardware threads
+interleaving at exactly those points.  This is the paper-fidelity model
+of Algorithm 3 (CAS merges, lazy aggregation), not a production engine:
+the workers share the dict reference state
+(:class:`~repro.rabbit.common.AggregationState`) and its fold
+(:func:`~repro.rabbit.common.aggregate_vertex`), and scalability is
+*projected* from the work and contention counters by
+:mod:`repro.parallel.costmodel`.
 
 Faithfulness notes relative to the paper's pseudocode:
 
@@ -24,9 +26,9 @@ Faithfulness notes relative to the paper's pseudocode:
   mutually-retrying vertices, a case the paper leaves unspecified.
 
 Fault tolerance (beyond the paper): with a
-:class:`~repro.parallel.faults.FaultPlan`, the executors may stall or
+:class:`~repro.parallel.faults.FaultPlan`, the scheduler may stall or
 *crash* workers and the atomics may lie (forced CAS failures, spurious
-invalidation windows).  After the executors return, a recovery pass
+invalidation windows).  After the scheduler returns, a recovery pass
 repairs the shared state a dead worker left behind — committed CAS merges
 whose ``dest`` write never landed, dangling pre-CAS ``sibling`` writes,
 vertices stranded in the invalidated state — and drives the residual
@@ -44,7 +46,7 @@ import numpy as np
 
 from repro.community.dendrogram import NO_VERTEX, Dendrogram
 from repro.community.modularity import newman_degrees
-from repro.errors import AuditError, ReproError
+from repro.errors import AuditError
 from repro.graph.csr import CSRGraph
 from repro.graph.validate import require_symmetric
 from repro.obs.metrics import get_registry
@@ -56,10 +58,9 @@ from repro.parallel.faults import (
     FaultPlan,
     FaultyAtomicPairArray,
 )
-from repro.parallel.scheduler import InterleavingScheduler, ThreadedRunner, drive
+from repro.parallel.scheduler import InterleavingScheduler, drive
 from repro.rabbit.audit import AuditReport, audit_dendrogram
-from repro.rabbit.common import AggregationState, RabbitStats
-from repro.rabbit.fastpar import FlatAggregationState, ShardedAdjacency
+from repro.rabbit.common import AggregationState, RabbitStats, aggregate_vertex
 from repro.rabbit.seq import restore_stats
 from repro.resilience.checkpoint import (
     Snapshot,
@@ -104,7 +105,7 @@ class ParallelDetectionResult:
 
 
 def _worker(
-    state,
+    state: AggregationState,
     atoms: AtomicPairArray,
     chunk: np.ndarray,
     toplevel_sink: list[int],
@@ -112,20 +113,14 @@ def _worker(
     *,
     merge_threshold: float,
     max_attempts: int,
-    fold,
 ):
     """Process one chunk of vertices; a generator yielding at scheduling
     points (see module docstring).
 
-    The worker is engine-neutral: *state* is either the dict-backed
-    :class:`~repro.rabbit.common.AggregationState` or the flat-array
-    :class:`~repro.rabbit.fastpar.FlatAggregationState`, and *fold* is
-    the per-task closure from ``state.make_fold()`` returning ``u``'s
-    folded ``(neighbour, weight)`` pairs in first-encounter order (the
-    self-loop entry excluded).  Both folds run between the same two
-    yields with no internal scheduling points, so the yield/atomic-op
-    sequence — and therefore every deterministic interleaving — is
-    identical across engines.
+    The fold (Algorithm 4, :func:`~repro.rabbit.common.aggregate_vertex`)
+    runs between two yields with no internal scheduling point; the
+    scoring loop then visits the folded ``(neighbour, weight)`` pairs in
+    first-encounter order, the self-loop excluded.
     """
     m = state.total_weight
     two_m = 2.0 * m
@@ -140,7 +135,8 @@ def _worker(
         yield
         degree_u = atoms.swap_degree(u, INVALID_DEGREE)  # invalidate u (line 9)
         yield
-        neighbors = fold(u, stats)
+        neighbors = list(aggregate_vertex(state, u, stats).items())
+        neighbors.pop()  # the self-loop key u, always inserted last
         # Score neighbours with valid (finite) community degrees.
         best_v = -1
         best_dq = -np.inf
@@ -238,7 +234,7 @@ def _subtree_degree(
 
 
 def _recover_from_faults(
-    state,
+    state: AggregationState,
     atoms: AtomicPairArray,
     base_degrees: np.ndarray,
     sinks: list[list[int]],
@@ -334,7 +330,6 @@ def _recover_from_faults(
             fallback,
             merge_threshold=merge_threshold,
             max_attempts=max_attempts,
-            fold=state.make_fold(),
         )
     )
     rec.merge_from(fallback)
@@ -348,7 +343,7 @@ def community_detection_par(
     graph: CSRGraph,
     *,
     num_threads: int = 4,
-    scheduler_seed: int | None = None,
+    scheduler_seed: int = 0,
     chunk_size: int | None = None,
     merge_threshold: float = 0.0,
     max_attempts: int = 100,
@@ -358,45 +353,26 @@ def community_detection_par(
     detect_races: bool = False,
     checkpoint=None,
     resume: Snapshot | None = None,
-    executor: str | None = None,
-    engine: str = "fast",
 ) -> ParallelDetectionResult:
-    """Parallel incremental aggregation (Algorithm 3).
+    """Parallel incremental aggregation (Algorithm 3) under the seeded
+    interleaving model.
 
     Parameters
     ----------
     num_threads:
-        worker threads for the real-thread executor (worker *processes*
-        for ``executor="procs"``).
-    engine:
-        aggregation-state layout: ``"fast"`` (default) runs the workers
-        on the flat-array :class:`~repro.rabbit.fastpar.FlatAggregationState`
-        with the vectorised fold; ``"dict"`` keeps the per-vertex dict
-        reference state.  Both produce bit-identical results under the
-        deterministic interleaving executor with the same seed (the fold
-        has no internal scheduling points, so the yield sequence is
-        engine-independent).  The procs executor is always flat-array
-        (its shared-memory layout); it accepts either value.
+        modelled hardware threads: the scheduler keeps this many worker
+        tasks live at once (its admission window).
     scheduler_seed:
-        if not ``None``, run under the deterministic interleaving
-        scheduler instead of real threads (single OS thread, replayable).
-    executor:
-        explicit executor choice: ``"procs"`` (supervised shared-memory
-        process pool, :mod:`repro.rabbit.parproc`), ``"threads"``,
-        ``"interleave"``, or ``None`` to infer from ``scheduler_seed``
-        (the legacy convention: a seed selects the interleaver).  The
-        procs executor supports neither ``fault_plan`` nor
-        ``detect_races`` — it raises :class:`~repro.errors.ReproError`
-        so the supervisor's ladder degrades to the thread rung, whose
-        CAS protocol those facilities instrument.
+        seed of the interleaving schedule; the same seed replays the same
+        run exactly.
     chunk_size:
-        vertices per worker task; defaults to an even split into
-        ``4 * num_threads`` chunks (dynamic scheduling smooths imbalance).
+        vertices per worker task; defaults to fine-grained chunks of at
+        most 32 vertices (dynamic scheduling smooths imbalance).
     fault_plan:
         inject faults from this seed-replayable plan (forced CAS
         failures, spurious invalidation windows, worker stalls/crashes)
         and run crash recovery afterwards.  ``None`` (the default) uses
-        the unfaulted atomics and executors — the hot path is untouched.
+        the unfaulted atomics and scheduler loop.
     audit:
         run the post-run integrity auditor
         (:func:`repro.rabbit.audit.audit_dendrogram`) and raise
@@ -405,51 +381,21 @@ def community_detection_par(
         trace every shared-memory access of the aggregation phase and
         run the happens-before race detector
         (:mod:`repro.check.races`) over the log; the verdict is attached
-        as ``result.race_report``.  Works under both executors.  The
-        hot path is untouched when off (a single predictable ``None``
-        test per atomic operation).
+        as ``result.race_report``.  Off by default (a single predictable
+        ``None`` test per atomic operation).
     checkpoint:
         a :class:`~repro.resilience.checkpoint.CheckpointConfig` or
         :class:`~repro.resilience.checkpoint.Checkpointer`: run the
-        round-based driver that quiesces the executors every ~``every``
+        round-based driver that quiesces the workers every ~``every``
         decided vertices and snapshots the shared state.  Incompatible
         with ``detect_races`` (the tracing proxies cannot cross a
         quiescence boundary).
     resume:
         a :class:`~repro.resilience.checkpoint.Snapshot` (from any
-        engine) to restore and continue from.  With the deterministic
-        interleaving executor — or one real thread — the completed run is
+        engine) to restore and continue from.  The completed run is
         bit-identical to an uninterrupted run in the same checkpointed
         mode.
     """
-    if executor not in (None, "procs", "threads", "interleave"):
-        raise ReproError(
-            f"executor must be 'procs', 'threads', 'interleave' or None, "
-            f"got {executor!r}"
-        )
-    if engine not in ("fast", "dict"):
-        raise ReproError(f"engine must be 'fast' or 'dict', got {engine!r}")
-    if executor == "procs":
-        if fault_plan is not None or detect_races:
-            raise ReproError(
-                "the process-pool executor supports neither fault_plan nor "
-                "detect_races; use the thread or interleave executors"
-            )
-        from repro.rabbit.parproc import community_detection_procs
-
-        return community_detection_procs(
-            graph,
-            num_procs=num_threads,
-            merge_threshold=merge_threshold,
-            collect_vertex_work=collect_vertex_work,
-            audit=audit,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
-    if executor == "interleave" and scheduler_seed is None:
-        scheduler_seed = 0
-    elif executor == "threads":
-        scheduler_seed = None
     require_symmetric(graph, "Rabbit Order")
     n = graph.num_vertices
     if checkpoint is not None or resume is not None:
@@ -491,13 +437,9 @@ def community_detection_par(
             audit=audit,
             checkpointer=as_checkpointer(checkpoint),
             resume=resume,
-            engine=engine,
         )
-    with span("rabbit.par.setup", n=n, engine=engine):
-        if engine == "dict":
-            state = AggregationState.initialize(graph)
-        else:
-            state = FlatAggregationState.initialize(graph)
+    with span("rabbit.par.setup", n=n):
+        state = AggregationState.initialize(graph)
         counter = OpCounter()
         base_degrees = newman_degrees(graph)
         injector = None if fault_plan is None else FaultInjector(fault_plan)
@@ -527,21 +469,10 @@ def community_detection_par(
             state.dest = TracingArray(state.dest, race_log, "dest", RELAXED)
             state.sibling = TracingArray(state.sibling, race_log, "sibling")
             state.child = TracingArray(state.child, race_log, "child")
-            if engine == "dict":
-                state.adj = TracingList(state.adj, race_log, "adj")
-            else:
-                # The sharded arena logs its own coarse per-vertex "adj"
-                # events; the scalar-only fold keeps every dest access
-                # visible to the element-level proxies.
-                state.adj.tracer = race_log
-                state.scalar_only = True
+            state.adj = TracingList(state.adj, race_log, "adj")
         order = np.argsort(graph.degrees(), kind="stable")
         if chunk_size is None:
-            # Fine-grained dynamic chunks keep the in-flight vertices close
-            # together in the degree-sorted order (the paper's threads pull
-            # individual vertices): a wide per-thread degree window measurably
-            # hurts community quality.
-            chunk_size = max(1, min(32, -(-n // max(1, 8 * num_threads))))
+            chunk_size = _default_chunk_size(n, num_threads)
         chunks = [order[i : i + chunk_size] for i in range(0, n, chunk_size)]
 
     per_chunk_stats = [RabbitStats() for _ in chunks]
@@ -558,7 +489,6 @@ def community_detection_par(
             per_chunk_stats[i],
             merge_threshold=merge_threshold,
             max_attempts=max_attempts,
-            fold=state.make_fold(),
         )
         for i, chunk in enumerate(chunks)
     ]
@@ -567,20 +497,13 @@ def community_detection_par(
 
         tasks = [tag_worker(task, i) for i, task in enumerate(tasks)]
     with span(
-        "rabbit.par.aggregate",
-        n=n,
-        workers=len(chunks),
-        threads=num_threads,
-        deterministic=scheduler_seed is not None,
+        "rabbit.par.aggregate", n=n, workers=len(chunks), threads=num_threads
     ):
-        if scheduler_seed is not None:
-            # Window = thread count: the scheduler models num_threads hardware
-            # threads, each advancing one task, admitted in degree order.
-            InterleavingScheduler(seed=scheduler_seed, faults=injector).run(
-                tasks, window=num_threads
-            )
-        else:
-            ThreadedRunner(num_threads, faults=injector).run(tasks)
+        # Window = thread count: the scheduler models num_threads hardware
+        # threads, each advancing one task, admitted in degree order.
+        InterleavingScheduler(seed=scheduler_seed, faults=injector).run(
+            tasks, window=num_threads
+        )
 
     race_report = None
     if race_log is not None:
@@ -595,8 +518,6 @@ def community_detection_par(
         state.sibling = unwrap(state.sibling)
         state.child = unwrap(state.child)
         state.adj = unwrap(state.adj)
-        if isinstance(state.adj, ShardedAdjacency):
-            state.adj.tracer = None
         with span("rabbit.par.racecheck", n=n, events=len(race_log.events)):
             race_report = analyze_log(race_log)
 
@@ -663,11 +584,19 @@ def community_detection_par(
     )
 
 
+def _default_chunk_size(n: int, num_threads: int) -> int:
+    """Fine-grained dynamic chunks keep the in-flight vertices close
+    together in the degree-sorted order (the paper's threads pull
+    individual vertices): a wide per-thread degree window measurably
+    hurts community quality."""
+    return max(1, min(32, -(-n // max(1, 8 * num_threads))))
+
+
 def _detect_par_checkpointed(
     graph: CSRGraph,
     *,
     num_threads: int,
-    scheduler_seed: int | None,
+    scheduler_seed: int,
     chunk_size: int | None,
     merge_threshold: float,
     max_attempts: int,
@@ -676,23 +605,20 @@ def _detect_par_checkpointed(
     audit: bool,
     checkpointer,
     resume: Snapshot | None,
-    engine: str = "fast",
 ) -> ParallelDetectionResult:
     """Round-based parallel detection with checkpoint/resume.
 
-    The executors cannot be snapshotted mid-flight (generator frames and
-    OS threads are not serialisable), so the checkpointed driver runs the
-    chunk list in *rounds* of ``ceil(every / chunk_size)`` chunks and
-    snapshots at each round boundary, when every worker has quiesced and
-    the shared state is exactly the engine-agnostic aggregation state.
+    The scheduler cannot be snapshotted mid-flight (generator frames are
+    not serialisable), so the checkpointed driver runs the chunk list in
+    *rounds* of ``ceil(every / chunk_size)`` chunks and snapshots at each
+    round boundary, when every worker has quiesced and the shared state
+    is exactly the engine-agnostic aggregation state.
 
     Determinism across a kill/resume: the interleaving scheduler and the
     fault injector are reseeded at every round boundary with
     ``derive_seed(base_seed, chunks_done)``, so the schedule of round *k*
     depends only on the boundary position — a resumed run replays the
-    exact rounds the uninterrupted run would have executed.  (Real
-    threads are nondeterministic beyond one thread; resumed runs there
-    are valid and auditable rather than bit-identical.)
+    exact rounds the uninterrupted run would have executed.
 
     Under fault injection, crash recovery runs after *every* round (with
     the orphan scan masked to admitted vertices), so each snapshot is a
@@ -701,11 +627,8 @@ def _detect_par_checkpointed(
     """
     n = graph.num_vertices
     fingerprint = graph_fingerprint(graph, merge_threshold=merge_threshold)
-    with span("rabbit.par.setup", n=n, engine=engine):
-        if engine == "dict":
-            state = AggregationState.initialize(graph)
-        else:
-            state = FlatAggregationState.initialize(graph)
+    with span("rabbit.par.setup", n=n):
+        state = AggregationState.initialize(graph)
         counter = OpCounter()
         base_degrees = newman_degrees(graph)
         injector = None if fault_plan is None else FaultInjector(fault_plan)
@@ -732,21 +655,10 @@ def _detect_par_checkpointed(
             # the constructor would reject).
             atoms.degrees_view()[:] = resume.degrees
             atoms.children_view()[:] = resume.child
-            if engine == "dict":
-                for v, entry in enumerate(resume.iter_adjacency()):
-                    if entry is not None:
-                        keys, ws = entry
-                        state.adj[v] = dict(zip(keys.tolist(), ws.tolist()))
-            else:
-                # The snapshot wire format *is* the flat layout: adopt the
-                # pools as a frozen shard instead of materialising O(m)
-                # per-vertex dicts.
-                state.adj = ShardedAdjacency.from_pools(
-                    resume.adj_offsets,
-                    resume.adj_lengths,
-                    resume.adj_keys,
-                    resume.adj_ws,
-                )
+            for v, entry in enumerate(resume.iter_adjacency()):
+                if entry is not None:
+                    keys, ws = entry
+                    state.adj[v] = dict(zip(keys.tolist(), ws.tolist()))
             toplevel_acc = resume.toplevel.tolist()
             chunk_edges = resume.chunk_edges.tolist()
             restore_stats(agg, resume)
@@ -761,9 +673,7 @@ def _detect_par_checkpointed(
         if chunk_size is None:
             stored = None if resume is None else resume.config.get("chunk_size")
             chunk_size = (
-                int(stored)
-                if stored
-                else max(1, min(32, -(-n // max(1, 8 * num_threads))))
+                int(stored) if stored else _default_chunk_size(n, num_threads)
             )
         rem_chunks = [
             order[i : i + chunk_size] for i in range(start, n, chunk_size)
@@ -777,10 +687,8 @@ def _detect_par_checkpointed(
         round_chunks = max(1, -(-every // chunk_size))
         config = {
             "engine": "par",
-            "par_engine": engine,
-            "executor": "interleave" if scheduler_seed is not None else "threads",
             "num_threads": int(num_threads),
-            "scheduler_seed": scheduler_seed,
+            "scheduler_seed": int(scheduler_seed),
             "chunk_size": int(chunk_size),
             "checkpoint_every": int(every),
             "merge_threshold": float(merge_threshold),
@@ -795,7 +703,6 @@ def _detect_par_checkpointed(
         n=n,
         workers=len(rem_chunks),
         threads=num_threads,
-        deterministic=scheduler_seed is not None,
     ):
         next_round = 0
         while next_round < len(rem_chunks):
@@ -814,20 +721,16 @@ def _detect_par_checkpointed(
                     round_stats[j],
                     merge_threshold=merge_threshold,
                     max_attempts=max_attempts,
-                    fold=state.make_fold(),
                 )
                 for j, chunk_arr in enumerate(round_slice)
             ]
             if injector is not None:
                 injector.reseed(derive_seed(fault_plan.seed, chunks_done))
                 injector.enable()
-            if scheduler_seed is not None:
-                InterleavingScheduler(
-                    seed=derive_seed(scheduler_seed, chunks_done),
-                    faults=injector,
-                ).run(tasks, window=num_threads)
-            else:
-                ThreadedRunner(num_threads, faults=injector).run(tasks)
+            InterleavingScheduler(
+                seed=derive_seed(scheduler_seed, chunks_done),
+                faults=injector,
+            ).run(tasks, window=num_threads)
             next_round += len(round_slice)
             chunks_done += len(round_slice)
             pos = min(pos + sum(int(c.size) for c in round_slice), n)
@@ -870,14 +773,8 @@ def _detect_par_checkpointed(
                         comm_deg=atoms.degrees_view(),
                         toplevel=toplevel_acc,
                         adjacency=(
-                            (
-                                None
-                                if d is None
-                                else (list(d.keys()), list(d.values()))
-                                for d in state.adj
-                            )
-                            if engine == "dict"
-                            else state.adj.iter_entries()
+                            None if d is None else (list(d.keys()), list(d.values()))
+                            for d in state.adj
                         ),
                         stats=agg,
                         fingerprint=fingerprint,

@@ -10,8 +10,7 @@ memory budgets.  This package provides the three pieces:
   detection engine (``resume=`` on the detection entry points);
 * :mod:`repro.resilience.supervisor` — a :class:`RunSupervisor` wrapping
   an entry point with budgets, a progress watchdog, and a degradation
-  ladder ``par(procs) → par(threads) → par(interleave) → fastseq →
-  dict``;
+  ladder ``fastseq → dict``;
 * :mod:`repro.resilience.policy` — the declarative budget/ladder/backoff
   policy the supervisor executes.
 
@@ -48,9 +47,7 @@ from repro.resilience.supervisor import (
     RunReport,
     RunSupervisor,
     current_rss_bytes,
-    register_child_pids,
     supervised_rabbit_order,
-    unregister_child_pids,
 )
 
 __all__ = [
@@ -78,7 +75,5 @@ __all__ = [
     "RunReport",
     "RunSupervisor",
     "current_rss_bytes",
-    "register_child_pids",
     "supervised_rabbit_order",
-    "unregister_child_pids",
 ]

@@ -8,9 +8,8 @@ same engine outcomes) make the same decisions in the same order:
 * :class:`Budgets` — per-attempt wall-clock / RSS ceilings and the stall
   window the progress watchdog enforces;
 * the **ladder** — an ordered tuple of :class:`LadderRung`\\ s, each one
-  engine configuration, tried in order from fastest/least-robust to
-  slowest/most-robust (default
-  ``par(procs) → par(threads) → par(interleave) → fastseq → dict``);
+  sequential engine, tried in order (default ``fastseq → dict``: the
+  production engine, then the reference oracle);
 * :func:`backoff_delays` — capped exponential backoff between attempts
   with *seeded* jitter, so retry timing is replayable instead of
   thundering or flaky;
@@ -88,27 +87,13 @@ class LadderRung:
     """One engine configuration on the degradation ladder."""
 
     name: str
-    parallel: bool
-    #: aggregation-state engine: "fast" (flat arena-backed arrays) |
-    #: "dict" (reference per-vertex dicts).  Applies to sequential rungs
-    #: and to the parallel thread/interleave executors alike; the
-    #: "procs" executor always runs the flat shared-memory layout.
+    #: detection engine: "fast" (flat arena-backed arrays) | "dict"
+    #: (the reference per-vertex dicts); both give the same permutation
     engine: str = "fast"
-    #: parallel only: "procs" (supervised process pool) | "threads"
-    #: (real threads) | "interleave" (deterministic seeded scheduler)
-    executor: str = "threads"
-    #: parallel only: degree of parallelism (worker processes for the
-    #: "procs" executor, threads otherwise); ``None`` = the caller's count
-    num_threads: int | None = None
     #: attempts on this rung before degrading to the next
     max_attempts: int = 1
 
     def __post_init__(self) -> None:
-        if self.executor not in ("procs", "threads", "interleave"):
-            raise ReproError(
-                f"rung executor must be 'procs', 'threads' or 'interleave', "
-                f"got {self.executor!r}"
-            )
         if self.engine not in ("fast", "dict"):
             raise ReproError(
                 f"rung engine must be 'fast' or 'dict', got {self.engine!r}"
@@ -119,30 +104,18 @@ class LadderRung:
             )
 
 
-def default_ladder(
-    num_threads: int | None = None, num_procs: int | None = None
-) -> tuple[LadderRung, ...]:
-    """The canonical degradation ladder:
-    ``par(procs) → par(threads) → par(interleave) → fastseq → dict``.
+def default_ladder() -> tuple[LadderRung, ...]:
+    """The canonical degradation ladder: ``fastseq → dict``.
 
-    The top rung is the fault-tolerant shared-memory process pool
-    (:mod:`repro.parallel.procpool`) — the only true-multicore executor;
-    losing its workers (or its whole pool) degrades to the GIL-bound
-    thread executor, and onward to the sequential engines.  Every rung
-    defaults to ``engine="fast"``: the parallel rungs run the flat
-    arena-backed :mod:`repro.rabbit.fastpar` state (the genuinely
-    fastest configurations), falling through to the vectorised
-    sequential engine and finally the dict reference oracle.
+    The production engine first, then the reference oracle — a
+    different implementation of the same computation, so a bug or
+    resource blow-up in one does not take the other down with it.  Both
+    produce the same permutation, so the result never depends on which
+    rung finished the run.
     """
     return (
-        LadderRung("par-procs", parallel=True, executor="procs",
-                   num_threads=num_procs),
-        LadderRung("par-threads", parallel=True, executor="threads",
-                   num_threads=num_threads),
-        LadderRung("par-interleave", parallel=True, executor="interleave",
-                   num_threads=num_threads),
-        LadderRung("fastseq", parallel=False, engine="fast"),
-        LadderRung("dict", parallel=False, engine="dict"),
+        LadderRung("fastseq", engine="fast"),
+        LadderRung("dict", engine="dict"),
     )
 
 
@@ -150,19 +123,15 @@ def default_ladder(
 RUNG_NAMES: tuple[str, ...] = tuple(r.name for r in default_ladder())
 
 
-def parse_ladder(
-    spec: str,
-    num_threads: int | None = None,
-    num_procs: int | None = None,
-) -> tuple[LadderRung, ...]:
+def parse_ladder(spec: str) -> tuple[LadderRung, ...]:
     """Parse a comma-separated ``--ladder`` spec into rungs.
 
-    Example: ``"par-interleave,fastseq,dict"``.  Unknown names raise
-    :class:`~repro.errors.ReproError` listing the canonical five;
+    Example: ``"fastseq,dict"``.  Unknown names raise
+    :class:`~repro.errors.ReproError` listing the canonical rungs;
     duplicate names are rejected (retrying a rung is ``max_attempts``'s
     job, and a repeated rung would silently skew the backoff schedule).
     """
-    by_name = {r.name: r for r in default_ladder(num_threads, num_procs)}
+    by_name = {r.name: r for r in default_ladder()}
     rungs = []
     seen: set[str] = set()
     for token in spec.split(","):

@@ -20,8 +20,8 @@ therefore still registers as a stall — which is exactly the livelock
 signature the watchdog exists to catch.
 
 Cancellation is delivered at the next heartbeat on *every* thread that
-beats, so all :class:`~repro.parallel.scheduler.ThreadedRunner` workers
-unwind promptly once the watchdog cancels.
+beats, so any number of beating threads unwind promptly once the
+watchdog cancels.
 """
 
 from __future__ import annotations

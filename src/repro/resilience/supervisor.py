@@ -8,28 +8,19 @@ thread polls three signals every ``poll_interval_s``:
 
 * **wall clock** — elapsed attempt time against ``Budgets.time_s``;
 * **RSS** — resident set size (``/proc/self/status`` ``VmRSS``, falling
-  back to ``ru_maxrss``) against ``Budgets.rss_bytes``.  When a process
-  pool is live (:mod:`repro.parallel.procpool` registers its worker pids
-  via :func:`register_child_pids`), the sample *sums* every registered
-  child's ``/proc/<pid>/status`` ``VmRSS`` into the total, so the budget
-  covers the whole worker tree rather than just the parent;
+  back to ``ru_maxrss``) against ``Budgets.rss_bytes``;
 * **progress** — the ``resilience.progress`` metrics counter fed by the
   engines' heartbeats; no movement for ``Budgets.stall_s`` seconds is a
   stall (the livelock signature — retries beat zero units).
 
 A tripped budget cancels the attempt *cooperatively*: the watchdog can
-only deliver the abort at the engine's next heartbeat.  An engine stuck
-outside Python (or a wedged executor join) is the province of
-:class:`~repro.parallel.scheduler.ThreadedRunner`'s ``join_timeout`` /
-:class:`~repro.errors.LivelockError`, which the supervisor treats as an
-ordinary failed attempt.
+only deliver the abort at the engine's next heartbeat.
 
-Failed attempts degrade down the ladder (default
-``par(threads) → par(interleave) → fastseq → dict``) with capped
-exponential backoff and deterministic seeded jitter between attempts.
-When the policy carries a checkpoint directory, every attempt resumes
-from the newest loadable checkpoint — work done by an aborted rung is
-*kept*, because the snapshot schema is engine-agnostic.  With
+Failed attempts degrade down the ladder (default ``fastseq → dict``)
+with capped exponential backoff and deterministic seeded jitter between
+attempts.  When the policy carries a checkpoint directory, every attempt
+resumes from the newest loadable checkpoint — work done by an aborted
+rung is *kept*, because the snapshot schema is engine-agnostic.  With
 ``final_rung_unbudgeted`` (the default) the very last attempt runs
 without budgets, so the ladder guarantees a valid result even under an
 exhausted time budget.
@@ -54,7 +45,6 @@ from repro.errors import (
     StallError,
 )
 from repro.obs.trace import span
-from repro.parallel.costmodel import ParallelMachine
 from repro.resilience.checkpoint import latest_checkpoint
 from repro.resilience.policy import (
     Budgets,
@@ -69,67 +59,30 @@ __all__ = [
     "RunReport",
     "RunSupervisor",
     "current_rss_bytes",
-    "register_child_pids",
-    "unregister_child_pids",
     "supervised_rabbit_order",
 ]
 
 
-#: Worker pids whose RSS counts against the memory budget (registered by
-#: the process pool for its lifetime; dead pids read as 0 and are
-#: harmless until unregistered).
-_CHILD_PIDS: set[int] = set()
-_CHILD_PIDS_LOCK = threading.Lock()
+def current_rss_bytes() -> int | None:
+    """Current resident set size of this process, in bytes.
 
-
-def register_child_pids(pids) -> None:
-    """Add worker *pids* to the RSS accounting set (idempotent)."""
-    with _CHILD_PIDS_LOCK:
-        _CHILD_PIDS.update(int(p) for p in pids)
-
-
-def unregister_child_pids(pids) -> None:
-    """Remove worker *pids* from the RSS accounting set (idempotent)."""
-    with _CHILD_PIDS_LOCK:
-        _CHILD_PIDS.difference_update(int(p) for p in pids)
-
-
-def _proc_status_rss_bytes(pid: "int | str") -> int | None:
+    Reads ``VmRSS`` from ``/proc/self/status`` (Linux); falls back to
+    ``ru_maxrss`` (the *peak*, still a valid ceiling signal) where /proc
+    is unavailable; returns ``None`` if neither source works.
+    """
     try:
-        with open(f"/proc/{pid}/status", "r", encoding="ascii") as fh:
+        with open("/proc/self/status", "r", encoding="ascii") as fh:
             for line in fh:
                 if line.startswith("VmRSS:"):
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         pass
-    return None
+    try:
+        import resource
 
-
-def current_rss_bytes() -> int | None:
-    """Current resident set size of this process *tree*, in bytes.
-
-    Reads ``VmRSS`` from ``/proc/self/status`` (Linux); falls back to
-    ``ru_maxrss`` (the *peak*, still a valid ceiling signal) where /proc
-    is unavailable; returns ``None`` if neither source works.  Any pids
-    registered via :func:`register_child_pids` (pool workers) contribute
-    their own ``/proc/<pid>/status`` ``VmRSS`` to the sum; pids whose
-    status cannot be read (already dead) contribute nothing.
-    """
-    own = _proc_status_rss_bytes("self")
-    if own is None:
-        try:
-            import resource
-
-            own = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
-        except (ImportError, OSError, ValueError):
-            return None
-    with _CHILD_PIDS_LOCK:
-        children = list(_CHILD_PIDS)
-    for pid in children:
-        child = _proc_status_rss_bytes(pid)
-        if child is not None:
-            own += child
-    return own
+        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
+    except (ImportError, OSError, ValueError):
+        return None
 
 
 class _Watchdog:
@@ -407,33 +360,16 @@ def supervised_rabbit_order(
     graph,
     *,
     policy: SupervisorPolicy | None = None,
-    num_threads: int = 4,
-    num_procs: int | None = None,
-    scheduler_seed: int | None = None,
     merge_threshold: float = 0.0,
     collect_vertex_work: bool = False,
-    fault_plan=None,
-    audit: bool = False,
 ):
     """Supervised :func:`~repro.rabbit.order.rabbit_order`.
 
-    Maps each ladder rung onto the entry point's engine knobs —
-    parallel rungs pick the executor (the shared-memory process pool,
-    real threads, or the deterministic interleaving scheduler) plus the
-    aggregation-state engine, sequential rungs pick the engine — and, when
-    the policy carries a checkpoint directory, threads
+    Maps each ladder rung onto the entry point's ``engine`` and, when the
+    policy carries a checkpoint directory, threads
     ``checkpoint=``/``resume=`` through every attempt so a degraded rung
     continues from the aborted rung's last snapshot instead of starting
-    over.
-
-    ``num_procs`` sizes the ``par-procs`` rung's worker pool (default:
-    the detected host's physical cores, via
-    :meth:`~repro.parallel.costmodel.ParallelMachine.detect`, when
-    neither the rung nor the caller says otherwise).  The procs
-    executor rejects ``fault_plan`` with a
-    :class:`~repro.errors.ReproError`, which the ladder treats as an
-    ordinary failed attempt — fault-injected runs degrade straight to
-    the thread rung, whose CAS protocol the injector instruments.
+    over.  Every rung computes the same permutation.
 
     Returns ``(RabbitResult, RunReport)``.
     """
@@ -451,39 +387,14 @@ def supervised_rabbit_order(
             found = latest_checkpoint(directory) if directory.is_dir() else None
             if found is not None:
                 resume = found[1]
-        common = dict(
+        return rabbit_order(
+            graph,
+            engine=rung.engine,
             merge_threshold=merge_threshold,
             collect_vertex_work=collect_vertex_work,
             checkpoint=checkpoint,
             resume=resume,
         )
-        if rung.parallel:
-            interleave = rung.executor == "interleave"
-            seed = (
-                scheduler_seed
-                if scheduler_seed is not None
-                else policy.seed
-            )
-            if rung.executor == "procs":
-                workers = (
-                    rung.num_threads
-                    or num_procs
-                    or ParallelMachine.detect().physical_cores
-                )
-            else:
-                workers = rung.num_threads or num_threads
-            return rabbit_order(
-                graph,
-                parallel=True,
-                executor=rung.executor,
-                num_threads=workers,
-                scheduler_seed=seed if interleave else None,
-                fault_plan=fault_plan,
-                audit=audit,
-                engine=rung.engine,
-                **common,
-            )
-        return rabbit_order(graph, engine=rung.engine, audit=audit, **common)
 
     report = RunSupervisor(policy).run(attempt)
     return report.result, report

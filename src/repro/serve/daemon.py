@@ -63,10 +63,8 @@ class ServerConfig:
     cache_disk_entries: int = 1024
     #: quota spec as accepted by :meth:`TokenBucketQuotas.from_spec`.
     quotas: dict[str, Any] | None = None
-    #: degradation ladder for cache misses.  The sequential default is
-    #: deliberate: every engine is bit-identical, daemon throughput comes
-    #: from the cache and coalescing, and sequential rungs keep worker
-    #: threads independent.
+    #: degradation ladder for cache misses; every rung computes the same
+    #: permutation, so cached entries never depend on the rung.
     ladder_spec: str = "fastseq,dict"
     #: per-attempt wall-clock budget for supervised runs (None = unlimited).
     time_budget_s: float | None = None

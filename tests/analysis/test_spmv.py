@@ -89,17 +89,6 @@ class TestBlockedSpmv:
                 spmv_blocked(paper_graph, x, num_blocks=nb), spmv(paper_graph, x)
             )
 
-    def test_threaded_matches(self, paper_graph):
-        import numpy as np
-
-        from repro.analysis import spmv, spmv_blocked
-
-        x = np.arange(paper_graph.num_vertices, dtype=np.float64)
-        assert np.allclose(
-            spmv_blocked(paper_graph, x, num_blocks=4, num_threads=4),
-            spmv(paper_graph, x),
-        )
-
     def test_row_blocks_cover_and_balance(self):
         import numpy as np
 

@@ -177,64 +177,64 @@ class TestAsyncReachability:
 class TestStateOwnership:
     def test_direct_write_outside_owner_module(self, tmp_path):
         tree = write_tree(tmp_path, {
-            "rabbit/fastpar.py": """
-                class ShardedAdjacency:
+            "rabbit/arena.py": """
+                class AdjacencyArena:
                     def __init__(self):
-                        self._shards = []
+                        self._cursor = 0
             """,
             "order/rogue.py": """
-                def hijack(adj):
-                    adj._shards.append(None)
+                def hijack(arena):
+                    arena._cursor += 1
             """,
         })
         report = run_check([tree], rules=["state-ownership"])
         found = findings_for(report, "state-ownership")
         assert len(found) == 1
         assert "rogue.py" in found[0].path
-        assert "_shards" in found[0].message
+        assert "_cursor" in found[0].message
 
     def test_escaped_mutator_reachable_from_outside(self, tmp_path):
         tree = write_tree(tmp_path, {
-            "rabbit/fastpar.py": """
-                class ShardedAdjacency:
+            "rabbit/arena.py": """
+                class AdjacencyArena:
                     def __init__(self):
-                        self._shards = []
+                        self._cursor = 0
 
                     def _grow(self):
-                        self._shards.append([])
+                        self._cursor += 16
             """,
             "order/client.py": """
-                def expand(adj):
-                    adj._grow()
+                def expand(arena):
+                    arena._grow()
             """,
         })
         report = run_check([tree], rules=["state-ownership"])
         found = findings_for(report, "state-ownership")
         assert len(found) == 1
         f = found[0]
-        assert "fastpar.py" in f.path  # the write is the sink
+        assert "arena.py" in f.path  # the write is the sink
         assert "_grow" in f.message
         assert "repro.order.client.expand" in f.message
         assert any("expand" in step for step in f.trace)
 
     def test_entry_point_chain_is_sanctioned(self, tmp_path):
-        # store() is a declared entry point for _shards: reaching the
+        # store() is a declared entry point for _cursor: reaching the
         # internal writer through it is the sanctioned protocol.
         tree = write_tree(tmp_path, {
-            "rabbit/fastpar.py": """
-                class ShardedAdjacency:
+            "rabbit/arena.py": """
+                class AdjacencyArena:
                     def __init__(self):
-                        self._shards = []
+                        self._cursor = 0
 
-                    def store(self, item):
-                        self._append(item)
+                    def store(self, count):
+                        self._bump(count)
 
-                    def _append(self, item):
-                        self._shards.append(item)
+                    def _bump(self, count):
+                        self._cursor += count
             """,
             "order/client.py": """
-                def use(adj):
-                    adj.store(1)
+                def use(arena):
+                    arena.store(1)
             """,
         })
         report = run_check([tree], rules=["state-ownership"])
@@ -242,13 +242,13 @@ class TestStateOwnership:
 
     def test_internal_only_mutator_is_clean(self, tmp_path):
         tree = write_tree(tmp_path, {
-            "rabbit/fastpar.py": """
-                class ShardedAdjacency:
+            "rabbit/arena.py": """
+                class AdjacencyArena:
                     def __init__(self):
-                        self._shards = []
+                        self._cursor = 0
 
                     def _rebuild(self):
-                        self._shards.clear()
+                        self._cursor = 0
             """,
         })
         report = run_check([tree], rules=["state-ownership"])
@@ -382,7 +382,7 @@ class TestDtypeFlow:
 def mutant_tree(tmp_path_factory):
     """A full copy of src/repro with the two acceptance mutants seeded:
     a blocking call in a coroutine-reachable sync helper, and a rogue
-    shard-table write in a non-owner module."""
+    arena-cursor write in a non-owner module."""
     root = tmp_path_factory.mktemp("mutants")
     tree = root / "repro"
     shutil.copytree(
@@ -401,7 +401,7 @@ def mutant_tree(tmp_path_factory):
     registry = tree / "order" / "registry.py"
     registry.write_text(
         registry.read_text()
-        + "\n\ndef _mutant_rogue(adj):\n    adj._shards.append(None)\n"
+        + "\n\ndef _mutant_rogue(arena):\n    arena._cursor = 0\n"
     )
     return tree
 
@@ -421,12 +421,12 @@ class TestSeededMutants:
         traced = [f for f in found if "protocol.py" in f.path][0]
         assert any("repro.serve.daemon" in step for step in traced.trace)
 
-    def test_rogue_shard_write_is_flagged(self, mutant_tree):
+    def test_rogue_cursor_write_is_flagged(self, mutant_tree):
         report = run_check([mutant_tree], rules=["state-ownership"])
         found = findings_for(report, "state-ownership")
-        assert found, "seeded rogue ._shards write not detected"
+        assert found, "seeded rogue ._cursor write not detected"
         assert any(
-            "registry.py" in f.path and "_shards" in f.message
+            "registry.py" in f.path and "_cursor" in f.message
             for f in found
         )
 

@@ -26,7 +26,7 @@ class TestRegistry:
     def test_all_rules_sorted_and_documented(self):
         rules = all_rules()
         assert [r.id for r in rules] == sorted(r.id for r in rules)
-        assert len(rules) == 16
+        assert len(rules) == 15
         for rule in rules:
             assert rule.rationale
 

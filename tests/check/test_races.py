@@ -8,7 +8,7 @@ Three layers of evidence:
   broken variant (the pre-CAS ``sibling`` write moved *after* the CAS,
   outside its release) is flagged on every seed;
 * integration — ``community_detection_par(detect_races=True)`` and the
-  stress harness report zero races across seeds on both executors,
+  stress harness report zero races across 50 interleaving seeds,
   including under fault injection (FaultyAtomicPairArray).
 """
 
@@ -31,12 +31,11 @@ from repro.check.races import (
 )
 from repro.community.dendrogram import NO_VERTEX
 from repro.community.modularity import newman_degrees
-from repro.errors import ReproError
 from repro.graph.generators import rmat_graph
 from repro.parallel.atomics import INVALID_DEGREE, AtomicPairArray, OpCounter
 from repro.parallel.faults import FaultInjector, FaultPlan, FaultyAtomicPairArray
 from repro.parallel.scheduler import InterleavingScheduler
-from repro.rabbit.common import AggregationState, RabbitStats
+from repro.rabbit.common import AggregationState, RabbitStats, aggregate_vertex
 from repro.rabbit.par import _worker, community_detection_par
 
 
@@ -252,7 +251,7 @@ class TestCollectionMachinery:
 
 
 def _broken_worker(state, atoms, chunk, sink, stats, *,
-                   merge_threshold=0.0, max_attempts=100, fold=None):
+                   merge_threshold=0.0, max_attempts=100):
     """Algorithm 3 worker with one mutation: the ``sibling`` link is
     written *after* the CAS, outside the release that publishes it —
     the exact bug class the detector exists to catch."""
@@ -266,7 +265,8 @@ def _broken_worker(state, atoms, chunk, sink, stats, *,
         yield
         degree_u = atoms.swap_degree(u, INVALID_DEGREE)
         yield
-        neighbors = fold(u, stats)
+        neighbors = list(aggregate_vertex(state, u, stats).items())
+        neighbors.pop()  # the self-loop key u
         best_v = -1
         best_dq = -np.inf
         penalty = degree_u / (two_m * two_m)
@@ -335,8 +335,7 @@ def _instrumented_run(graph, worker_fn, seed, *, fault_plan=None):
     tasks = [
         tag_worker(
             worker_fn(state, atoms, chunk, [], RabbitStats(),
-                      merge_threshold=0.0, max_attempts=100,
-                      fold=state.make_fold()),
+                      merge_threshold=0.0, max_attempts=100),
             i,
         )
         for i, chunk in enumerate(chunks)
@@ -398,12 +397,6 @@ class TestEndToEnd:
         assert report.events_processed > 0
         assert report.relaxed_accesses > 0  # dest traffic was logged
 
-    def test_threaded_executor_clean(self, graph):
-        res = community_detection_par(
-            graph, num_threads=4, detect_races=True, audit=True
-        )
-        assert res.race_report is not None and res.race_report.ok
-
     def test_result_identical_with_detection_on(self, graph):
         plain = community_detection_par(graph, scheduler_seed=5)
         traced = community_detection_par(
@@ -427,17 +420,17 @@ class TestEndToEnd:
 
 
 class TestStressIntegration:
-    def test_fifty_seeds_clean_on_both_executors(self):
+    def test_fifty_seeds_clean(self):
         from repro.experiments.stress import DEFAULT_CASES, run_stress
 
-        for executor in ("interleave", "threads"):
-            report = run_stress(
-                scale=5, num_seeds=50, cases=(DEFAULT_CASES[0],),
-                executor=executor, detect_races=True,
-            )
-            assert report.ok, report.table()
-            assert all(o.races == 0 for o in report.outcomes)
-            assert "race detection on" in report.graph_desc
+        report = run_stress(
+            scale=5, num_seeds=50, cases=(DEFAULT_CASES[0],),
+            detect_races=True,
+        )
+        assert report.ok, report.table()
+        assert len(report.outcomes) == 50
+        assert all(o.races == 0 for o in report.outcomes)
+        assert "race detection on" in report.graph_desc
 
     def test_race_failures_fail_the_cell(self, monkeypatch):
         import repro.experiments.stress as stress_mod
@@ -464,9 +457,3 @@ class TestStressIntegration:
         assert not report.ok
         assert report.outcomes[0].races == 1
         assert "race" in (report.outcomes[0].error or "")
-
-    def test_invalid_executor_rejected(self):
-        from repro.experiments.stress import run_stress
-
-        with pytest.raises(ReproError, match="executor"):
-            run_stress(executor="gpu")

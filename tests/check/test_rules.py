@@ -69,12 +69,12 @@ class TestPrivateAtomicState:
         )
         assert found == []
 
-    def test_flags_flat_engine_shard_table(self, tmp_path):
-        src = "def peek(adj, v):\n    return adj._shards[0]\n"
+    def test_flags_atomic_child_array(self, tmp_path):
+        src = "def peek(atoms, v):\n    return atoms._child[v]\n"
         found = findings(tmp_path, src, self.RULE, name="repro/rabbit/x.py")
         assert len(found) == 1
-        assert "._shards" in found[0].message
-        assert "fastpar" in found[0].message
+        assert "._child" in found[0].message
+        assert "repro/parallel/atomics.py" in found[0].message
 
     def test_flags_arena_cursor(self, tmp_path):
         src = "def used(arena):\n    return arena._cursor\n"
@@ -83,13 +83,13 @@ class TestPrivateAtomicState:
         assert "._cursor" in found[0].message
 
     def test_each_owner_is_exempt_for_its_own_attrs_only(self, tmp_path):
-        # fastpar.py owns _shards but not the atomic arrays.
+        # arena.py owns _cursor but not the atomic arrays.
         src = (
-            "def f(adj, atoms, i):\n"
-            "    return adj._shards[0], atoms._degree[i]\n"
+            "def f(arena, atoms, i):\n"
+            "    return arena._cursor, atoms._degree[i]\n"
         )
         found = findings(
-            tmp_path, src, self.RULE, name="src/repro/rabbit/fastpar.py"
+            tmp_path, src, self.RULE, name="src/repro/rabbit/arena.py"
         )
         assert len(found) == 1
         assert "._degree" in found[0].message
@@ -364,60 +364,6 @@ class TestBareOpenWrite:
         src = 'open("notes.txt", "w")\n'
         found = findings(tmp_path, src, self.RULE, name="scripts/tool.py")
         assert found == []
-
-
-class TestUnsupervisedProcess:
-    RULE = "unsupervised-process"
-
-    def test_flags_bare_multiprocessing_process(self, tmp_path):
-        src = (
-            "import multiprocessing\n"
-            "p = multiprocessing.Process(target=print)\n"
-        )
-        found = findings(tmp_path, src, self.RULE)
-        assert len(found) == 1
-        assert "multiprocessing.Process" in found[0].message
-        assert "procpool" in found[0].message
-
-    def test_flags_os_fork_and_from_import_executor(self, tmp_path):
-        src = (
-            "import os\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "pid = os.fork()\n"
-            "pool = ProcessPoolExecutor(2)\n"
-        )
-        assert len(findings(tmp_path, src, self.RULE)) == 2
-
-    def test_flags_aliased_import(self, tmp_path):
-        src = "import multiprocessing as mp\np = mp.Process(target=print)\n"
-        assert len(findings(tmp_path, src, self.RULE)) == 1
-
-    def test_clean_on_supervised_pool_usage(self, tmp_path):
-        src = (
-            "from repro.parallel.procpool import ProcessPool\n"
-            "pool = ProcessPool(lambda init, beat: (lambda p: p))\n"
-        )
-        assert findings(tmp_path, src, self.RULE) == []
-
-    def test_exempts_the_pool_itself(self, tmp_path):
-        src = (
-            "import multiprocessing\n"
-            "p = multiprocessing.Process(target=print)\n"
-        )
-        assert (
-            findings(
-                tmp_path, src, self.RULE,
-                name="repro/parallel/procpool.py",
-            )
-            == []
-        )
-
-    def test_clean_on_thread_pool(self, tmp_path):
-        src = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "pool = ThreadPoolExecutor(2)\n"
-        )
-        assert findings(tmp_path, src, self.RULE) == []
 
 
 class TestBlockingCallInAsync:

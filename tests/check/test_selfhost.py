@@ -19,7 +19,7 @@ class TestSelfHost:
 
     def test_every_registered_rule_ran(self):
         report = run_check([REPO_ROOT / "src"])
-        assert len(report.rules_run) == 16
+        assert len(report.rules_run) == 15
         assert report.files_checked > 90
 
     def test_interprocedural_analyzers_are_registered(self):

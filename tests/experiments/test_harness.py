@@ -105,12 +105,17 @@ class TestFigures:
     def test_figure10_rabbit_scales(self):
         rows = figure10(CFG, algorithms=("Rabbit", "Degree"), threads=(12, 48))
         by_name = {r.algorithm: r.speedups for r in rows}
-        # The Rabbit probe re-runs a nondeterministic threaded detection,
-        # so at tiny scale only weak bounds are stable; Degree's profile
-        # is deterministic and must project a real speedup.
+        # The Rabbit probe is the seeded interleaving model, so the rows
+        # are deterministic, but tiny graphs leave little parallel slack:
+        # only a weak bound is asserted for Rabbit, while Degree's
+        # profile must project a real speedup.
         assert by_name["Rabbit"][12] > 0.5
         assert by_name["Rabbit"][48] > 0.5
         assert by_name["Degree"][48] >= 1.0
+
+    def test_figure10_is_deterministic(self):
+        args = (CFG, ("Rabbit", "Degree"), (12, 48))
+        assert figure10(*args) == figure10(*args)
 
     def test_figure11_heavy_analyses_amortise_better(self):
         rows = figure11(CFG, algorithms=("Rabbit",))

@@ -13,7 +13,7 @@ from repro.parallel.faults import (
     FaultPlan,
     FaultyAtomicPairArray,
 )
-from repro.parallel.scheduler import InterleavingScheduler, ThreadedRunner
+from repro.parallel.scheduler import InterleavingScheduler
 
 
 class TestFaultPlan:
@@ -171,24 +171,3 @@ class TestSchedulerFaults:
         sched = InterleavingScheduler(seed=0, max_steps=100, faults=injector)
         with pytest.raises(LivelockError):
             sched.run([forever()])
-
-
-class TestThreadedRunnerFaults:
-    def test_crash_abandons_task(self):
-        log = []
-        injector = FaultInjector(FaultPlan(seed=0, crash_rate=1.0, max_crashes=1))
-        runner = ThreadedRunner(2, faults=injector)
-        runner.run([counting_task(log, "a", 5), counting_task(log, "b", 5)])
-        assert runner.crashed_tasks == 1
-        # One task was abandoned before any step; the other completed.
-        assert len(log) == 5
-
-    def test_stalls_do_not_lose_work(self):
-        log = []
-        injector = FaultInjector(
-            FaultPlan(seed=2, stall_rate=0.2, stall_steps=3, max_stalls=8)
-        )
-        ThreadedRunner(3, faults=injector).run(
-            [counting_task(log, n, 4) for n in "abc"]
-        )
-        assert sorted(log) == [(n, i) for n in "abc" for i in range(4)]

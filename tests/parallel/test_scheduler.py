@@ -1,17 +1,9 @@
-"""Task executors: deterministic interleaving and real threads."""
-
-import threading
-import time
+"""The seeded interleaving scheduler and the single-task driver."""
 
 import pytest
 
-from repro.errors import LivelockError, SchedulerError
-from repro.parallel.scheduler import (
-    InterleavingScheduler,
-    ThreadedRunner,
-    drive,
-    run_tasks,
-)
+from repro.errors import SchedulerError
+from repro.parallel.scheduler import InterleavingScheduler, drive
 
 
 def appender(log, name, steps):
@@ -85,125 +77,6 @@ class TestInterleavingScheduler:
         InterleavingScheduler(seed=0).run([])
 
 
-class TestThreadedRunner:
-    def test_all_tasks_complete(self):
-        log = []
-        lock = threading.Lock()
-
-        def task(name):
-            for i in range(4):
-                with lock:
-                    log.append((name, i))
-                yield
-
-        ThreadedRunner(4).run([task(n) for n in "abcdef"])
-        assert len(log) == 24
-
-    def test_single_thread_runs_inline(self):
-        log = []
-        ThreadedRunner(1).run([appender(log, "a", 2)])
-        assert log == [("a", 0), ("a", 1)]
-
-    def test_worker_exception_propagates(self):
-        def bad():
-            yield
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError, match="boom"):
-            ThreadedRunner(2).run([bad()])
-
-    def test_invalid_thread_count(self):
-        with pytest.raises(SchedulerError):
-            ThreadedRunner(0)
-
-    def test_spawned_tasks_run(self):
-        log = []
-        lock = threading.Lock()
-
-        def child():
-            with lock:
-                log.append("child")
-            yield
-
-        def parent():
-            yield child()
-
-        ThreadedRunner(2).run([parent()])
-        assert log == ["child"]
-
-
-class TestJoinTimeout:
-    """A wedged worker must turn into a LivelockError, not a hung join."""
-
-    def test_wedged_worker_raises_livelock(self):
-        stop = threading.Event()
-
-        def wedged():
-            while not stop.is_set():
-                time.sleep(0.005)
-                yield
-
-        def quick():
-            yield
-
-        runner = ThreadedRunner(2, join_timeout_s=0.2)
-        try:
-            with pytest.raises(LivelockError, match="failed to quiesce"):
-                runner.run([wedged(), quick()])
-        finally:
-            stop.set()  # let the abandoned daemon thread exit
-
-    def test_livelock_error_names_stuck_workers(self):
-        stop = threading.Event()
-
-        def wedged():
-            while not stop.is_set():
-                time.sleep(0.005)
-                yield
-
-        runner = ThreadedRunner(2, join_timeout_s=0.2)
-        try:
-            with pytest.raises(LivelockError) as exc_info:
-                runner.run([wedged(), wedged()])
-        finally:
-            stop.set()
-        msg = str(exc_info.value)
-        assert "join_timeout_s=0.2" in msg
-        assert "repro-worker-" in msg
-        # each stuck worker reports its last scheduling point
-        assert "task #" in msg and "step" in msg and "idle" in msg
-
-    def test_timeout_set_but_tasks_finish(self):
-        log = []
-        lock = threading.Lock()
-
-        def task(name):
-            for i in range(3):
-                with lock:
-                    log.append((name, i))
-                yield
-
-        runner = ThreadedRunner(3, join_timeout_s=30.0)
-        runner.run([task(n) for n in "abcd"])
-        assert len(log) == 12
-        # liveness bookkeeping ran: every worker recorded a point
-        assert len(runner.last_points) == 3
-        for point in runner.last_points.values():
-            assert point["steps"] >= 0 and point["task"] >= 0
-
-    def test_default_untimed_join_is_untracked(self):
-        runner = ThreadedRunner(2)
-        runner.run([appender([], "a", 2)])
-        assert runner.join_timeout_s is None
-        assert runner.last_points == {}
-
-    def test_invalid_timeout_rejected(self):
-        with pytest.raises(SchedulerError, match="positive"):
-            ThreadedRunner(2, join_timeout_s=0.0)
-        with pytest.raises(SchedulerError, match="positive"):
-            ThreadedRunner(2, join_timeout_s=-1.0)
-
-
 class TestHelpers:
     def test_drive_runs_to_completion(self):
         log = []
@@ -218,30 +91,3 @@ class TestHelpers:
 
         drive(parent())
         assert len(log) == 2
-
-    def test_run_tasks_scheduler_mode(self):
-        log = []
-        run_tasks(
-            [lambda: appender(log, "a", 2), lambda: appender(log, "b", 2)],
-            scheduler_seed=1,
-        )
-        assert len(log) == 4
-
-    def test_run_tasks_threaded_mode(self):
-        log = []
-        lock = threading.Lock()
-
-        def make(name):
-            def factory():
-                def gen():
-                    for i in range(2):
-                        with lock:
-                            log.append((name, i))
-                        yield
-
-                return gen()
-
-            return factory
-
-        run_tasks([make("a"), make("b")], num_threads=2)
-        assert len(log) == 4

@@ -1,4 +1,5 @@
-"""Parallel Rabbit Order (Algorithm 3): lazy aggregation + CAS."""
+"""Parallel Rabbit Order (Algorithm 3): lazy aggregation + CAS, run under
+the seeded interleaving model."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,53 @@ import pytest
 from repro.community import modularity
 from repro.community.modularity import newman_degrees
 from repro.graph import validate_permutation
-from repro.graph.generators import hierarchical_community_graph, rmat_graph
-from repro.rabbit import community_detection_par, rabbit_order
+from repro.graph.generators import (
+    barabasi_albert_graph,
+    erdos_renyi_graph,
+    hierarchical_community_graph,
+    rmat_graph,
+    watts_strogatz_graph,
+)
+from repro.rabbit import (
+    community_detection_par,
+    community_detection_seq,
+    rabbit_order,
+)
 from tests.conftest import PAPER_COMMUNITIES
+
+#: Graph families for the oracle check: R-MAT, hierarchical, and the
+#: classic random-graph generators.
+ORACLE_GENERATORS = {
+    "rmat": lambda seed: rmat_graph(7, edge_factor=6, rng=seed),
+    "hierarchical": lambda seed: hierarchical_community_graph(
+        300, rng=seed
+    ).graph,
+    "erdos-renyi": lambda seed: erdos_renyi_graph(150, 0.05, rng=seed),
+    "barabasi-albert": lambda seed: barabasi_albert_graph(200, 3, rng=seed),
+    "watts-strogatz": lambda seed: watts_strogatz_graph(200, 6, 0.1, rng=seed),
+}
+
+
+class TestOracleEquivalence:
+    """With one modelled thread nothing interleaves, so Algorithm 3 must
+    reproduce the sequential dict oracle exactly: same dendrogram, same
+    counters, same work."""
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_GENERATORS))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_thread_equals_dict_oracle(self, family, seed):
+        graph = ORACLE_GENERATORS[family](seed)
+        oracle, stats = community_detection_seq(graph, engine="dict")
+        res = community_detection_par(
+            graph, num_threads=1, scheduler_seed=seed
+        )
+        d = res.dendrogram
+        np.testing.assert_array_equal(d.child, oracle.child)
+        np.testing.assert_array_equal(d.sibling, oracle.sibling)
+        np.testing.assert_array_equal(d.toplevel, oracle.toplevel)
+        assert res.stats.merges == stats.merges
+        assert res.stats.toplevels == stats.toplevels
+        assert res.stats.edges_scanned == stats.edges_scanned
 
 
 class TestInterleavedDeterministic:
@@ -66,6 +111,9 @@ class TestInterleavedDeterministic:
 
 
 class TestThreaded:
+    """Algorithm 3 at several modelled thread counts (the interleaving
+    window), on the default schedule seed."""
+
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_valid_at_every_thread_count(self, paper_graph, threads):
         res = rabbit_order(paper_graph, parallel=True, num_threads=threads)

@@ -137,15 +137,6 @@ class TestExtremeFaults:
         assert plain.stats.retries == nofault.stats.retries
         assert plain.op_counter.snapshot() == nofault.op_counter.snapshot()
 
-    def test_threaded_crash_recovery(self):
-        """Real threads with injected crashes still terminate with a
-        complete, audited dendrogram (non-deterministic schedule)."""
-        plan = FaultPlan(seed=0, crash_rate=0.02, max_crashes=4)
-        res = community_detection_par(
-            GRAPH, num_threads=4, fault_plan=plan, audit=True
-        )
-        _check(res, GRAPH.num_vertices)
-
 
 class TestStressHarness:
     def test_quick_sweep_all_green(self):

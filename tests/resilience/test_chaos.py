@@ -6,32 +6,12 @@ from repro.experiments.stress import run_chaos
 class TestChaosCampaign:
     def test_sigkill_resume_interleave(self):
         report = run_chaos(
-            scale=6, num_seeds=1, executor="interleave",
-            engines=("par", "fast", "dict"),
+            scale=6, num_seeds=1, engines=("par", "fast", "dict"),
         )
         assert report.ok, report.table()
         # every cell really was killed mid-run and resumed from a snapshot
         assert all(o.resumed_from > 0 for o in report.outcomes)
-        # replayable executions are bit-compared, not just validated
-        assert all(o.compared for o in report.outcomes)
-
-    def test_cross_engine_resume(self):
-        """The ``cross`` case resumes a killed flat-engine run under the
-        dict engine and vice versa: the snapshot wire format is
-        engine-neutral and both layouts land on the same permutation."""
-        report = run_chaos(
-            scale=6, num_seeds=1, executor="interleave",
-            engines=("par", "par-dict"),
-        )
-        assert report.ok, report.table()
-        cross = [o for o in report.outcomes if o.case == "cross"]
-        assert {o.engine for o in cross} == {"par", "par-dict"}
-        assert all(o.compared and o.resumed_from > 0 for o in cross)
-
-    def test_sigkill_resume_real_threads(self):
-        report = run_chaos(
-            scale=6, num_seeds=1, executor="threads", num_threads=1,
-            engines=("par",),
-        )
-        assert report.ok, report.table()
-        assert all(o.compared for o in report.outcomes)
+        # the par engine also ran its fault-injected case
+        assert {o.case for o in report.outcomes if o.engine == "par"} == {
+            "clean", "faulted"
+        }

@@ -52,11 +52,11 @@ class TestEveryPrefixEverySeed:
             )
 
 
-def par_perm(graph, seed, *, executor, num_threads, directory, every, resume=None):
+def par_perm(graph, seed, *, num_threads, directory, every, resume=None):
     res = community_detection_par(
         graph,
         num_threads=num_threads,
-        scheduler_seed=seed if executor == "interleave" else None,
+        scheduler_seed=seed,
         checkpoint=CheckpointConfig(directory=directory, every=every),
         resume=resume,
         audit=True,
@@ -65,23 +65,21 @@ def par_perm(graph, seed, *, executor, num_threads, directory, every, resume=Non
 
 
 class TestKillResumeSweep:
-    """The acceptance sweep: 25 seeds, parallel engine, both executors —
-    resume from a mid-run checkpoint is bit-identical to the same
-    (checkpointed) run left uninterrupted.  Real multi-thread schedules
-    are nondeterministic, so the ``threads`` executor runs one worker;
-    the multi-worker case is audit-validated in ``test_supervisor``."""
+    """The acceptance sweep: 25 seeds, parallel engine, at four modelled
+    threads and at one — resume from a mid-run checkpoint is
+    bit-identical to the same (checkpointed) run left uninterrupted."""
 
-    @pytest.mark.parametrize("executor,num_threads", [
-        ("interleave", 4),
-        ("threads", 1),
+    @pytest.mark.parametrize("num_threads", [
+        pytest.param(4, id="interleave-4"),
+        pytest.param(1, id="interleave-1"),
     ])
-    def test_25_seed_sweep(self, tmp_path, executor, num_threads):
+    def test_25_seed_sweep(self, tmp_path, num_threads):
         for seed in range(25):
             graph = erdos_renyi_graph(40, 0.12, rng=100 + seed)
             every = max(1, graph.num_vertices // 4)
-            ckpt_dir = tmp_path / f"{executor}-{seed}"
+            ckpt_dir = tmp_path / f"{num_threads}-{seed}"
             baseline = par_perm(
-                graph, seed, executor=executor, num_threads=num_threads,
+                graph, seed, num_threads=num_threads,
                 directory=ckpt_dir, every=every,
             )
             # the run's own snapshots stand in for the kill point: resume
@@ -93,11 +91,11 @@ class TestKillResumeSweep:
             assert interior, "expected a mid-run snapshot to resume from"
             snap = load_checkpoint(interior[0])
             resumed = par_perm(
-                graph, seed, executor=executor, num_threads=num_threads,
+                graph, seed, num_threads=num_threads,
                 directory=ckpt_dir, every=every, resume=snap,
             )
             assert np.array_equal(resumed, baseline), (
-                f"executor={executor} seed={seed} from={snap.progress}"
+                f"num_threads={num_threads} seed={seed} from={snap.progress}"
             )
 
 

@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.perm import validate_permutation
+from repro.rabbit import rabbit_order
 from repro.resilience import (
     Budgets,
     CheckpointConfig,
@@ -35,7 +36,7 @@ def graph():
 def one_rung(name="only", **budget_kwargs):
     return SupervisorPolicy(
         budgets=Budgets(poll_interval_s=0.01, **budget_kwargs),
-        ladder=(LadderRung(name=name, parallel=False),),
+        ladder=(LadderRung(name=name),),
         final_rung_unbudgeted=False,
     )
 
@@ -103,9 +104,9 @@ class TestLadder:
         policy = SupervisorPolicy(
             budgets=Budgets(poll_interval_s=0.01),
             ladder=(
-                LadderRung(name="a", parallel=False),
-                LadderRung(name="b", parallel=False),
-                LadderRung(name="c", parallel=False),
+                LadderRung(name="a"),
+                LadderRung(name="b"),
+                LadderRung(name="c"),
             ),
             backoff_base_s=0.001,
             backoff_cap_s=0.002,
@@ -128,7 +129,7 @@ class TestLadder:
 
     def test_max_attempts_retries_same_rung(self):
         policy = SupervisorPolicy(
-            ladder=(LadderRung(name="r", parallel=False, max_attempts=3),),
+            ladder=(LadderRung(name="r", max_attempts=3),),
             backoff_base_s=0.001,
             backoff_cap_s=0.002,
         )
@@ -147,8 +148,8 @@ class TestLadder:
     def test_repro_errors_degrade_other_exceptions_propagate(self):
         policy = SupervisorPolicy(
             ladder=(
-                LadderRung(name="x", parallel=False),
-                LadderRung(name="y", parallel=False),
+                LadderRung(name="x"),
+                LadderRung(name="y"),
             ),
             backoff_base_s=0.001,
             backoff_cap_s=0.002,
@@ -173,8 +174,8 @@ class TestLadder:
         policy = SupervisorPolicy(
             budgets=Budgets(time_s=0.001, poll_interval_s=0.005),
             ladder=(
-                LadderRung(name="first", parallel=False),
-                LadderRung(name="last", parallel=False),
+                LadderRung(name="first"),
+                LadderRung(name="last"),
             ),
             backoff_base_s=0.001,
             backoff_cap_s=0.002,
@@ -208,42 +209,35 @@ class TestPolicyHelpers:
         assert backoff_delays(6, base_s=0.05, cap_s=0.4, seed=10) != a
 
     def test_parse_ladder_roundtrip(self):
-        rungs = parse_ladder("par-threads,fastseq,dict", 8)
-        assert [r.name for r in rungs] == ["par-threads", "fastseq", "dict"]
-        assert rungs[0].parallel and rungs[0].num_threads == 8
-        assert not rungs[1].parallel and rungs[1].engine == "fast"
-        assert rungs[2].engine == "dict"
+        rungs = parse_ladder("dict,fastseq")
+        assert [r.name for r in rungs] == ["dict", "fastseq"]
+        assert rungs[0].engine == "dict"
+        assert rungs[1].engine == "fast"
 
     def test_parse_ladder_rejects_unknown_rung(self):
         with pytest.raises(ReproError) as excinfo:
-            parse_ladder("par-threads,warp-drive", 4)
+            parse_ladder("fastseq,warp-drive")
         # the error catalogues every canonical rung name
-        for name in (
-            "par-procs", "par-threads", "par-interleave", "fastseq", "dict"
-        ):
+        for name in ("fastseq", "dict"):
             assert name in str(excinfo.value)
 
     def test_parse_ladder_rejects_empty_spec(self):
         with pytest.raises(ReproError, match="selects no rungs"):
-            parse_ladder("", 4)
+            parse_ladder("")
         with pytest.raises(ReproError, match="selects no rungs"):
-            parse_ladder(" , ,", 4)
+            parse_ladder(" , ,")
 
     def test_parse_ladder_rejects_duplicate_rungs(self):
         with pytest.raises(ReproError, match="duplicate ladder rung"):
-            parse_ladder("fastseq,dict,fastseq", 4)
+            parse_ladder("fastseq,dict,fastseq")
 
     def test_parse_ladder_strips_whitespace(self):
-        rungs = parse_ladder("  par-procs , fastseq ,dict ", 4, num_procs=3)
-        assert [r.name for r in rungs] == ["par-procs", "fastseq", "dict"]
-        assert rungs[0].executor == "procs" and rungs[0].num_threads == 3
+        rungs = parse_ladder("  fastseq ,dict ")
+        assert [r.name for r in rungs] == ["fastseq", "dict"]
 
     def test_default_ladder_order(self):
-        names = [r.name for r in default_ladder(4)]
-        assert names == [
-            "par-procs", "par-threads", "par-interleave", "fastseq", "dict"
-        ]
-        assert default_ladder(4)[0].executor == "procs"
+        assert [r.name for r in default_ladder()] == ["fastseq", "dict"]
+        assert [r.engine for r in default_ladder()] == ["fast", "dict"]
 
 
 class TestSupervisedRabbitOrder:
@@ -253,15 +247,14 @@ class TestSupervisedRabbitOrder:
         )
         result, report = supervised_rabbit_order(graph, policy=policy)
         assert report.success
-        assert report.final_rung == "par-procs"
+        assert report.final_rung == "fastseq"
         assert len(report.attempts) == 1
         validate_permutation(result.permutation, graph.num_vertices)
 
     def test_exhausted_budget_degrades_to_valid_audited_result(self, tmp_path):
-        """The acceptance scenario: a time budget the parallel rungs
-        cannot meet must walk down the ladder and still return a valid,
-        audited dendrogram, with checkpoints carrying progress across
-        rungs."""
+        """The acceptance scenario: a time budget the first rung cannot
+        meet must walk down the ladder and still return a valid
+        dendrogram, with checkpoints carrying progress across rungs."""
         graph = erdos_renyi_graph(400, 0.03, rng=13)
         policy = SupervisorPolicy(
             budgets=Budgets(time_s=0.02, poll_interval_s=0.005),
@@ -269,9 +262,7 @@ class TestSupervisedRabbitOrder:
             backoff_base_s=0.001,
             backoff_cap_s=0.002,
         )
-        result, report = supervised_rabbit_order(
-            graph, policy=policy, num_threads=2, audit=True
-        )
+        result, report = supervised_rabbit_order(graph, policy=policy)
         assert report.success
         assert report.degradations >= 1
         assert any(a.outcome == "aborted" for a in report.attempts)
@@ -287,11 +278,31 @@ class TestSupervisedRabbitOrder:
         big = erdos_renyi_graph(3000, 0.004, rng=17)
         policy = SupervisorPolicy(
             budgets=Budgets(time_s=0.001, poll_interval_s=0.002),
-            ladder=(LadderRung(name="par-threads", parallel=True),),
+            ladder=(LadderRung(name="budgeted"),),
             final_rung_unbudgeted=False,
         )
         with pytest.raises(AttemptAbortedError) as exc_info:
             supervised_rabbit_order(big, policy=policy)
         report = exc_info.value.run_report
         assert not report.success
-        assert report.final_rung == "par-threads"
+        assert report.final_rung == "budgeted"
+
+    def test_result_does_not_depend_on_the_rung(self, graph, monkeypatch):
+        """When the fastseq rung fails, the dict rung finishes the run
+        with the very permutation fastseq would have produced."""
+        import repro.rabbit.fastseq as fastseq_mod
+
+        expected = rabbit_order(graph).permutation
+
+        def broken(*args, **kwargs):
+            raise ReproError("injected fastseq failure")
+
+        monkeypatch.setattr(
+            fastseq_mod, "community_detection_fastseq", broken
+        )
+        policy = SupervisorPolicy(backoff_base_s=0.001, backoff_cap_s=0.002)
+        result, report = supervised_rabbit_order(graph, policy=policy)
+        assert [a.rung for a in report.attempts] == ["fastseq", "dict"]
+        assert report.attempts[0].outcome == "error"
+        assert report.final_rung == "dict"
+        assert np.array_equal(result.permutation, expected)

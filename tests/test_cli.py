@@ -211,13 +211,6 @@ class TestStressRaces:
         assert "race detection on" in out
         assert "races" in out  # table column
 
-    def test_threads_executor_flag(self, capsys):
-        assert main(
-            ["stress", "--quick", "--scale", "5", "--seeds", "2",
-             "--races", "--executor", "threads"]
-        ) == 0
-        assert "executor=threads" in capsys.readouterr().out
-
 
 class TestBenchCompareExit:
     @pytest.fixture(scope="class")
@@ -366,20 +359,10 @@ class TestStressChaos:
 
 
 class TestWorkerCountValidation:
-    """``--threads``/``--procs`` below 1 fail identically everywhere:
-    ``error: --<flag> must be >= 1`` on stderr, exit code 2."""
+    """``--threads`` below 1 fails identically everywhere:
+    ``error: --threads must be >= 1`` on stderr, exit code 2."""
 
-    @pytest.mark.parametrize("flag", ["--threads", "--procs"])
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_reorder_rejects_nonpositive(self, graph_file, flag, value, capsys):
-        path, _ = graph_file
-        rc = main(["reorder", path, "-a", "Rabbit",
-                   "--time-budget", "60", flag, value])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"error: {flag} must be >= 1, got {value}" in err
-
-    @pytest.mark.parametrize("flag", ["--threads", "--procs"])
+    @pytest.mark.parametrize("flag", ["--threads"])
     def test_resume_rejects_nonpositive(self, graph_file, tmp_path, flag, capsys):
         path, _ = graph_file
         ck = tmp_path / "ck"
@@ -391,59 +374,67 @@ class TestWorkerCountValidation:
         assert rc == 2
         assert f"error: {flag} must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--threads", "--procs"])
+    @pytest.mark.parametrize("flag", ["--threads"])
     def test_stress_rejects_nonpositive(self, flag, capsys):
         rc = main(["stress", "--quick", flag, "0"])
         assert rc == 2
         assert f"error: {flag} must be >= 1" in capsys.readouterr().err
 
-    def test_valid_counts_still_accepted(self, graph_file, tmp_path, capsys):
-        path, g = graph_file
-        perm_out = str(tmp_path / "perm.npy")
+    def test_valid_counts_still_accepted(self, capsys):
         rc = main(
-            ["reorder", path, "-a", "Rabbit", "--perm-out", perm_out,
-             "--ladder", "par-procs,dict", "--time-budget", "60",
-             "--procs", "2"]
+            ["stress", "--quick", "--scale", "4", "--seeds", "1",
+             "--threads", "2"]
         )
         assert rc == 0
-        validate_permutation(np.load(perm_out), g.num_vertices)
+        assert "all runs passed the audit" in capsys.readouterr().out
 
 
-class TestStressProcsChaos:
-    def test_procs_chaos_quick_smoke(self, capsys):
-        rc = main(
-            ["stress", "--chaos", "--executor", "procs", "--quick",
-             "--scale", "5"]
+class TestResumeRetiredSnapshot:
+    """Snapshots written by the removed thread and process-pool executors
+    fail closed with a typed CheckpointError naming the executor."""
+
+    @pytest.mark.parametrize("engine,config", [
+        ("par", {"engine": "par", "executor": "threads", "parallel": True,
+                 "num_threads": 4, "scheduler_seed": None}),
+        ("procs", {"engine": "procs", "executor": "procs",
+                   "parallel": True, "num_threads": 2}),
+        ("procs", {"parallel": True}),
+    ])
+    def test_retired_executor_fails_closed(
+        self, graph_file, tmp_path, capsys, engine, config
+    ):
+        from repro.cli import build_parser
+        from repro.community.dendrogram import NO_VERTEX
+        from repro.errors import CheckpointError
+        from repro.rabbit.common import RabbitStats
+        from repro.resilience.checkpoint import (
+            build_snapshot,
+            graph_fingerprint,
+            save_checkpoint,
         )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "worker-kill campaign" in out
-        assert "bit-identical" in out
-
-    def test_procs_executor_requires_chaos(self, capsys):
-        rc = main(["stress", "--executor", "procs", "--quick"])
-        assert rc == 2
-        assert "--chaos" in capsys.readouterr().err
-
-
-class TestResumeProcsSnapshot:
-    def test_resume_verb_finishes_procs_checkpoint(self, graph_file, tmp_path, capsys):
-        from repro.rabbit.parproc import community_detection_procs
-        from repro.resilience import CheckpointConfig
 
         path, g = graph_file
-        ck = tmp_path / "ck"
-        community_detection_procs(
-            g, num_procs=2,
-            checkpoint=CheckpointConfig(directory=ck, every=50),
+        n = g.num_vertices
+        snap = build_snapshot(
+            engine=engine,
+            progress=0,
+            order=np.arange(n),
+            dest=np.arange(n),
+            child=np.full(n, NO_VERTEX),
+            sibling=np.full(n, NO_VERTEX),
+            comm_deg=np.zeros(n),
+            toplevel=[],
+            adjacency=[None] * n,
+            stats=RabbitStats(),
+            fingerprint=graph_fingerprint(g),
+            config=config,
         )
-        base = main(["reorder", path, "-a", "Rabbit",
-                     "--perm-out", str(tmp_path / "base.npy")])
-        assert base == 0
-        rc = main(["resume", str(ck), path, "--procs", "2",
-                   "--perm-out", str(tmp_path / "resumed.npy")])
-        assert rc == 0
-        assert "resumed procs detection" in capsys.readouterr().out
-        assert np.array_equal(
-            np.load(tmp_path / "base.npy"), np.load(tmp_path / "resumed.npy")
-        )
+        ck = save_checkpoint(tmp_path / "ckpt-000000000000.rbk", snap)
+        retired = config.get("executor", engine)
+        args = build_parser().parse_args(["resume", str(ck), path])
+        with pytest.raises(CheckpointError, match=repr(retired)):
+            args.fn(args)
+        assert main(["resume", str(tmp_path), path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(retired) in err
+        assert "Traceback" not in err
