@@ -19,7 +19,7 @@ from repro.analysis.pagerank import (
 )
 from repro.analysis.rwr import RWRResult, random_walk_with_restart
 from repro.analysis.scc import SCCResult, strongly_connected_components
-from repro.analysis.spmv import row_blocks, spmv, spmv_blocked, spmv_naive
+from repro.analysis.spmv import spmv, spmv_naive
 from repro.analysis.traversal import (
     BFSResult,
     DFSResult,
@@ -32,8 +32,6 @@ from repro.analysis.traversal import (
 __all__ = [
     "spmv",
     "spmv_naive",
-    "spmv_blocked",
-    "row_blocks",
     "pagerank",
     "PageRankResult",
     "DEFAULT_TELEPORT",

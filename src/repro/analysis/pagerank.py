@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.spmv import spmv
 from repro.errors import ConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.obs.trace import span
@@ -35,10 +34,12 @@ class PageRankResult:
     scores: np.ndarray
     iterations: int
     residual: float
+    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def converged(self) -> bool:
-        return self.residual < DEFAULT_TOLERANCE
+        """The run stopped below the tolerance it was given."""
+        return self.residual < self.tolerance
 
 
 def pagerank(
@@ -57,20 +58,30 @@ def pagerank(
     """
     n = graph.num_vertices
     if n == 0:
-        return PageRankResult(np.zeros(0), 0, 0.0)
+        return PageRankResult(np.zeros(0), 0, 0.0, tolerance)
     deg = graph.weighted_degrees()
     dangling = deg == 0.0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
+    dangling_ids = np.flatnonzero(dangling)
     s = np.full(n, 1.0 / n, dtype=np.float64)
     base = teleport / n
+    damping = 1.0 - teleport
+    operator = graph.matvec_operator()
+    scaled = np.empty(n, dtype=np.float64)
+    diff = np.empty(n, dtype=np.float64)
     residual = np.inf
     iterations = 0
     with span("analysis.pagerank", n=n) as sp:
         for iterations in range(1, max_iterations + 1):
-            spread = spmv(graph, s * inv_deg)
-            dangling_mass = float(s[dangling].sum()) / n
-            s_next = (1.0 - teleport) * (spread + dangling_mass) + base
-            residual = float(np.abs(s_next - s).sum())
+            # s_next = (1 - c) * (A (s / d) + dangling mass) + c / n, one
+            # elementwise step at a time into the matvec's fresh result.
+            np.multiply(s, inv_deg, out=scaled)
+            s_next = operator @ scaled
+            s_next += float(s[dangling_ids].sum()) / n
+            s_next *= damping
+            s_next += base
+            np.subtract(s_next, s, out=diff)
+            residual = float(np.abs(diff, out=diff).sum())
             s = s_next
             if residual < tolerance:
                 break
@@ -81,4 +92,6 @@ def pagerank(
                     f"iterations (residual {residual:.3e})"
                 )
         sp.set(iterations=iterations)
-    return PageRankResult(scores=s, iterations=iterations, residual=residual)
+    return PageRankResult(
+        scores=s, iterations=iterations, residual=residual, tolerance=tolerance
+    )

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.spmv import spmv
 from repro.errors import ConvergenceError, GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.obs.trace import span
 
 __all__ = ["RWRResult", "random_walk_with_restart"]
 
@@ -51,24 +51,36 @@ def random_walk_with_restart(
     deg = graph.weighted_degrees()
     dangling = deg == 0.0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
+    dangling_ids = np.flatnonzero(dangling)
     e = np.zeros(n, dtype=np.float64)
     e[seed] = 1.0
+    restart_e = restart * e
+    damping = 1.0 - restart
+    operator = graph.matvec_operator()
+    scaled = np.empty(n, dtype=np.float64)
+    diff = np.empty(n, dtype=np.float64)
     s = e.copy()
     residual = np.inf
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        spread = spmv(graph, s * inv_deg)
-        # Dangling mass restarts at the seed (walker has nowhere to go).
-        spread[seed] += float(s[dangling].sum())
-        s_next = (1.0 - restart) * spread + restart * e
-        residual = float(np.abs(s_next - s).sum())
-        s = s_next
-        if residual < tolerance:
-            break
-    else:
-        if raise_on_no_convergence:
-            raise ConvergenceError(
-                f"RWR did not reach {tolerance} within {max_iterations} "
-                f"iterations (residual {residual:.3e})"
-            )
+    with span("analysis.rwr", n=n, seed=seed) as sp:
+        for iterations in range(1, max_iterations + 1):
+            np.multiply(s, inv_deg, out=scaled)
+            s_next = operator @ scaled
+            # Dangling mass restarts at the seed (walker has nowhere to go).
+            s_next[seed] += float(s[dangling_ids].sum())
+            # s_next = (1 - c) * spread + c * e, in place.
+            s_next *= damping
+            s_next += restart_e
+            np.subtract(s_next, s, out=diff)
+            residual = float(np.abs(diff, out=diff).sum())
+            s = s_next
+            if residual < tolerance:
+                break
+        else:
+            if raise_on_no_convergence:
+                raise ConvergenceError(
+                    f"RWR did not reach {tolerance} within {max_iterations} "
+                    f"iterations (residual {residual:.3e})"
+                )
+        sp.set(iterations=iterations)
     return RWRResult(scores=s, iterations=iterations, residual=residual)

@@ -216,9 +216,8 @@ class CSRGraph:
     def row_of_slot(self) -> np.ndarray:
         """Array of length ``m`` giving the source vertex of each slot.
 
-        Cached after the first call (O(m) to rebuild, and hot: SpMV asks
-        for it every iteration) and marked read-only — copy before
-        mutating.
+        Cached after the first call (O(m) to rebuild) and marked
+        read-only — copy before mutating.
         """
         cache = self._symmetric_cache
         if "row_of_slot" not in cache:
@@ -412,13 +411,35 @@ class CSRGraph:
     # Interop
     # ------------------------------------------------------------------
     def to_scipy(self):
-        """Export as a ``scipy.sparse.csr_matrix`` (weights or 1s)."""
+        """Export as a fresh, writable ``scipy.sparse.csr_matrix``
+        (weights or 1s)."""
         import scipy.sparse as sp
 
         return sp.csr_matrix(
             (self.edge_weights(), self.indices, self.indptr),
             shape=(self.num_vertices, self.num_vertices),
         )
+
+    def matvec_operator(self):
+        """The adjacency matrix every SpMV-family analysis multiplies by.
+
+        Built from :meth:`to_scipy` on the first call and cached; its
+        ``data``/``indices``/``indptr`` are read-only views (the graph's
+        own arrays keep their flags), so the shared operator cannot be
+        changed in place — use :meth:`to_scipy` for a writable matrix.
+        scipy is imported here, never at module level: paths that never
+        multiply (reordering, BFS, the daemon's reorder requests) do not
+        load it.
+        """
+        cache = self._symmetric_cache
+        if "matvec_operator" not in cache:
+            mat = self.to_scipy()
+            for name in ("data", "indices", "indptr"):
+                arr = getattr(mat, name).view()
+                arr.setflags(write=False)
+                setattr(mat, name, arr)
+            cache["matvec_operator"] = mat
+        return cache["matvec_operator"]
 
     @classmethod
     def from_scipy(cls, mat) -> "CSRGraph":

@@ -14,8 +14,8 @@ arrays (``indptr``/``indices``/``weights``) plus the decision parameters
 (merge threshold, visit order, visit RNG).  It deliberately excludes
 every piece of engine or runtime state — and is stable across
 :class:`~repro.graph.csr.CSRGraph`'s lazily-built caches
-(``degrees``/``row_of_slot``/``edge_weights``), which materialise as a
-side effect of use but never change the graph itself.
+(``degrees``/``row_of_slot``/``edge_weights``/``matvec_operator``), which
+materialise as a side effect of use but never change the graph itself.
 
 :func:`fingerprint_key` collapses the fingerprint dict into a fixed-width
 hex digest suitable for file names and dictionary keys (the

@@ -230,11 +230,13 @@ def community_detection_fastseq(
         arena-resident, which never changes decisions — residency is a
         performance detail, not an algorithmic one).
     """
-    require_symmetric(graph, "Rabbit Order")
-    ckpt = as_checkpointer(checkpoint)
-    cutoff = SCALAR_CUTOFF if scalar_cutoff is None else int(scalar_cutoff)
     n = graph.num_vertices
+    # Setup covers everything before the sweep: the symmetry check, the
+    # fingerprint, the visit order and the state build.
     with span("rabbit.seq.setup", n=n, engine="fast"):
+        require_symmetric(graph, "Rabbit Order")
+        ckpt = as_checkpointer(checkpoint)
+        cutoff = SCALAR_CUTOFF if scalar_cutoff is None else int(scalar_cutoff)
         child: list[int] = [NO_VERTEX] * n
         sibling: list[int] = [NO_VERTEX] * n
         stats = RabbitStats()
@@ -242,84 +244,84 @@ def community_detection_fastseq(
             stats.vertex_work = np.zeros(n, dtype=np.int64)
         comm_deg_a = newman_degrees(graph)
         m = graph.total_edge_weight()
-    if m <= 0.0:
-        # Edgeless graph: every vertex is trivially top-level.
-        stats.toplevels = n
-        return (
-            Dendrogram(
-                child=np.full(n, NO_VERTEX, dtype=np.int64),
-                sibling=np.full(n, NO_VERTEX, dtype=np.int64),
-                toplevel=np.arange(n, dtype=np.int64),
-            ),
-            stats,
-        )
+        if m <= 0.0:
+            # Edgeless graph: every vertex is trivially top-level.
+            stats.toplevels = n
+            return (
+                Dendrogram(
+                    child=np.full(n, NO_VERTEX, dtype=np.int64),
+                    sibling=np.full(n, NO_VERTEX, dtype=np.int64),
+                    toplevel=np.arange(n, dtype=np.int64),
+                ),
+                stats,
+            )
 
-    two_m = 2.0 * m
-    fingerprint = graph_fingerprint(
-        graph, merge_threshold=merge_threshold, visit=visit, visit_rng=visit_rng
-    )
-    start = 0
-    if resume is None:
-        order = visit_order(graph, visit, visit_rng)
-    else:
-        require_fingerprint_match(resume, fingerprint)
-        start = resume.progress
-        order = resume.order.copy()
-    # Dual state: list view for scalar work, ndarray twin for gathers.
-    # Folded adjacencies are write-once / read-at-most-once (an entry is
-    # consumed only when its owner's merge target is itself visited), so
-    # they live wherever the *producing* path left them: vector-path
-    # results go to the arena pools (consumed zero-copy by later
-    # gathers), scalar-path results stay as plain Python lists in
-    # ``ek``/``ew`` (consumed without any ndarray round-trip) and are
-    # wrapped into arrays only if a vector fold gathers them.
-    vw: list[int] | None = [0] * n if collect_vertex_work else None
-    if resume is None:
-        dest_a = np.arange(n, dtype=np.int64)
-        arena = AdjacencyArena(n, capacity=graph.num_edges + n + 1)
-        toplevel: list[int] = []
-        edges_scanned = 0
-        merges = 0
-    else:
-        dest_a = resume.dest.copy()
-        child = resume.child.tolist()
-        sibling = resume.sibling.tolist()
-        # Merged vertices carry INVALID_DEGREE (never read again);
-        # roots carry their exact accumulated community degree.
-        comm_deg_a = resume.degrees.copy()
-        # Every restored entry becomes arena-resident; residency only
-        # affects which fold path consumes it, never the fold result.
-        arena = AdjacencyArena.from_pools(
-            resume.adj_offsets,
-            resume.adj_lengths,
-            resume.adj_keys,
-            resume.adj_ws,
-            extra_capacity=graph.num_edges + n + 1,
+        two_m = 2.0 * m
+        fingerprint = graph_fingerprint(
+            graph, merge_threshold=merge_threshold, visit=visit, visit_rng=visit_rng
         )
-        toplevel = resume.toplevel.tolist()
-        restore_stats(stats, resume)
-        edges_scanned = stats.edges_scanned
-        merges = stats.merges
-        if vw is not None and resume.vertex_work.size:
-            vw = resume.vertex_work.tolist()
-    dest: list[int] = dest_a.tolist()
-    comm_deg: list[float] = comm_deg_a.tolist()
-    indptr_l: list[int] = graph.indptr.tolist()
-    indices, weights = graph.indices, graph.weights
-    aoff: list[int] = arena.offset.tolist()  # arena addressing
-    alen: list[int] = arena.length.tolist()  # folded sizes, both residencies
-    ek: list[list | None] = [None] * n
-    ew: list[list | None] = [None] * n
-    config = {
-        "engine": "fast",
-        "visit": visit,
-        "visit_rng": visit_rng,
-        "collect_vertex_work": collect_vertex_work,
-        "parallel": False,
-    }
-    inv_2m = 1.0 / two_m
-    neg_inf = float("-inf")
-    order_l = order.tolist()
+        start = 0
+        if resume is None:
+            order = visit_order(graph, visit, visit_rng)
+        else:
+            require_fingerprint_match(resume, fingerprint)
+            start = resume.progress
+            order = resume.order.copy()
+        # Dual state: list view for scalar work, ndarray twin for gathers.
+        # Folded adjacencies are write-once / read-at-most-once (an entry is
+        # consumed only when its owner's merge target is itself visited), so
+        # they live wherever the *producing* path left them: vector-path
+        # results go to the arena pools (consumed zero-copy by later
+        # gathers), scalar-path results stay as plain Python lists in
+        # ``ek``/``ew`` (consumed without any ndarray round-trip) and are
+        # wrapped into arrays only if a vector fold gathers them.
+        vw: list[int] | None = [0] * n if collect_vertex_work else None
+        if resume is None:
+            dest_a = np.arange(n, dtype=np.int64)
+            arena = AdjacencyArena(n, capacity=graph.num_edges + n + 1)
+            toplevel: list[int] = []
+            edges_scanned = 0
+            merges = 0
+        else:
+            dest_a = resume.dest.copy()
+            child = resume.child.tolist()
+            sibling = resume.sibling.tolist()
+            # Merged vertices carry INVALID_DEGREE (never read again);
+            # roots carry their exact accumulated community degree.
+            comm_deg_a = resume.degrees.copy()
+            # Every restored entry becomes arena-resident; residency only
+            # affects which fold path consumes it, never the fold result.
+            arena = AdjacencyArena.from_pools(
+                resume.adj_offsets,
+                resume.adj_lengths,
+                resume.adj_keys,
+                resume.adj_ws,
+                extra_capacity=graph.num_edges + n + 1,
+            )
+            toplevel = resume.toplevel.tolist()
+            restore_stats(stats, resume)
+            edges_scanned = stats.edges_scanned
+            merges = stats.merges
+            if vw is not None and resume.vertex_work.size:
+                vw = resume.vertex_work.tolist()
+        dest: list[int] = dest_a.tolist()
+        comm_deg: list[float] = comm_deg_a.tolist()
+        indptr_l: list[int] = graph.indptr.tolist()
+        indices, weights = graph.indices, graph.weights
+        aoff: list[int] = arena.offset.tolist()  # arena addressing
+        alen: list[int] = arena.length.tolist()  # folded sizes, both residencies
+        ek: list[list | None] = [None] * n
+        ew: list[list | None] = [None] * n
+        config = {
+            "engine": "fast",
+            "visit": visit,
+            "visit_rng": visit_rng,
+            "collect_vertex_work": collect_vertex_work,
+            "parallel": False,
+        }
+        inv_2m = 1.0 / two_m
+        neg_inf = float("-inf")
+        order_l = order.tolist()
     with span("rabbit.seq.aggregate", n=n, engine="fast"):
         for i in range(start, n):
             u = order_l[i]

@@ -122,62 +122,64 @@ def community_detection_seq(
         )
     if engine != "dict":
         raise ValueError(f"engine must be 'fast' or 'dict', got {engine!r}")
-    require_symmetric(graph, "Rabbit Order")
-    ckpt = as_checkpointer(checkpoint)
     n = graph.num_vertices
+    # Setup covers everything before the sweep: the symmetry check, the
+    # state build, the fingerprint and the visit order.
     with span("rabbit.seq.setup", n=n):
+        require_symmetric(graph, "Rabbit Order")
+        ckpt = as_checkpointer(checkpoint)
         state = AggregationState.initialize(graph)
         stats = RabbitStats()
         if collect_vertex_work:
             stats.vertex_work = np.zeros(n, dtype=np.int64)
         comm_deg = newman_degrees(graph)
-    m = state.total_weight
-    toplevel: list[int] = []
-    if m <= 0.0:
-        # Edgeless graph: every vertex is trivially top-level.
-        stats.toplevels = n
-        return (
-            Dendrogram(
-                child=state.child,
-                sibling=state.sibling,
-                toplevel=np.arange(n, dtype=np.int64),
-            ),
-            stats,
-        )
+        m = state.total_weight
+        toplevel: list[int] = []
+        if m <= 0.0:
+            # Edgeless graph: every vertex is trivially top-level.
+            stats.toplevels = n
+            return (
+                Dendrogram(
+                    child=state.child,
+                    sibling=state.sibling,
+                    toplevel=np.arange(n, dtype=np.int64),
+                ),
+                stats,
+            )
 
-    two_m = 2.0 * m
-    fingerprint = graph_fingerprint(
-        graph, merge_threshold=merge_threshold, visit=visit, visit_rng=visit_rng
-    )
-    start = 0
-    if resume is None:
-        order = visit_order(graph, visit, visit_rng)
-    else:
-        require_fingerprint_match(resume, fingerprint)
-        start = resume.progress
-        order = resume.order.copy()
-        state.dest[:] = resume.dest
-        state.child[:] = resume.child
-        state.sibling[:] = resume.sibling
-        # Merged vertices carry INVALID_DEGREE (never read again); roots
-        # carry their exact accumulated community degree.
-        comm_deg = resume.degrees.copy()
-        for v, entry in enumerate(resume.iter_adjacency()):
-            if entry is not None:
-                keys, ws = entry
-                state.adj[v] = dict(zip(keys.tolist(), ws.tolist()))
-        toplevel = resume.toplevel.tolist()
-        restore_stats(stats, resume)
-    config = {
-        "engine": "dict",
-        "visit": visit,
-        "visit_rng": visit_rng,
-        "collect_vertex_work": collect_vertex_work,
-        "parallel": False,
-    }
-    dest = state.dest
-    child = state.child
-    sibling = state.sibling
+        two_m = 2.0 * m
+        fingerprint = graph_fingerprint(
+            graph, merge_threshold=merge_threshold, visit=visit, visit_rng=visit_rng
+        )
+        start = 0
+        if resume is None:
+            order = visit_order(graph, visit, visit_rng)
+        else:
+            require_fingerprint_match(resume, fingerprint)
+            start = resume.progress
+            order = resume.order.copy()
+            state.dest[:] = resume.dest
+            state.child[:] = resume.child
+            state.sibling[:] = resume.sibling
+            # Merged vertices carry INVALID_DEGREE (never read again); roots
+            # carry their exact accumulated community degree.
+            comm_deg = resume.degrees.copy()
+            for v, entry in enumerate(resume.iter_adjacency()):
+                if entry is not None:
+                    keys, ws = entry
+                    state.adj[v] = dict(zip(keys.tolist(), ws.tolist()))
+            toplevel = resume.toplevel.tolist()
+            restore_stats(stats, resume)
+        config = {
+            "engine": "dict",
+            "visit": visit,
+            "visit_rng": visit_rng,
+            "collect_vertex_work": collect_vertex_work,
+            "parallel": False,
+        }
+        dest = state.dest
+        child = state.child
+        sibling = state.sibling
     # One span brackets the whole aggregation sweep (never per vertex:
     # the disabled-tracer hot path must stay free).
     with span("rabbit.seq.aggregate", n=n):

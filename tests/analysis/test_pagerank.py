@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis import pagerank
+from repro.analysis import DEFAULT_TOLERANCE, pagerank
 from repro.errors import ConvergenceError
 from repro.graph import CSRGraph
-from repro.graph.generators import rmat_graph
+from repro.graph.generators import hierarchical_community_graph, rmat_graph
 from tests.conftest import to_networkx
 
 
@@ -58,6 +58,14 @@ class TestPageRank:
         res = pagerank(g, max_iterations=3)
         assert res.iterations == 3
         assert not res.converged
+
+    def test_converged_uses_the_runs_tolerance(self):
+        g = hierarchical_community_graph(300, rng=2).graph
+        loose = pagerank(g, tolerance=1e-4)
+        # Stopped below the run's tolerance, above the default one.
+        assert DEFAULT_TOLERANCE < loose.residual < 1e-4
+        assert loose.converged
+        assert not pagerank(g, tolerance=1e-14, max_iterations=3).converged
 
     def test_raise_on_no_convergence(self):
         g = rmat_graph(8, rng=0)

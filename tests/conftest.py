@@ -3,6 +3,11 @@ structurally diverse graphs used by generic contract tests."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,3 +101,18 @@ def to_networkx(graph: CSRGraph):
     for u, v, ww in zip(src.tolist(), dst.tolist(), w.tolist()):
         G.add_edge(u, v, weight=ww)
     return G
+
+
+def run_in_fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """Run *code* with ``python -c`` in a new interpreter that imports
+    this checkout's ``repro``: what ``sys.modules`` holds there depends
+    only on what *code* imports."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import GraphFormatError
 from repro.graph import CSRGraph, coalesce_edges, random_permutation
 from repro.graph.validate import check_csr_invariants, is_sorted_within_rows
+from tests.conftest import run_in_fresh_interpreter
 
 
 def edge_lists(max_n=20, max_m=60):
@@ -231,6 +232,53 @@ class TestAccessorCaching:
         permuted = paper_graph.permute(perm)
         assert np.array_equal(np.sort(permuted.degrees()), np.sort(baseline))
         assert permuted.degrees() is not baseline
+
+
+class TestMatvecOperator:
+    """matvec_operator(): one cached, read-only scipy matrix per graph."""
+
+    def test_cached(self, paper_graph):
+        assert paper_graph.matvec_operator() is paper_graph.matvec_operator()
+
+    def test_arrays_are_readonly(self, paper_graph):
+        op = paper_graph.matvec_operator()
+        for arr in (op.data, op.indices, op.indptr):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            op.data[0] = 99.0
+        # The graph's own arrays keep their flags.
+        assert paper_graph.weights.flags.writeable
+
+    def test_to_scipy_stays_fresh_and_writable(self, paper_graph):
+        op = paper_graph.matvec_operator()
+        mat = paper_graph.to_scipy()
+        assert mat is not op and mat is not paper_graph.to_scipy()
+        for arr in (mat.data, mat.indices, mat.indptr):
+            assert arr.flags.writeable
+        assert (mat != op).nnz == 0
+
+    def test_permuted_graph_builds_its_own(self, paper_graph):
+        op = paper_graph.matvec_operator()
+        perm = random_permutation(paper_graph.num_vertices, rng=5)
+        permuted = paper_graph.permute(perm)
+        assert permuted.matvec_operator() is not op
+        assert np.array_equal(permuted.matvec_operator().indices, permuted.indices)
+
+    def test_graph_only_paths_never_load_scipy(self):
+        """Reordering, BFS and the serving daemon must not pay scipy's
+        import (~22 MB of RSS): only an SpMV-family analysis loads it."""
+        code = (
+            "import sys\n"
+            "import repro, repro.serve.daemon\n"
+            "from repro.analysis import bfs\n"
+            "from repro.graph.generators import rmat_graph\n"
+            "from repro.rabbit import rabbit_order\n"
+            "g = rmat_graph(8, rng=0)\n"
+            "bfs(g.permute(rabbit_order(g).permutation), 0)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        proc = run_in_fresh_interpreter(code)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCoalesce:

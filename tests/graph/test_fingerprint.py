@@ -18,13 +18,15 @@ class TestStability:
         assert graph_fingerprint(a) == graph_fingerprint(b)
 
     def test_stable_across_csr_cache_state(self):
-        """The CSRGraph lazy caches (degrees/row_of_slot/edge_weights)
-        materialise on use; the fingerprint must not see them."""
+        """The CSRGraph lazy caches (degrees/row_of_slot/edge_weights/
+        matvec_operator) materialise on use; the fingerprint must not see
+        them."""
         g = _graph()
         before = graph_fingerprint(g)
         g.degrees()
         g.row_of_slot()
         g.edge_weights()
+        g.matvec_operator()
         assert graph_fingerprint(g) == before
 
     def test_stable_across_serialisation_roundtrip(self, tmp_path):

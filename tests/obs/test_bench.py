@@ -8,6 +8,7 @@ import pytest
 from repro.errors import BenchFormatError, DatasetError
 from repro.obs import bench
 from repro.obs.schema import SCHEMA_ID, SCHEMA_VERSION, require_valid_bench, validate_bench
+from tests.conftest import run_in_fresh_interpreter
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,24 @@ class TestRunSuite:
     def test_repeats_override(self):
         doc = bench.run_suite("smoke", repeats=2)
         assert all(r["repeats"] == 2 for r in doc["results"])
+
+    def test_no_cell_pays_the_lazy_scipy_import(self):
+        """The first PageRank in a process imports scipy (~0.2 s); the
+        runner pays that before timing any cell, in a fresh process."""
+        code = (
+            "import sys\n"
+            "from repro.obs import bench\n"
+            "seen = []\n"
+            "run_cell = bench._run_cell\n"
+            "def spy(*args):\n"
+            "    seen.append('scipy' in sys.modules)\n"
+            "    return run_cell(*args)\n"
+            "bench._run_cell = spy\n"
+            "bench.run_suite('smoke')\n"
+            "assert seen and all(seen), seen\n"
+        )
+        proc = run_in_fresh_interpreter(code)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSaveLoad:

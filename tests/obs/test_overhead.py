@@ -59,13 +59,17 @@ class TestSpanCensus:
 
     def test_analysis_kernels_emit_one_span_each(self):
         from repro.analysis.pagerank import pagerank
+        from repro.analysis.rwr import random_walk_with_restart
         from repro.analysis.traversal import bfs
 
         g = hierarchical_community_graph(300, rng=2).graph
         with trace.capture() as cap:
-            pagerank(g)
+            pr = pagerank(g)
+            rwr = random_walk_with_restart(g, 0)
             bfs(g, 0)
         totals = cap.phase_totals()
-        assert set(totals) == {"analysis.pagerank", "analysis.bfs"}
-        assert len(cap.find("analysis.pagerank")) == 1
-        assert len(cap.find("analysis.bfs")) == 1
+        assert set(totals) == {"analysis.pagerank", "analysis.rwr", "analysis.bfs"}
+        for name in totals:
+            assert len(cap.find(name)) == 1
+        assert cap.find("analysis.pagerank")[0].attrs["iterations"] == pr.iterations
+        assert cap.find("analysis.rwr")[0].attrs["iterations"] == rwr.iterations

@@ -91,6 +91,19 @@ class TestInvariants:
         with pytest.raises(GraphFormatError, match="undirected"):
             rabbit_order(g)
 
+    @pytest.mark.parametrize("engine", ["fast", "dict"])
+    def test_setup_span_covers_the_symmetry_check(self, engine):
+        """``rabbit.seq.setup`` opens before the symmetry check, so a
+        traced run charges that check (and a failed one) to setup."""
+        from repro.obs import trace
+
+        g = CSRGraph.from_edges([0], [1], symmetrize=False)
+        with trace.capture() as cap:
+            with pytest.raises(GraphFormatError, match="undirected"):
+                rabbit_order(g, engine=engine)
+        (detect,) = cap.find("rabbit.detect")
+        assert [c.name for c in detect.children] == ["rabbit.seq.setup"]
+
 
 class TestEdgeCases:
     def test_edgeless_graph(self):
