@@ -1,9 +1,9 @@
 """Shared-state ownership: writes must stay inside the owning protocol.
 
 The lock-free CAS + lazy-aggregation protocol is only safe because each
-piece of shared state has exactly one sanctioned write path: the arena
-cursor moves only through ``reserve``/``commit``, the CAS record changes
-only through ``cas``/``swap``.  The dynamic race detector (:mod:`repro.check.races`)
+piece of shared state has exactly one sanctioned write path: the CAS
+record changes only through ``cas``/``swap``, the serve cache's memory
+tier only through ``get``/``put``.  The dynamic race detector (:mod:`repro.check.races`)
 certifies this *for the schedules it runs*; this analyzer is the static
 complement, checking every call path the code can express.
 
@@ -11,7 +11,7 @@ Driven by the declared facts table
 (:data:`repro.check.facts.OWNERSHIP_FACTS`).  Two classes of finding:
 
 * a **direct write** to a protected attribute from a module outside the
-  owner set (``arena._cursor = ...`` in a stranger module), and
+  owner set (``cache._memory = ...`` in a stranger module), and
 * an **escaped mutator**: a function inside the owner module that
   writes the attribute, is *not* a declared protocol entry point, and
   is reachable through the call graph from outside the owner set

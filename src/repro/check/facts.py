@@ -14,8 +14,8 @@ Two tables:
   test (``CallGraph.unbound_facts``) — facts must not rot.
 
 * :data:`OWNERSHIP_FACTS` — the shared-state ownership table: each
-  protected attribute (the arena's bump cursor, the atomic record's
-  arrays, the serve cache's LRU dict, the daemon's coalescing table)
+  protected attribute (the atomic record's arrays, the serve cache's
+  LRU dict, the daemon's coalescing table)
   maps to its owning module(s) and the
   *protocol entry points* through which other modules are sanctioned to
   reach it.  The ``state-ownership`` analyzer flags any write to a
@@ -41,7 +41,7 @@ __all__ = [
 class OwnershipFact:
     """One protected attribute and the protocol that guards it."""
 
-    #: the private attribute name (``_cursor``, ``_degree``, ...)
+    #: the private attribute name (``_degree``, ``_memory``, ...)
     attr: str
     #: dotted modules allowed to touch the attribute directly
     owner_modules: Tuple[str, ...]
@@ -53,18 +53,6 @@ class OwnershipFact:
 
 
 OWNERSHIP_FACTS: Tuple[OwnershipFact, ...] = (
-    OwnershipFact(
-        attr="_cursor",
-        owner_modules=("repro.rabbit.arena",),
-        entry_points=(
-            "repro.rabbit.arena.AdjacencyArena.__init__",
-            "repro.rabbit.arena.AdjacencyArena.reserve",
-            "repro.rabbit.arena.AdjacencyArena.commit",
-            "repro.rabbit.arena.AdjacencyArena.store",
-            "repro.rabbit.arena.AdjacencyArena.from_pools",
-        ),
-        note="the arena's bump-allocator cursor (sequential engine)",
-    ),
     OwnershipFact(
         attr="_degree",
         owner_modules=("repro.parallel.atomics", "repro.parallel.faults"),
@@ -113,7 +101,7 @@ def lexical_owner_files() -> Dict[str, Tuple[str, ...]]:
     The ``private-atomic-state`` rule predates this table and works on
     file suffixes, not modules; deriving its map here keeps the two
     rules on one source of truth.  Returns attr -> owner ``.py`` path
-    fragments (``repro.rabbit.arena`` -> ``repro/rabbit/arena.py``).
+    fragments (``repro.serve.cache`` -> ``repro/serve/cache.py``).
     """
     return {
         fact.attr: tuple(

@@ -11,10 +11,10 @@ code grows:
   are the intentional, suppressed exceptions.
 * ``private-atomic-state`` — nothing outside the owning layer may reach
   into concurrent private storage: :class:`AtomicPairArray`'s arrays
-  (``_degree``, ``_child``, ``_locks``, ``_lock_for``) or the arena's
-  bump cursor (``_cursor``).  Shared mutable state is only touched
-  through the owner's operations (``load``/``swap``/``cas``,
-  ``reserve``/``commit``) or the quiesced bulk views.
+  (``_degree``, ``_child``, ``_locks``, ``_lock_for``) or the other
+  protected attributes of the ownership table.  Shared mutable state is
+  only touched through the owner's operations (``load``/``swap``/``cas``)
+  or the quiesced bulk views.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ class PrivateAtomicState(Rule):
     id = "private-atomic-state"
     rationale = (
         "All cross-thread state must flow through its owning layer's "
-        "public operations (load/swap/cas on the atomic record, "
-        "reserve/commit on the arena); "
+        "public operations (load/swap/cas on the atomic record); "
         "touching the private storage bypasses both the locking and the "
         "race detector's instrumentation."
     )

@@ -1,7 +1,7 @@
 """Index-dtype discipline rules.
 
-Every CSR/arena index array in this codebase is int64 by contract
-(``graph/csr.py``, ``rabbit/arena.py``): int32 silently overflows past
+Every CSR/entry-pool index array in this codebase is int64 by contract
+(``graph/csr.py``, ``rabbit/native.py``): int32 silently overflows past
 2**31 slots at production scale, platform-``int`` is 32-bit on some
 targets, and float arrays sneak in through true division and then get
 used as indices with value-dependent rounding.  Two rules:
@@ -77,7 +77,7 @@ class Int32Index(Rule):
                     yield ctx.finding(
                         self.id,
                         node,
-                        f"{resolved.replace('numpy', 'np')} in CSR/arena "
+                        f"{resolved.replace('numpy', 'np')} in CSR/entry-pool "
                         "code; index arrays are int64 by contract",
                     )
             elif isinstance(node, ast.Call):

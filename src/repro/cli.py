@@ -605,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="graph file (.npz/.graph/.mtx/edge list)")
     p.add_argument("--algorithm", "-a", default="Rabbit")
     p.add_argument("--engine", choices=["fast", "dict"],
-                   help="Rabbit aggregation engine: vectorised flat-array "
+                   help="Rabbit aggregation engine: the compiled sweep "
                         "(fast, default) or the reference dict engine; "
                         "both produce identical permutations")
     p.add_argument("--seed", type=int, default=0)

@@ -26,6 +26,14 @@ from repro.errors import GraphFormatError
 __all__ = ["CSRGraph", "coalesce_edges"]
 
 
+def _require_keyable(n: int) -> None:
+    """Slot keys ``row * n + col`` must fit in int64 (n² < 2⁶³)."""
+    if n > 3_037_000_499:
+        raise GraphFormatError(
+            f"{n} vertices overflow the int64 slot key row * n + col"
+        )
+
+
 def _as_index_array(a, name: str) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 1:
@@ -314,15 +322,31 @@ class CSRGraph:
         return 0.0
 
     def is_symmetric(self) -> bool:
-        """True if every slot (u, v, w) has a matching (v, u, w)."""
+        """True if every slot (u, v, w) has a matching (v, u, w).
+
+        Graphs with unsorted rows or duplicate slots are reported as not
+        symmetric.  Sort-free on the forward side: the reversed keys are
+        sorted once and compared with the forward keys, and weights are
+        compared (``allclose``) through the same stable order.
+        """
         key = "symmetric"
         if key not in self._symmetric_cache:
-            t = self.reverse()
-            same = (
-                np.array_equal(self.indptr, t.indptr)
-                and np.array_equal(self.indices, t.indices)
-                and np.allclose(self.edge_weights(), t.edge_weights())
-            )
+            n = self.num_vertices
+            _require_keyable(n)
+            row = self.row_of_slot()
+            # Strictly increasing exactly when every row is sorted and
+            # free of duplicate slots.
+            fwd = row * n + self.indices
+            same = bool(np.all(fwd[1:] > fwd[:-1]))
+            if same:
+                rev = self.indices * n + row
+                if self.weights is None:
+                    same = np.array_equal(fwd, np.sort(rev))
+                else:
+                    order = np.argsort(rev, kind="stable")
+                    same = np.array_equal(fwd, rev[order]) and bool(
+                        np.allclose(self.weights, self.weights[order])
+                    )
             self._symmetric_cache[key] = same
         return self._symmetric_cache[key]
 
@@ -347,19 +371,47 @@ class CSRGraph:
         ``perm`` must be a bijection on ``range(n)``.  This implements the
         paper's Problem 1 application step: the returned graph's adjacency
         matrix is ``P A Pᵀ``.
+
+        The old rows are gathered in new-row order with their columns
+        mapped through ``perm`` and sorted by one sort of the slot key
+        ``row * n + col`` (stable when weights ride along); duplicate
+        slots are coalesced in the order :func:`coalesce_edges` uses, so
+        the result equals a rebuild through :meth:`from_edges` bit for
+        bit.
         """
         from repro.graph.perm import validate_permutation
 
-        perm = validate_permutation(perm, self.num_vertices)
-        src, dst, w = self.edge_array()
-        return CSRGraph.from_edges(
-            perm[src],
-            perm[dst],
-            num_vertices=self.num_vertices,
-            weights=None if self.weights is None else w,
-            symmetrize=False,
-            coalesce=True,
-        )
+        n = self.num_vertices
+        perm = validate_permutation(perm, n)
+        _require_keyable(n)
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(n, dtype=np.int64)
+        counts = self.degrees()[inverse]
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        # Old slot of every new slot: rows in new order, each row's slots
+        # in their old order (ties of the stable sort keep that order).
+        slot = np.arange(self.num_edges, dtype=np.int64)
+        slot += np.repeat(self.indptr[inverse] - starts[:-1], counts)
+        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+        key = rows * n + perm[self.indices[slot]]
+        if self.weights is None:
+            # equal keys are indistinguishable without weights, and the
+            # sorted keys stay in their rows, so `rows` still holds
+            key.sort()
+        else:
+            order = np.argsort(key, kind="stable")
+            key, slot = key[order], slot[order]
+        keep = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        weights = None
+        if self.weights is not None:
+            weights = np.zeros(int(np.count_nonzero(keep)), dtype=np.float64)
+            np.add.at(weights, np.cumsum(keep) - 1, self.weights[slot])
+        if not keep.all():
+            key, rows = key[keep], rows[keep]
+            np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
+        return CSRGraph(indptr=starts, indices=key - rows * n, weights=weights)
 
     def without_self_loops(self) -> "CSRGraph":
         src, dst, w = self.edge_array()

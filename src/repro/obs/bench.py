@@ -196,7 +196,7 @@ register_suite(
                 seed=11,
             ),
         ),
-        # "Rabbit" is the fast flat-array engine; "RabbitDict" is the
+        # "Rabbit" is the compiled sweep; "RabbitDict" is the
         # reference per-edge engine; "RabbitPar" is Algorithm 3 on the
         # reference state under the deterministic interleaving scheduler
         # — all three stay on the roster so every run measures the paths

@@ -57,7 +57,7 @@ def rabbit_order_result(
 ) -> OrderingResult:
     """Run Rabbit Order and package it as an :class:`OrderingResult`.
 
-    The default is the sequential flat-array engine (``parallel=False,
+    The default is the sequential compiled sweep (``parallel=False,
     engine="fast"``) — the fastest way to actually produce a permutation
     in this process, which is what the wall-clock benches measure.  Pass
     ``engine="dict"`` for the reference per-edge engine (bit-identical

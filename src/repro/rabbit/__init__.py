@@ -3,8 +3,8 @@
 Public API: :func:`rabbit_order` (Algorithm 2) plus the component pieces.
 Three detection paths remain, each with one job:
 
-* :func:`community_detection_fastseq` — the production engine (what
-  ``rabbit_order(graph)`` runs);
+* :func:`community_detection_fastseq` — the production engine, the
+  compiled sweep (what ``rabbit_order(graph)`` runs);
 * :func:`community_detection_seq` with ``engine="dict"`` — the reference
   oracle every other path must match bit for bit;
 * :func:`community_detection_par` — Algorithm 3 on the oracle's state
@@ -12,10 +12,8 @@ Three detection paths remain, each with one job:
   injection, race certification).
 """
 
-from repro.rabbit.arena import AdjacencyArena
 from repro.rabbit.audit import AuditReport, audit_dendrogram
 from repro.rabbit.common import AggregationState, RabbitStats
-from repro.rabbit.fastseq import community_detection_fastseq
 from repro.rabbit.dynamic import DynamicReorderer, ReorderEvent
 from repro.rabbit.eager import community_detection_eager
 from repro.rabbit.order import (
@@ -23,6 +21,7 @@ from repro.rabbit.order import (
     ordering_generation_seq,
     rabbit_order,
 )
+from repro.rabbit.native import community_detection_fastseq
 from repro.rabbit.par import ParallelDetectionResult, community_detection_par
 from repro.rabbit.seq import community_detection_seq
 
@@ -33,7 +32,6 @@ __all__ = [
     "AggregationState",
     "community_detection_seq",
     "community_detection_fastseq",
-    "AdjacencyArena",
     "community_detection_par",
     "community_detection_eager",
     "DynamicReorderer",

@@ -99,8 +99,8 @@ def rabbit_order(
         when *parallel*, the modelled hardware threads (the interleaving
         scheduler's window).
     engine:
-        sequential detection engine: ``"fast"`` (vectorised flat-array
-        aggregation, the default) or ``"dict"`` (the reference per-edge
+        sequential detection engine: ``"fast"`` (the compiled sweep,
+        the default) or ``"dict"`` (the reference per-edge
         oracle).  Both are bit-identical.  The parallel model always runs
         on the dict oracle's aggregation state.
     scheduler_seed:

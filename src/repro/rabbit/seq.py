@@ -90,11 +90,12 @@ def community_detection_seq(
     visit_rng:
         seed for ``visit="random"``.
     engine:
-        ``"fast"`` (default) runs the vectorised flat-array engine
-        (:mod:`repro.rabbit.fastseq`); ``"dict"`` runs the reference
+        ``"fast"`` (default) runs the compiled sweep
+        (:mod:`repro.rabbit.native`); ``"dict"`` runs the reference
         per-edge dict implementation below.  Both produce bit-identical
         dendrograms and stats — the dict engine is kept as the readable
-        oracle the equivalence suite checks the fast engine against.
+        oracle the equivalence suite checks the compiled sweep against,
+        and is what ``"fast"`` falls back to without a C compiler.
     checkpoint:
         a :class:`~repro.resilience.checkpoint.CheckpointConfig` or
         :class:`~repro.resilience.checkpoint.Checkpointer`: snapshot the
@@ -109,7 +110,7 @@ def community_detection_seq(
     (dendrogram, stats)
     """
     if engine == "fast":
-        from repro.rabbit.fastseq import community_detection_fastseq
+        from repro.rabbit.native import community_detection_fastseq
 
         return community_detection_fastseq(
             graph,
@@ -122,10 +123,11 @@ def community_detection_seq(
         )
     if engine != "dict":
         raise ValueError(f"engine must be 'fast' or 'dict', got {engine!r}")
+    get_registry().counter("rabbit.engine.dict").inc()
     n = graph.num_vertices
     # Setup covers everything before the sweep: the symmetry check, the
     # state build, the fingerprint and the visit order.
-    with span("rabbit.seq.setup", n=n):
+    with span("rabbit.seq.setup", n=n, engine="dict"):
         require_symmetric(graph, "Rabbit Order")
         ckpt = as_checkpointer(checkpoint)
         state = AggregationState.initialize(graph)
@@ -182,7 +184,7 @@ def community_detection_seq(
         sibling = state.sibling
     # One span brackets the whole aggregation sweep (never per vertex:
     # the disabled-tracer hot path must stay free).
-    with span("rabbit.seq.aggregate", n=n):
+    with span("rabbit.seq.aggregate", n=n, engine="dict"):
         for i in range(start, n):
             u = int(order[i])
             heartbeat()

@@ -1,7 +1,7 @@
 """Checkpoint/resume for incremental aggregation.
 
 One engine-agnostic snapshot schema covers all three detection engines
-(dict, fastseq, parallel), which is what makes the supervisor's
+(dict, compiled sweep, parallel), which is what makes the supervisor's
 degradation ladder possible: a run interrupted on one rung can resume on
 any other, because everything an engine needs to continue is the shared
 aggregation state, not engine internals:
@@ -17,7 +17,7 @@ aggregation state, not engine internals:
 * ``toplevel``   — the decided top-level prefix, in final output order;
 * the folded adjacency of every processed vertex, flattened into
   ``(offsets, lengths, keys, ws)`` pools.  First-encounter key order is
-  preserved, so rebuilding dict entries or arena slices reproduces the
+  preserved, so rebuilding dict entries or entry-pool slices reproduces the
   exact accumulation and tie-break order — resume is bit-identical.
 
 File format
@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
+from repro.community.dendrogram import NO_VERTEX
 from repro.errors import CheckpointError
 from repro.graph.fingerprint import graph_fingerprint
 from repro.ioutil import atomic_write_bytes
@@ -203,6 +204,24 @@ class Snapshot:
                 )
         if self.adj_keys.size != self.adj_ws.size:
             raise CheckpointError("snapshot adjacency key/weight pools differ")
+        # Vertex ids index the engines' arrays (the compiled sweep's
+        # without bounds checks), so every one must name a vertex.
+        for name, low in (
+            ("order", 0), ("dest", 0), ("toplevel", 0), ("adj_keys", 0),
+            ("child", NO_VERTEX), ("sibling", NO_VERTEX),
+        ):
+            arr = getattr(self, name)
+            if arr.size and (arr.min() < low or arr.max() >= n):
+                raise CheckpointError(
+                    f"snapshot {name} holds values outside [{low}, {n})"
+                )
+        if self.adj_lengths.size and self.adj_lengths.min() < -1:
+            raise CheckpointError("snapshot adj_lengths holds values below -1")
+        if self.toplevel.size > self.progress:
+            raise CheckpointError(
+                f"snapshot has {self.toplevel.size} top-level vertices but "
+                f"only {self.progress} decided"
+            )
 
 
 def pack_adjacency(

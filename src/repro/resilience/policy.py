@@ -87,7 +87,7 @@ class LadderRung:
     """One engine configuration on the degradation ladder."""
 
     name: str
-    #: detection engine: "fast" (flat arena-backed arrays) | "dict"
+    #: detection engine: "fast" (the compiled sweep) | "dict"
     #: (the reference per-vertex dicts); both give the same permutation
     engine: str = "fast"
     #: attempts on this rung before degrading to the next

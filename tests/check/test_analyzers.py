@@ -174,6 +174,7 @@ class TestAsyncReachability:
         assert findings_for(report, "async-blocking-reachable") == []
 
 
+@pytest.mark.usefixtures("arena_cursor_fact")
 class TestStateOwnership:
     def test_direct_write_outside_owner_module(self, tmp_path):
         tree = write_tree(tmp_path, {
@@ -380,9 +381,10 @@ class TestDtypeFlow:
 
 @pytest.fixture(scope="module")
 def mutant_tree(tmp_path_factory):
-    """A full copy of src/repro with the two acceptance mutants seeded:
-    a blocking call in a coroutine-reachable sync helper, and a rogue
-    arena-cursor write in a non-owner module."""
+    """A full copy of src/repro with the acceptance mutants seeded: a
+    blocking call in a coroutine-reachable sync helper, a rogue
+    arena-cursor write in a non-owner module, and a daemon coroutine
+    that loads the compiled sweep itself instead of on the executor."""
     root = tmp_path_factory.mktemp("mutants")
     tree = root / "repro"
     shutil.copytree(
@@ -403,6 +405,17 @@ def mutant_tree(tmp_path_factory):
         registry.read_text()
         + "\n\ndef _mutant_rogue(arena):\n    arena._cursor = 0\n"
     )
+    daemon = tree / "serve" / "daemon.py"
+    text = daemon.read_text()
+    needle = "    async def _dispatch(self, op: str, request: dict[str, Any])"
+    assert needle in text
+    daemon.write_text(text.replace(
+        needle,
+        "    async def _mutant_warm_up(self):\n"
+        "        from repro.rabbit import native\n"
+        "        native.library()\n\n" + needle,
+        1,
+    ))
     return tree
 
 
@@ -421,6 +434,19 @@ class TestSeededMutants:
         traced = [f for f in found if "protocol.py" in f.path][0]
         assert any("repro.serve.daemon" in step for step in traced.trace)
 
+    def test_compiler_run_on_the_event_loop_is_flagged(self, mutant_tree):
+        """The sweep's build shells out to ``cc``; the shipped daemon
+        reaches it only through its executor, so a coroutine that loads
+        the library directly must be caught."""
+        report = run_check([mutant_tree], rules=["async-blocking-reachable"])
+        found = [
+            f for f in findings_for(report, "async-blocking-reachable")
+            if "native.py" in f.path and "subprocess.run" in f.message
+        ]
+        assert found, "compiler subprocess reachable from a coroutine"
+        assert all("_mutant_warm_up" in f.message for f in found)
+
+    @pytest.mark.usefixtures("arena_cursor_fact")
     def test_rogue_cursor_write_is_flagged(self, mutant_tree):
         report = run_check([mutant_tree], rules=["state-ownership"])
         found = findings_for(report, "state-ownership")

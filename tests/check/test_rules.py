@@ -5,6 +5,8 @@ idiomatic fix — both directions, so a rule can neither rot into a no-op
 nor grow false positives unnoticed.
 """
 
+import pytest
+
 from repro.check import run_check
 
 
@@ -76,12 +78,14 @@ class TestPrivateAtomicState:
         assert "._child" in found[0].message
         assert "repro/parallel/atomics.py" in found[0].message
 
+    @pytest.mark.usefixtures("arena_cursor_fact")
     def test_flags_arena_cursor(self, tmp_path):
         src = "def used(arena):\n    return arena._cursor\n"
         found = findings(tmp_path, src, self.RULE, name="repro/rabbit/x.py")
         assert len(found) == 1
         assert "._cursor" in found[0].message
 
+    @pytest.mark.usefixtures("arena_cursor_fact")
     def test_each_owner_is_exempt_for_its_own_attrs_only(self, tmp_path):
         # arena.py owns _cursor but not the atomic arrays.
         src = (

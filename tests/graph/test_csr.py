@@ -339,6 +339,85 @@ class TestHypothesis:
         assert np.array_equal(rr.indices, g.indices)
 
 
+def raw_csr(draw_data):
+    """A CSR taken as stored — rows may be unsorted and repeat slots —
+    from a drawn ``(n, edges, weights, mode)``."""
+    n, edges, weights, mode = draw_data
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    w = None if weights is None else np.array(weights[: len(edges)])
+    if mode == "symmetric":
+        return CSRGraph.from_edges(src, dst, num_vertices=n, weights=w)
+    if mode == "doubled":  # symmetric multigraph: every edge twice over
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        w = None if w is None else np.concatenate([w, w])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return CSRGraph(indptr, dst[order], None if w is None else w[order])
+
+
+def raw_csrs(max_n=12, max_m=40):
+    weights = st.one_of(
+        st.none(),
+        st.lists(
+            st.floats(1e-6, 1e6, allow_nan=False), min_size=max_m, max_size=max_m
+        ),
+    )
+    modes = st.sampled_from(["symmetric", "doubled", "raw"])
+    return st.tuples(edge_lists(max_n, max_m), weights, modes).map(
+        lambda t: (t[0][0], t[0][1], t[1], t[2])
+    )
+
+
+class TestSortFreeOracle:
+    """``is_symmetric`` and ``permute`` against rebuilds through
+    ``from_edges`` (the sorting implementations they replaced), on
+    graphs with unsorted rows, duplicate slots and weights spread over
+    twelve orders of magnitude."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_csrs())
+    def test_is_symmetric_matches_reverse_rebuild(self, data):
+        g = raw_csr(data)
+        src, dst, w = g.edge_array()
+        t = CSRGraph.from_edges(
+            dst, src, num_vertices=g.num_vertices,
+            weights=g.weights, symmetrize=False,
+        )
+        expected = (
+            np.array_equal(g.indptr, t.indptr)
+            and np.array_equal(g.indices, t.indices)
+            and np.allclose(g.edge_weights(), t.edge_weights())
+        )
+        assert g.is_symmetric() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_csrs(), st.integers(0, 2**31 - 1))
+    def test_permute_matches_from_edges_rebuild(self, data, seed):
+        g = raw_csr(data)
+        perm = random_permutation(g.num_vertices, rng=seed)
+        src, dst, w = g.edge_array()
+        expected = CSRGraph.from_edges(
+            perm[src], perm[dst], num_vertices=g.num_vertices,
+            weights=g.weights, symmetrize=False,
+        )
+        got = g.permute(perm)
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        if g.weights is None:
+            assert got.weights is None
+        else:
+            assert got.weights.tobytes() == expected.weights.tobytes()
+
+    def test_slot_keys_refuse_int64_overflow(self):
+        from repro.graph.csr import _require_keyable
+
+        _require_keyable(3_037_000_499)  # n² < 2⁶³
+        with pytest.raises(GraphFormatError, match="overflow"):
+            _require_keyable(3_037_000_500)
+
+
 def _paper_edges():
     from tests.conftest import PAPER_EDGES
 

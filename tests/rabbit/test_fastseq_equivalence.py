@@ -1,11 +1,20 @@
-"""Fast-engine ⇔ dict-engine equivalence: the flat-array aggregation
-engine must be *bit-identical* to the reference implementation — same
-dendrogram links, same stats, same permutation — not merely an
-equivalent clustering.  These tests are the contract that lets
-``engine="fast"`` be the default everywhere.
+"""Compiled sweep ⇔ dict-engine equivalence: ``engine="fast"`` must be
+*bit-identical* to the reference implementation — same dendrogram
+links, same stats, same permutation — not merely an equivalent
+clustering.  These tests are the contract that lets ``engine="fast"``
+be the default everywhere.
+
+Every graph runs twice on the compiled sweep: with the default chunking
+and with one folded item per chunk and a one-slot entry pool, so the
+seams between library calls (chunk boundaries, pool growth, heartbeats)
+are crossed at nearly every vertex.  Without a C compiler the
+``engine="fast"`` runs fall back to the dict engine, so the equivalence
+still holds and only the library's own seams are skipped.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import numpy as np
 import pytest
@@ -18,36 +27,52 @@ from repro.graph.generators import (
     rmat_graph,
     watts_strogatz_graph,
 )
-from repro.rabbit import rabbit_order
-from repro.rabbit.arena import AdjacencyArena
-from repro.rabbit.fastseq import SCALAR_CUTOFF, community_detection_fastseq
+from repro.obs import trace
+from repro.rabbit import native, rabbit_order
+from repro.rabbit.native import community_detection_fastseq
 from repro.rabbit.seq import community_detection_seq
+from repro.resilience.runtime import RunControl
 from tests.conftest import GRAPH_ZOO, make_paper_graph
 
 SEEDS = list(range(10))
 
-#: Cutoff regimes: all-vector, mixed, all-scalar, tuned default.
-CUTOFFS = [-1, 4, 1 << 30, None]
+requires_cc = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler on PATH"
+)
 
 
-def reweighted(graph: CSRGraph, seed: int) -> CSRGraph:
-    """Copy of *graph* with arbitrary uniform float edge weights."""
+def reweighted(graph: CSRGraph, seed: int, low=0.1, high=5.0, log=False):
+    """Copy of *graph* with random edge weights in ``[low, high)``
+    (log-uniform when *log*)."""
     rng = np.random.default_rng(seed)
     src, dst, _ = graph.edge_array()
     keep = src <= dst
-    w = rng.uniform(0.1, 5.0, size=int(keep.sum()))
+    size = int(keep.sum())
+    if log:
+        w = 10.0 ** rng.uniform(np.log10(low), np.log10(high), size=size)
+    else:
+        w = rng.uniform(low, high, size=size)
     return CSRGraph.from_edges(src[keep], dst[keep], weights=w, symmetrize=True)
 
 
-def assert_engines_identical(graph: CSRGraph, cutoffs=CUTOFFS, **kwargs):
+def tiny_chunks(monkeypatch):
+    """One folded item per library call, a one-slot initial pool."""
+    monkeypatch.setattr(native, "_CHUNK_WORK", 1)
+    monkeypatch.setattr(native, "_pool_capacity", lambda graph: 1)
+
+
+def assert_engines_identical(graph: CSRGraph, **kwargs):
     ref_dend, ref_stats = community_detection_seq(
         graph, engine="dict", collect_vertex_work=True, **kwargs
     )
-    for cutoff in cutoffs:
-        dend, stats = community_detection_fastseq(
-            graph, collect_vertex_work=True, scalar_cutoff=cutoff, **kwargs
-        )
-        ctx = f"scalar_cutoff={cutoff}"
+    for regime in ("default", "tiny"):
+        with pytest.MonkeyPatch.context() as mp:
+            if regime == "tiny":
+                tiny_chunks(mp)
+            dend, stats = community_detection_fastseq(
+                graph, collect_vertex_work=True, **kwargs
+            )
+        ctx = f"chunking={regime}"
         assert np.array_equal(ref_dend.child, dend.child), ctx
         assert np.array_equal(ref_dend.sibling, dend.sibling), ctx
         assert np.array_equal(ref_dend.toplevel, dend.toplevel), ctx
@@ -81,6 +106,14 @@ class TestGeneratorEquivalence:
     @pytest.mark.parametrize("seed", SEEDS[:5])
     def test_weighted_rmat(self, seed):
         g = reweighted(rmat_graph(7, edge_factor=6, rng=seed), 100 + seed)
+        assert_engines_identical(g)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_weights_over_twelve_orders_of_magnitude(self, seed):
+        """Sums of weights 1e-6..1e6 lose low bits in any other
+        accumulation order, so only the dict engine's order passes."""
+        base = hierarchical_community_graph(192, levels=2, rng=seed).graph
+        g = reweighted(base, 200 + seed, low=1e-6, high=1e6, log=True)
         assert_engines_identical(g)
 
 
@@ -117,6 +150,48 @@ class TestEdgeCases:
             community_detection_fastseq(g, visit="bogus")
 
 
+@requires_cc
+class TestChunkSeams:
+    def test_heartbeats_count_every_decided_vertex(self, monkeypatch):
+        tiny_chunks(monkeypatch)
+        g = rmat_graph(7, edge_factor=6, rng=1)
+        control = RunControl()
+        with control.installed():
+            community_detection_fastseq(g)
+        assert control.progress == g.num_vertices
+
+    def test_one_aggregate_span_counts_the_chunks(self, monkeypatch):
+        g = rmat_graph(7, edge_factor=6, rng=1)
+        with trace.capture() as cap:
+            community_detection_fastseq(g)
+        (setup,) = cap.find("rabbit.seq.setup")
+        (agg,) = cap.find("rabbit.seq.aggregate")
+        assert setup.attrs["engine"] == agg.attrs["engine"] == "native"
+        assert agg.attrs["chunks"] == 1
+        tiny_chunks(monkeypatch)
+        with trace.capture() as cap:
+            _, stats = community_detection_fastseq(g, collect_vertex_work=True)
+        (agg,) = cap.find("rabbit.seq.aggregate")
+        # a call ends after each vertex that folds anything
+        assert agg.attrs["chunks"] >= np.count_nonzero(stats.vertex_work)
+
+
+@requires_cc
+class TestDeltaQKernel:
+    def test_bit_equal_to_numpy(self):
+        """The sweep's ΔQ expression, built as shipped, matches numpy's
+        unfused evaluation bit for bit; a build that contracts it into
+        an FMA does not."""
+        rng = np.random.default_rng(2016)
+        k = 100_000
+        w = 10.0 ** rng.uniform(-6, 6, size=k)
+        deg = 10.0 ** rng.uniform(-6, 6, size=k)
+        inv_2m, penalty = 1.0 / 12345.678, 0.37 / 12345.678**2
+        expected = 2.0 * (w * inv_2m - deg * penalty)
+        got = native.delta_q(w, deg, inv_2m, penalty)
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestPermutationEquivalence:
     @pytest.mark.parametrize("seed", SEEDS[:5])
     def test_rabbit_order_permutation(self, seed):
@@ -134,41 +209,3 @@ class TestPermutationEquivalence:
     def test_unknown_engine_rejected(self, paper_graph):
         with pytest.raises(ValueError, match="engine"):
             community_detection_seq(paper_graph, engine="turbo")
-
-
-class TestArena:
-    def test_store_and_entry_roundtrip(self):
-        arena = AdjacencyArena(4, capacity=4)
-        arena.store(2, [7, 9, 2], [1.5, 2.5, 4.0])
-        keys, ws = arena.entry(2)
-        assert keys.tolist() == [7, 9, 2]
-        assert ws.tolist() == [1.5, 2.5, 4.0]
-        assert arena.has(2)
-        assert not arena.has(0)
-
-    def test_missing_entry_raises(self):
-        arena = AdjacencyArena(3)
-        with pytest.raises(KeyError):
-            arena.entry(1)
-
-    def test_geometric_growth_preserves_entries(self):
-        arena = AdjacencyArena(8, capacity=4)
-        arena.store(0, [1, 2], [1.0, 2.0])
-        arena.store(1, list(range(50)), [float(i) for i in range(50)])
-        assert arena.grows >= 1
-        assert arena.capacity >= arena.used
-        keys, ws = arena.entry(0)  # survived the regrowth copy
-        assert keys.tolist() == [1, 2]
-        assert ws.tolist() == [1.0, 2.0]
-        keys1, _ = arena.entry(1)
-        assert keys1.tolist() == list(range(50))
-
-    def test_reserve_is_append_only(self):
-        arena = AdjacencyArena(2, capacity=16)
-        a = arena.reserve(5)
-        b = arena.reserve(3)
-        assert b == a + 5
-        assert arena.used == 8
-
-    def test_default_cutoff_is_tuned_constant(self):
-        assert SCALAR_CUTOFF == 192

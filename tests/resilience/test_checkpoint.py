@@ -157,3 +157,28 @@ def test_save_checkpoint_validates(graph, tmp_path):
     with pytest.raises(CheckpointError):
         save_checkpoint(tmp_path / "bad.rbk", snap)
     assert not (tmp_path / "bad.rbk").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("child", 60), ("sibling", -2), ("dest", -1), ("order", 99),
+     ("adj_keys", 60), ("adj_lengths", -7)],
+)
+def test_vertex_ids_outside_the_graph_are_refused(graph, tmp_path, field, value):
+    """A CRC-valid snapshot whose ids do not name vertices must fail
+    closed before the compiled sweep indexes its arrays with them."""
+    (path,) = snapshots_of(graph, tmp_path, every=30, keep=1)
+    snap = load_checkpoint(path)
+    getattr(snap, field)[0] = value
+    with pytest.raises(CheckpointError, match=field):
+        snap.validate()
+    with pytest.raises(CheckpointError, match=field):
+        community_detection_seq(graph, resume=snap)
+
+
+def test_more_toplevels_than_decided_vertices_are_refused(graph, tmp_path):
+    (path,) = snapshots_of(graph, tmp_path, every=30, keep=1)
+    snap = load_checkpoint(path)
+    snap.meta["progress"] = snap.toplevel.size - 1
+    with pytest.raises(CheckpointError, match="top-level"):
+        community_detection_seq(graph, resume=snap)

@@ -11,7 +11,7 @@ from repro.errors import (
     ReproError,
     StallError,
 )
-from repro.graph.generators import erdos_renyi_graph
+from repro.graph.generators import erdos_renyi_graph, rmat_graph
 from repro.graph.perm import validate_permutation
 from repro.rabbit import rabbit_order
 from repro.resilience import (
@@ -255,7 +255,9 @@ class TestSupervisedRabbitOrder:
         """The acceptance scenario: a time budget the first rung cannot
         meet must walk down the ladder and still return a valid
         dendrogram, with checkpoints carrying progress across rungs."""
-        graph = erdos_renyi_graph(400, 0.03, rng=13)
+        # large enough that the first rung's checkpoint writes alone
+        # outlast the budget many times over
+        graph = erdos_renyi_graph(1500, 0.01, rng=13)
         policy = SupervisorPolicy(
             budgets=Budgets(time_s=0.02, poll_interval_s=0.005),
             checkpoint=CheckpointConfig(directory=tmp_path / "ck", every=40),
@@ -274,8 +276,8 @@ class TestSupervisedRabbitOrder:
 
     def test_failure_attaches_report(self):
         # large enough that the single budgeted rung cannot finish before
-        # the watchdog's first poll
-        big = erdos_renyi_graph(3000, 0.004, rng=17)
+        # the watchdog's first poll, even on the compiled sweep
+        big = rmat_graph(15, edge_factor=8, rng=17)
         policy = SupervisorPolicy(
             budgets=Budgets(time_s=0.001, poll_interval_s=0.002),
             ladder=(LadderRung(name="budgeted"),),
@@ -290,7 +292,7 @@ class TestSupervisedRabbitOrder:
     def test_result_does_not_depend_on_the_rung(self, graph, monkeypatch):
         """When the fastseq rung fails, the dict rung finishes the run
         with the very permutation fastseq would have produced."""
-        import repro.rabbit.fastseq as fastseq_mod
+        import repro.rabbit.native as native_mod
 
         expected = rabbit_order(graph).permutation
 
@@ -298,7 +300,7 @@ class TestSupervisedRabbitOrder:
             raise ReproError("injected fastseq failure")
 
         monkeypatch.setattr(
-            fastseq_mod, "community_detection_fastseq", broken
+            native_mod, "community_detection_fastseq", broken
         )
         policy = SupervisorPolicy(backoff_base_s=0.001, backoff_cap_s=0.002)
         result, report = supervised_rabbit_order(graph, policy=policy)
