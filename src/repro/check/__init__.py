@@ -5,10 +5,11 @@ on rather than generic style:
 
 * :mod:`repro.check.engine` — an AST-based lint engine with a rule
   registry, per-line / per-file ``# repro: ignore[rule-id]``
-  suppressions, and text/JSON reporters.  Project-specific rules live in
-  :mod:`repro.check.rules` (concurrency discipline on the lock-free
-  aggregation path, determinism, index-dtype discipline, import
-  hygiene).  Run it as ``python -m repro check src/``.
+  suppressions, and text/JSON reporters.  Eleven project-specific
+  rules, one per contract: the eight lexical ones live in
+  :mod:`repro.check.rules` (no locks on the lock-free aggregation path,
+  determinism, import hygiene, atomic artifact writes).  Run it as
+  ``python -m repro check src/``.
 * :mod:`repro.check.races` — a dynamic race detector for the parallel
   aggregation pipeline: instrumented atomics and shared arrays record
   per-worker event logs, and a vector-clock happens-before checker flags
@@ -19,15 +20,16 @@ on rather than generic style:
 On top of the engine sits the interprocedural layer:
 :mod:`repro.check.callgraph` builds the project call graph (``repro
 check --graph json|dot``), :mod:`repro.check.analyzers` runs three
-dataflow analyzers over it (async-reachability, shared-state ownership
-against the :mod:`repro.check.facts` table, dtype-flow), and
+dataflow analyzers over it — the only rules for the event-loop,
+shared-state-ownership (against the :mod:`repro.check.facts` table) and
+index-dtype contracts — and
 :mod:`repro.check.baseline` / :mod:`repro.check.changed` /
 :mod:`repro.check.debt` provide the ratchet workflow (``--baseline``,
 ``--changed``, ``--debt``).
 
 The whole subsystem self-hosts: ``repro check src/`` must run clean, so
 every intentional exception in the tree carries an inline suppression
-with its justification (catalogued in ``docs/CHECKS.md``).
+with its justification (inventoried by ``repro check src/ --debt``).
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
 """Async-reachability: blocking sinks reachable from coroutines.
 
-The lexical ``blocking-call-in-async`` rule catches ``time.sleep`` *in*
-an ``async def``.  It cannot see the same call one hop away::
+The daemon's whole concurrency story is one event loop shuffling frames
+while blocking work runs on an executor; a single ``time.sleep``/
+``open``/``subprocess.run`` on the loop stalls *every* connection —
+including the ``status`` probes an operator uses to diagnose exactly
+that stall.  The call can sit in the coroutine itself or any number of
+sync hops away::
 
     async def handle(self, req):       # on the event loop
         meta = self._describe(req)     # sync helper — looks harmless
@@ -13,9 +17,11 @@ This analyzer walks the project call graph from every coroutine along
 ``direct``/``method``/``registry`` edges — *not* ``executor``/``spawn``
 edges, since a function reference handed to ``run_in_executor`` (or a
 thread) is exactly the sanctioned way off the loop — and flags every
-blocking sink whose containing function is synchronous.  Sinks inside
-``async def`` bodies are left to the lexical rule, so the two never
-double-report.
+blocking sink reached, whether the coroutine calls it directly or
+through sync helpers.  A nested sync ``def`` is its own call-graph node
+and a lambda body is skipped, so handing either to the executor keeps
+its calls off the loop; a module that binds ``open`` to something else
+(``from gzip import open``) is not calling the builtin.
 
 Findings land at the sink call line (suppressible there) with the full
 coroutine→helper→sink path in ``Finding.trace``.
@@ -28,7 +34,6 @@ from typing import Dict, Iterator, Sequence, Set, Tuple
 from repro.check.callgraph import DYNAMIC_PREFIX
 from repro.check.engine import FileContext, Finding, Rule, register_rule
 from repro.check.interproc import format_path, project_state
-from repro.check.rules.asynchrony import BlockingCallInAsync
 
 __all__ = ["AsyncBlockingReachable"]
 
@@ -66,10 +71,11 @@ _TRAVERSE_KINDS: Set[str] = {"direct", "method", "registry", "external", "dynami
 class AsyncBlockingReachable(Rule):
     id = "async-blocking-reachable"
     rationale = (
-        "A blocking call reachable from a coroutine through sync helpers "
-        "stalls the event loop just as surely as one written inside the "
-        "async def; the lexical rule cannot see through the call chain, "
-        "this one can."
+        "A blocking call on the daemon's event loop, written in a "
+        "coroutine or reached from one through sync helpers, stalls every "
+        "connection at once (the status probes used to diagnose the stall "
+        "included); blocking work belongs on the executor via "
+        "loop.run_in_executor."
     )
     project_wide = True
 
@@ -87,16 +93,6 @@ class AsyncBlockingReachable(Rule):
                 continue
             sink = _sink_advice(edge.callee)
             if sink is None:
-                continue
-            if (
-                caller.is_async
-                and not edge.callee.startswith(DYNAMIC_PREFIX)
-                and any(s in edge.path for s in BlockingCallInAsync.scope)
-            ):
-                # Depth-0 dotted sinks in the lexical rule's territory
-                # belong to blocking-call-in-async; outside its scope —
-                # and for dynamic sinks (Path IO) it cannot see — this
-                # rule reports them, so no coroutine escapes both.
                 continue
             key = (edge.path, edge.line, edge.callee)
             if key in seen:

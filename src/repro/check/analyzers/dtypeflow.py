@@ -1,10 +1,25 @@
-"""Dtype-flow: int32/float values must not flow into index positions.
+"""Dtype-flow: index domains stay int64, from construction to use.
 
-The lexical rules (``int32-index``, ``float-index-array``) flag bad
-dtypes at their *construction* site, but only when the construction and
-the index use sit on the same line or share an index-ish name.  This
-analyzer propagates inferred ndarray/scalar dtypes through assignments,
-returns, and calls, and flags the *use*::
+Every CSR/entry-pool index array in this codebase is int64 by contract
+(``graph/csr.py``, ``rabbit/native.py``): int32 silently overflows past
+2**31 slots at production scale, platform-``int`` is 32-bit on some
+targets, and float arrays sneak in through true division and then get
+used as indices with value-dependent rounding.  The rule checks the
+numeric-core packages at both ends of a value's life.
+
+**Construction sites**, module level included:
+
+* explicit 32-bit or platform-dependent integer dtypes — ``np.int32``/
+  ``uint32``/``int16``/``uint16``, ``dtype=int``, ``.astype(int)``;
+* index-named bindings (``indptr``, ``indices``, ``perm``, ``offsets``,
+  ...) whose value infers to float — ``np.zeros(n)`` without a dtype,
+  an explicit float dtype, a true division;
+* ``np.arange`` under true division (``/`` yields float64; index
+  arithmetic must use ``//`` or exact ceil-division).
+
+**Uses**: the engine propagates inferred ndarray/scalar dtypes through
+assignments, returns, and calls, and flags the index position a bad
+value reaches, however far from its construction::
 
     def _midpoint(lo, hi):
         return (lo + hi) / 2          # float, silently
@@ -24,9 +39,10 @@ fixpoint function summaries: each function's return dtype, and which of
 its parameters it uses as indices (directly or by passing them on to an
 index-using callee).
 
-Findings land on the indexing expression (the sink) with the value's
-origin and call chain in ``Finding.trace``.  Sinks are only reported in
-the numeric-core packages; origins may come from anywhere in the tree.
+Use findings land on the indexing expression (the sink) with the
+value's origin and call chain in ``Finding.trace``.  Findings are only
+reported in the numeric-core packages; origins may come from anywhere
+in the tree.
 """
 
 from __future__ import annotations
@@ -41,8 +57,7 @@ from repro.check.interproc import ProjectState, project_state
 
 __all__ = ["DtypeFlow"]
 
-#: packages where an index sink is worth reporting (matches the lexical
-#: dtype rules' scope)
+#: packages whose index discipline the rule enforces
 _NUMERIC_CORE = (
     "repro/graph/",
     "repro/rabbit/",
@@ -81,6 +96,12 @@ _INT_DEFAULT_CTORS = {
     "numpy.repeat",
 }
 
+#: name fragments that mark a binding as index-valued
+_INDEX_TOKENS = (
+    "indptr", "indices", "index", "offsets", "offset",
+    "perm", "permutation", "ordering",
+)
+
 #: receiver methods that preserve the receiver's element dtype
 _PRESERVING_METHODS = {
     "copy", "ravel", "reshape", "sum", "min", "max", "cumsum", "take",
@@ -98,19 +119,27 @@ class _Value:
         self.origin = origin
 
 
-class _FuncFacts:
+class _Scope:
+    """A body values are inferred in: a function, or a module's top level
+    (class bodies included)."""
+
+    __slots__ = ("qualname", "ctx", "body")
+
+    def __init__(self, qualname: str, ctx: FileContext, body: List[ast.stmt]):
+        self.qualname = qualname
+        self.ctx = ctx
+        self.body = body
+
+
+class _FuncFacts(_Scope):
     """Per-function summary used by the interprocedural fixpoint."""
 
-    __slots__ = (
-        "qualname", "ctx", "node", "params", "index_params",
-        "index_sites", "returns",
-    )
+    __slots__ = ("node", "params", "index_params", "index_sites", "returns")
 
     def __init__(
         self, qualname: str, ctx: FileContext, node: FuncDef, is_method: bool
     ):
-        self.qualname = qualname
-        self.ctx = ctx
+        super().__init__(qualname, ctx, node.body)
         self.node = node
         args = [a.arg for a in node.args.posonlyargs + node.args.args]
         if is_method and args and args[0] in ("self", "cls"):
@@ -122,6 +151,24 @@ class _FuncFacts:
         self.index_sites: Dict[str, Tuple[int, int]] = {}
         #: return summary (None = unknown / mixed)
         self.returns: Optional[_Value] = None
+
+
+def _dtype_spec(call: ast.Call) -> Optional[ast.expr]:
+    """The dtype *call* names: its ``dtype=`` keyword, or the argument of
+    ``.astype(...)``."""
+    for kw in call.keywords:
+        if kw.arg == "dtype":
+            return kw.value
+    if isinstance(call.func, ast.Attribute) and call.func.attr == "astype":
+        return call.args[0] if call.args else None
+    return None
+
+
+def _is_arange(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = dotted_name(node.func)
+    return func is not None and func.rsplit(".", 1)[-1] == "arange"
 
 
 def _body_nodes(fnode: FuncDef) -> Iterator[ast.AST]:
@@ -157,13 +204,15 @@ class _Engine:
     def __init__(self, state: ProjectState, ctxs: Sequence[FileContext]):
         self.state = state
         self.facts: Dict[str, _FuncFacts] = {}
-        self.imports: Dict[str, ImportMap] = {}
+        self.imports: Dict[str, ImportMap] = {
+            ctx.rel: collect_imports(ctx.tree)
+            for ctx in ctxs
+            if ctx.module is not None
+        }
         #: (caller, line, col) -> resolved project edge
         self.edge_at: Dict[Tuple[str, int, int], CallEdge] = {}
         for qualname, (ctx, fnode) in state.graph.functions.items():
             node = state.graph.nodes[qualname]
-            if ctx.rel not in self.imports:
-                self.imports[ctx.rel] = collect_imports(ctx.tree)
             self.facts[qualname] = _FuncFacts(
                 qualname, ctx, fnode, is_method=node.kind == "method"
             )
@@ -258,11 +307,11 @@ class _Engine:
         return result
 
     # -- local environments ----------------------------------------------
-    def local_env(self, facts: _FuncFacts) -> Dict[str, Optional[_Value]]:
+    def local_env(self, scope: _Scope) -> Dict[str, Optional[_Value]]:
         """Name -> abstract value, built in source order; a re-bind to a
         different dtype kills the entry."""
         env: Dict[str, Optional[_Value]] = {}
-        for stmt in _ordered_statements(facts.node.body):
+        for stmt in _ordered_statements(scope.body):
             target: Optional[ast.expr] = None
             value_expr: Optional[ast.expr] = None
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
@@ -276,13 +325,13 @@ class _Engine:
                 ):
                     env[stmt.target.id] = _Value(
                         "float",
-                        f"true division at {facts.ctx.rel}:{stmt.lineno}",
+                        f"true division at {scope.ctx.rel}:{stmt.lineno}",
                     )
                 continue
             if target is None or not isinstance(target, ast.Name):
                 continue
             assert value_expr is not None
-            value = self.infer(facts, value_expr, env)
+            value = self.infer(scope, value_expr, env)
             if target.id in env and env[target.id] is not None:
                 old = env[target.id]
                 if value is None or (old is not None and old.dtype != value.dtype):
@@ -294,19 +343,19 @@ class _Engine:
     # -- expression inference --------------------------------------------
     def infer(
         self,
-        facts: _FuncFacts,
+        scope: _Scope,
         expr: ast.expr,
         env: Dict[str, Optional[_Value]],
     ) -> Optional[_Value]:
-        imports = self.imports[facts.ctx.rel]
-        where = f"{facts.ctx.rel}:{int(getattr(expr, 'lineno', 0))}"
+        imports = self.imports[scope.ctx.rel]
+        where = f"{scope.ctx.rel}:{int(getattr(expr, 'lineno', 0))}"
         if isinstance(expr, ast.Name):
             return env.get(expr.id)
         if isinstance(expr, ast.UnaryOp):
-            return self.infer(facts, expr.operand, env)
+            return self.infer(scope, expr.operand, env)
         if isinstance(expr, ast.BinOp):
-            left = self.infer(facts, expr.left, env)
-            right = self.infer(facts, expr.right, env)
+            left = self.infer(scope, expr.left, env)
+            right = self.infer(scope, expr.right, env)
             if isinstance(expr.op, ast.Div):
                 return _Value("float", f"true division at {where}")
             dtypes = [v.dtype for v in (left, right) if v is not None]
@@ -331,7 +380,7 @@ class _Engine:
                 return _Value("int64", left.origin)
             return None
         if isinstance(expr, ast.Call):
-            return self._infer_call(facts, expr, env, imports, where)
+            return self._infer_call(scope, expr, env, imports, where)
         if isinstance(expr, ast.Constant):
             if isinstance(expr.value, bool):
                 return None
@@ -344,19 +393,19 @@ class _Engine:
 
     def _infer_call(
         self,
-        facts: _FuncFacts,
+        scope: _Scope,
         call: ast.Call,
         env: Dict[str, Optional[_Value]],
         imports: ImportMap,
         where: str,
     ) -> Optional[_Value]:
         func = call.func
+        spec = _dtype_spec(call)
+        dtype_kw = None if spec is None else self._dtype_of_node(spec, imports)
         # x.astype(T) / x.copy() / x.sum() ...
         if isinstance(func, ast.Attribute):
-            if func.attr == "astype" and call.args:
-                dtype = self._dtype_of_node(call.args[0], imports)
-                if dtype is not None:
-                    return _Value(dtype, f"astype at {where}")
+            if func.attr == "astype" and dtype_kw is not None:
+                return _Value(dtype_kw, f"astype at {where}")
             if func.attr in _PRESERVING_METHODS and isinstance(
                 func.value, ast.Name
             ):
@@ -365,10 +414,6 @@ class _Engine:
                     return _Value(receiver.dtype, receiver.origin)
         resolved = imports.resolve(func)
         if resolved is not None:
-            dtype_kw = None
-            for kw in call.keywords:
-                if kw.arg == "dtype":
-                    dtype_kw = self._dtype_of_node(kw.value, imports)
             if resolved in _FLOAT_DEFAULT_CTORS:
                 return _Value(
                     dtype_kw or "float",
@@ -384,7 +429,7 @@ class _Engine:
                 return _Value(dtype_kw, f"dtype= at {where}")
         # project call: use the callee's return summary
         edge = self.edge_at.get(
-            (facts.qualname, int(call.lineno), int(call.col_offset) + 1)
+            (scope.qualname, int(call.lineno), int(call.col_offset) + 1)
         )
         if edge is not None:
             callee = self.facts.get(edge.callee)
@@ -422,11 +467,11 @@ class _Engine:
 class DtypeFlow(Rule):
     id = "dtype-flow"
     rationale = (
-        "Index domains must stay int64 end to end; a float (true "
-        "division, float64-default constructor) or int32 value used as "
-        "an index rounds value-dependently or overflows at production "
-        "scale, and the per-line dtype rules cannot see the flow that "
-        "carried it there."
+        "Index arrays are int64 by contract, from construction to use: "
+        "int32 or platform-int indices overflow at production scale and "
+        "differ across platforms, and a float value (true division, a "
+        "float64-default constructor) used as an index rounds "
+        "value-dependently and caps exact integers at 2**53."
     )
     project_wide = True
 
@@ -435,14 +480,98 @@ class DtypeFlow(Rule):
         engine = _Engine(state, ctxs)
         engine.compute_index_params()
         engine.compute_returns()
+        envs = {q: engine.local_env(f) for q, f in engine.facts.items()}
+        for ctx in ctxs:
+            if ctx.module is not None and self._in_core(ctx.rel):
+                yield from self._check_constructions(engine, envs, ctx, ctx.module)
         seen: Set[Tuple[str, int, int]] = set()
         for qualname in sorted(engine.facts):
             facts = engine.facts[qualname]
-            env = engine.local_env(facts)
-            yield from self._check_function(engine, facts, env, seen)
+            yield from self._check_function(engine, facts, envs[qualname], seen)
 
     def _in_core(self, rel: str) -> bool:
         return any(fragment in rel for fragment in _NUMERIC_CORE)
+
+    def _check_constructions(
+        self,
+        engine: _Engine,
+        envs: Dict[str, Dict[str, Optional[_Value]]],
+        ctx: FileContext,
+        module: str,
+    ) -> Iterator[Finding]:
+        """Bad index dtypes where values are made, anywhere in the file."""
+        imports = engine.imports[ctx.rel]
+        top = _Scope(f"{module}.<module>", ctx, getattr(ctx.tree, "body", []))
+        # Statements outside any function body read module-level names.
+        outside = (top, engine.local_env(top))
+        #: id(statement) -> the function it runs in and that function's env
+        bound: Dict[int, Tuple[_Scope, Dict[str, Optional[_Value]]]] = {}
+        for qualname, facts in engine.facts.items():
+            if facts.ctx is ctx:
+                for stmt in _ordered_statements(facts.body):
+                    bound[id(stmt)] = (facts, envs[qualname])
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Attribute):
+                if engine._dtype_of_node(node, imports) == "int32":
+                    yield ctx.finding(
+                        self.id,
+                        node,
+                        f"{dotted_name(node)} in index code; index arrays "
+                        "are int64 by contract",
+                    )
+            elif isinstance(node, ast.Call):
+                spec = _dtype_spec(node)
+                if (
+                    spec is not None
+                    and not isinstance(spec, ast.Attribute)  # flagged above
+                    and engine._dtype_of_node(spec, imports) == "int32"
+                ):
+                    yield ctx.finding(
+                        self.id,
+                        node,
+                        f"dtype {ast.unparse(spec)} is 32-bit or "
+                        "platform-dependent; index arrays are int64 by "
+                        "contract — use np.int64 explicitly",
+                    )
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                if any(_is_arange(sub) for sub in ast.walk(node)):
+                    yield ctx.finding(
+                        self.id,
+                        node,
+                        "np.arange under true division `/` produces a "
+                        "float64 array; index arithmetic must use `//` "
+                        "(or exact ceil-division -(-a // b))",
+                    )
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                scope, env = bound.get(id(node), outside)
+                yield from self._check_binding(engine, node, scope, env)
+
+    def _check_binding(
+        self,
+        engine: _Engine,
+        node: ast.Assign | ast.AnnAssign,
+        scope: _Scope,
+        env: Dict[str, Optional[_Value]],
+    ) -> Iterator[Finding]:
+        """An index-named binding whose value infers to float."""
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [
+            t.id
+            for t in targets
+            if isinstance(t, ast.Name)
+            and any(token in t.id.lower() for token in _INDEX_TOKENS)
+        ]
+        if not names or node.value is None:
+            return
+        value = engine.infer(scope, node.value, env)
+        if value is not None and value.dtype == "float":
+            yield scope.ctx.finding(
+                self.id,
+                node,
+                f"index-named {names[0]!r} is bound to a float value "
+                f"({value.origin}); index arrays are int64 by contract — "
+                "pass dtype=np.int64",
+            )
 
     def _check_function(
         self,

@@ -1,4 +1,4 @@
-"""Shared-state ownership: writes must stay inside the owning protocol.
+"""Shared-state ownership: protected state is touched only by its owners.
 
 The lock-free CAS + lazy-aggregation protocol is only safe because each
 piece of shared state has exactly one sanctioned write path: the CAS
@@ -10,8 +10,10 @@ complement, checking every call path the code can express.
 Driven by the declared facts table
 (:data:`repro.check.facts.OWNERSHIP_FACTS`).  Two classes of finding:
 
-* a **direct write** to a protected attribute from a module outside the
-  owner set (``cache._memory = ...`` in a stranger module), and
+* a **foreign access**: any read, write or method call of a protected
+  attribute (``atoms._degree[i]``, ``cache._memory``,
+  ``atoms._lock_for(i)``) in a module under ``repro/`` outside the
+  attribute's owner set, module level included, and
 * an **escaped mutator**: a function inside the owner module that
   writes the attribute, is *not* a declared protocol entry point, and
   is reachable through the call graph from outside the owner set
@@ -26,7 +28,7 @@ subscript of the attribute, or an in-place container call
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.check.callgraph import FuncDef
 from repro.check.engine import FileContext, Finding, Rule, register_rule
@@ -93,46 +95,51 @@ def _function_body(fnode: FuncDef) -> Iterator[ast.AST]:
 class StateOwnership(Rule):
     id = "state-ownership"
     rationale = (
-        "Every protected array has one sanctioned write protocol; a "
-        "write reached from outside it bypasses the single-writer "
-        "discipline the lock-free engine's correctness (and the race "
-        "detector's instrumentation) rests on."
+        "All cross-thread state flows through its owner's protocol "
+        "(load/swap/cas on the atomic record, get/put on the cache); "
+        "touching the private storage from outside, or reaching an "
+        "internal writer around the protocol, bypasses the single-writer "
+        "discipline, the locking and the race detector's instrumentation."
     )
     project_wide = True
 
     def check_project(self, ctxs: Sequence[FileContext]) -> Iterator[Finding]:
         state = project_state(ctxs)
-        by_rel = {ctx.rel: ctx for ctx in ctxs}
+        by_attr = {fact.attr: fact for fact in OWNERSHIP_FACTS}
+        for ctx in ctxs:
+            if ctx.module is not None:
+                yield from self._foreign_accesses(ctx, ctx.module, by_attr)
         for fact in OWNERSHIP_FACTS:
-            yield from self._check_fact(state, by_rel, fact)
+            yield from self._escaped_mutators(state, fact)
 
-    def _check_fact(
-        self,
-        state: ProjectState,
-        by_rel: Dict[str, FileContext],
-        fact: OwnershipFact,
+    def _foreign_accesses(
+        self, ctx: FileContext, module: str, by_attr: Dict[str, OwnershipFact]
+    ) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            fact = by_attr.get(node.attr)
+            if fact is None or module in fact.owner_modules:
+                continue
+            yield ctx.finding(
+                self.id,
+                node,
+                f"access to protected .{fact.attr} ({fact.note}) outside "
+                f"its owner module(s) {', '.join(fact.owner_modules)}; go "
+                "through the owner's protocol operations instead",
+            )
+
+    def _escaped_mutators(
+        self, state: ProjectState, fact: OwnershipFact
     ) -> Iterator[Finding]:
         owners = set(fact.owner_modules)
         entries = set(fact.entry_points)
         for qualname, (ctx, fnode) in sorted(state.graph.functions.items()):
             node = state.graph.nodes.get(qualname)
-            if node is None:
+            if node is None or node.module not in owners or qualname in entries:
                 continue
             writes = _writes_in(_function_body(fnode), fact.attr)
             if not writes:
-                continue
-            if node.module not in owners:
-                for write in writes:
-                    yield ctx.finding(
-                        self.id,
-                        write,
-                        f"write to protected .{fact.attr} ({fact.note}) "
-                        f"outside its owner module "
-                        f"{'/'.join(fact.owner_modules)}; go through the "
-                        "protocol entry points instead",
-                    )
-                continue
-            if qualname in entries:
                 continue
             chains = state.outside_paths(
                 qualname,

@@ -96,6 +96,27 @@ class Finding:
         return doc
 
 
+@dataclass(frozen=True)
+class Suppression:
+    """One inline pragma (per rule id): what suppression and the
+    suppression-debt report both read."""
+
+    rule: str
+    path: str
+    line: int
+    kind: str  # "ignore" | "ignore-file"
+    justification: str
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "rule": self.rule,
+            "path": self.path,
+            "line": self.line,
+            "kind": self.kind,
+            "justification": self.justification,
+        }
+
+
 class FileContext:
     """A parsed source file plus everything rules need to inspect it."""
 
@@ -107,8 +128,9 @@ class FileContext:
         self.lines = self.source.splitlines()
         self._tree: Optional[ast.AST] = None
         self._parse_error: Optional[SyntaxError] = None
-        self._line_suppressions: Optional[Dict[int, Set[str]]] = None
-        self._file_suppressions: Optional[Set[str]] = None
+        self._pragmas: Optional[List[Suppression]] = None
+        self._line_suppressions: Dict[int, Set[str]] = {}
+        self._file_suppressions: Set[str] = set()
 
     # -- parsing ---------------------------------------------------------
     @property
@@ -137,9 +159,22 @@ class FileContext:
         return ".".join(anchored) if anchored else None
 
     # -- suppressions ----------------------------------------------------
-    def _scan_pragmas(self) -> None:
-        line_map: Dict[int, Set[str]] = {}
-        file_set: Set[str] = set()
+    @property
+    def pragmas(self) -> List[Suppression]:
+        """Every ``# repro: ignore[...]`` comment in the file, one entry
+        per rule id.  Comments are found by the tokenizer, so pragma
+        text inside a string or docstring is not a pragma."""
+        if self._pragmas is None:
+            self._pragmas = list(self._scan_pragmas())
+            for supp in self._pragmas:
+                if supp.kind == "ignore-file":
+                    self._file_suppressions.add(supp.rule)
+                    continue
+                for line in (supp.line, self._covered_line(supp.line)):
+                    self._line_suppressions.setdefault(line, set()).add(supp.rule)
+        return self._pragmas
+
+    def _scan_pragmas(self) -> Iterator[Suppression]:
         try:
             tokens = list(
                 tokenize.generate_tokens(iter(self.source.splitlines(True)).__next__)
@@ -152,34 +187,34 @@ class FileContext:
             match = _PRAGMA_RE.search(tok.string)
             if match is None:
                 continue
-            ids = {r.strip() for r in match.group("rules").split(",") if r.strip()}
-            lineno = tok.start[0]
-            if match.group("kind") == "ignore-file":
-                file_set |= ids
-                continue
-            line_map.setdefault(lineno, set()).update(ids)
-            line_text = self.lines[lineno - 1] if lineno <= len(self.lines) else ""
-            if _COMMENT_ONLY_RE.match(line_text):
-                # A standalone pragma comment covers the next source line:
-                # skip past the rest of its comment block (and blanks) so
-                # a multi-line justification still reaches the code.
-                cursor = lineno + 1
-                while cursor <= len(self.lines) and (
-                    _COMMENT_ONLY_RE.match(self.lines[cursor - 1])
-                    or not self.lines[cursor - 1].strip()
-                ):
-                    cursor += 1
-                line_map.setdefault(cursor, set()).update(ids)
-        self._line_suppressions = line_map
-        self._file_suppressions = file_set
+            ids = (r.strip() for r in match.group("rules").split(","))
+            for rule_id in dict.fromkeys(r for r in ids if r):
+                yield Suppression(
+                    rule=rule_id,
+                    path=self.rel,
+                    line=tok.start[0],
+                    kind=match.group("kind"),
+                    justification=tok.string[match.end():].strip(),
+                )
+
+    def _covered_line(self, lineno: int) -> int:
+        """The source line a pragma on *lineno* covers: its own line, or
+        for a standalone pragma comment the next source line — past the
+        rest of its comment block (and blanks), so a multi-line
+        justification still reaches the code."""
+        if not _COMMENT_ONLY_RE.match(self.lines[lineno - 1]):
+            return lineno
+        cursor = lineno + 1
+        while cursor <= len(self.lines) and (
+            _COMMENT_ONLY_RE.match(self.lines[cursor - 1])
+            or not self.lines[cursor - 1].strip()
+        ):
+            cursor += 1
+        return cursor
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
-        if rule_id == PARSE_ERROR_RULE:
+        if rule_id == PARSE_ERROR_RULE or not self.pragmas:
             return False
-        if self._line_suppressions is None or self._file_suppressions is None:
-            self._scan_pragmas()
-        assert self._line_suppressions is not None
-        assert self._file_suppressions is not None
         if rule_id in self._file_suppressions:
             return True
         return rule_id in self._line_suppressions.get(line, set())
@@ -419,47 +454,10 @@ def run_check(
     )
 
 
-@dataclass(frozen=True)
-class Suppression:
-    """One inline pragma, for the suppression-debt report."""
-
-    rule: str
-    path: str
-    line: int
-    kind: str  # "ignore" | "ignore-file"
-    justification: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "kind": self.kind,
-            "justification": self.justification,
-        }
-
-
 def scan_suppressions(ctxs: Sequence[FileContext]) -> List[Suppression]:
     """Every inline pragma in *ctxs*, with its trailing justification —
     the raw material of the suppression-debt report."""
-    found: List[Suppression] = []
-    for ctx in ctxs:
-        for lineno, line in enumerate(ctx.lines, start=1):
-            match = _PRAGMA_RE.search(line)
-            if match is None:
-                continue
-            why = line[match.end():].strip()
-            for rule_id in match.group("rules").split(","):
-                rule_id = rule_id.strip()
-                if rule_id:
-                    found.append(
-                        Suppression(
-                            rule=rule_id,
-                            path=ctx.rel,
-                            line=lineno,
-                            kind=match.group("kind"),
-                            justification=why,
-                        )
-                    )
-    found.sort(key=lambda s: (s.rule, s.path, s.line))
-    return found
+    return sorted(
+        (supp for ctx in ctxs for supp in ctx.pragmas),
+        key=lambda s: (s.rule, s.path, s.line),
+    )

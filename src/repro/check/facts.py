@@ -14,26 +14,25 @@ Two tables:
   test (``CallGraph.unbound_facts``) — facts must not rot.
 
 * :data:`OWNERSHIP_FACTS` — the shared-state ownership table: each
-  protected attribute (the atomic record's arrays, the serve cache's
-  LRU dict, the daemon's coalescing table)
-  maps to its owning module(s) and the
-  *protocol entry points* through which other modules are sanctioned to
-  reach it.  The ``state-ownership`` analyzer flags any write to a
-  protected attribute that is reachable from outside an owner context
-  without passing through an entry point — the static complement of the
-  dynamic race detector in :mod:`repro.check.races`.
+  protected attribute (the atomic record's arrays and shard locks, the
+  serve cache's LRU dict, the daemon's coalescing table) maps to its
+  owning module(s) and the *protocol entry points* through which other
+  modules are sanctioned to reach it.  The ``state-ownership`` analyzer
+  flags any access to a protected attribute from outside its owners, and
+  any write reachable from outside an owner context without passing
+  through an entry point — the static complement of the dynamic race
+  detector in :mod:`repro.check.races`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 __all__ = [
     "OwnershipFact",
     "OWNERSHIP_FACTS",
     "DISPATCH_EDGES",
-    "lexical_owner_files",
 ]
 
 
@@ -74,6 +73,18 @@ OWNERSHIP_FACTS: Tuple[OwnershipFact, ...] = (
         note="the CAS record's child half",
     ),
     OwnershipFact(
+        attr="_locks",
+        owner_modules=("repro.parallel.atomics", "repro.parallel.faults"),
+        entry_points=("repro.parallel.atomics.AtomicPairArray.__init__",),
+        note="the shard locks that stand in for hardware CAS",
+    ),
+    OwnershipFact(
+        attr="_lock_for",
+        owner_modules=("repro.parallel.atomics", "repro.parallel.faults"),
+        entry_points=(),
+        note="the record-to-shard-lock lookup",
+    ),
+    OwnershipFact(
         attr="_memory",
         owner_modules=("repro.serve.cache",),
         entry_points=(
@@ -93,22 +104,6 @@ OWNERSHIP_FACTS: Tuple[OwnershipFact, ...] = (
         note="the daemon's request-coalescing table (event-loop only)",
     ),
 )
-
-
-def lexical_owner_files() -> Dict[str, Tuple[str, ...]]:
-    """The ownership table as path fragments, for lexical rules.
-
-    The ``private-atomic-state`` rule predates this table and works on
-    file suffixes, not modules; deriving its map here keeps the two
-    rules on one source of truth.  Returns attr -> owner ``.py`` path
-    fragments (``repro.serve.cache`` -> ``repro/serve/cache.py``).
-    """
-    return {
-        fact.attr: tuple(
-            module.replace(".", "/") + ".py" for module in fact.owner_modules
-        )
-        for fact in OWNERSHIP_FACTS
-    }
 
 
 #: (caller qualname, callee qualname, why the edge exists) — dynamic

@@ -6,21 +6,6 @@ Rule catalogue (ids, rationale, suppression syntax): ``docs/CHECKS.md``.
 from __future__ import annotations
 
 from repro.check import analyzers
-from repro.check.rules import (
-    asynchrony,
-    concurrency,
-    determinism,
-    dtypes,
-    imports,
-    io,
-)
+from repro.check.rules import concurrency, determinism, imports, io
 
-__all__ = [
-    "analyzers",
-    "asynchrony",
-    "concurrency",
-    "determinism",
-    "dtypes",
-    "imports",
-    "io",
-]
+__all__ = ["analyzers", "concurrency", "determinism", "imports", "io"]

@@ -1,20 +1,14 @@
-"""Concurrency-discipline rules for the lock-free aggregation path.
+"""Concurrency discipline for the lock-free aggregation path.
 
 The paper's Algorithm 3 is correct because *all* cross-thread state
 flows through the 16-byte CAS record (:class:`AtomicPairArray`), and
-because workers never block each other.  Two rules keep that true as the
-code grows:
-
-* ``lock-in-lockfree-path`` — no new blocking primitives
-  (``threading.Lock`` & friends) inside ``repro/rabbit/`` or
-  ``repro/parallel/``.  The sharded locks that *implement* the atomics
-  are the intentional, suppressed exceptions.
-* ``private-atomic-state`` — nothing outside the owning layer may reach
-  into concurrent private storage: :class:`AtomicPairArray`'s arrays
-  (``_degree``, ``_child``, ``_locks``, ``_lock_for``) or the other
-  protected attributes of the ownership table.  Shared mutable state is
-  only touched through the owner's operations (``load``/``swap``/``cas``)
-  or the quiesced bulk views.
+because workers never block each other.  ``lock-in-lockfree-path``
+keeps the second half true as the code grows: no new blocking
+primitives (``threading.Lock`` & friends) inside ``repro/rabbit/`` or
+``repro/parallel/``.  The sharded locks that *implement* the atomics
+are the intentional, suppressed exceptions.  The first half — nobody
+outside the atomic layer touches its private storage — is the
+``state-ownership`` analyzer's (:mod:`repro.check.analyzers.ownership`).
 """
 
 from __future__ import annotations
@@ -24,9 +18,8 @@ from typing import Iterator
 
 from repro.check.astutil import collect_imports
 from repro.check.engine import FileContext, Finding, Rule, register_rule
-from repro.check.facts import lexical_owner_files
 
-__all__ = ["LockInLockfreePath", "PrivateAtomicState"]
+__all__ = ["LockInLockfreePath"]
 
 #: Blocking primitives whose construction the rule flags.
 _BLOCKING = {
@@ -37,20 +30,6 @@ _BLOCKING = {
     "BoundedSemaphore",
     "Event",
     "Barrier",
-}
-
-#: Private concurrent-state attributes, each mapped to the owner files
-#: allowed to touch them.  The protected attrs and their owning modules
-#: come from the shared ownership table
-#: (:func:`repro.check.facts.lexical_owner_files`) so this rule and the
-#: interprocedural ``state-ownership`` analyzer never disagree on who
-#: owns what; the lock internals below are extra — they are atomic-layer
-#: implementation details rather than protocol state, so only the
-#: lexical rule polices them.
-_PRIVATE_STATE_OWNERS: dict[str, tuple[str, ...]] = {
-    **lexical_owner_files(),
-    "_locks": ("repro/parallel/atomics.py",),
-    "_lock_for": ("repro/parallel/atomics.py",),
 }
 
 
@@ -84,31 +63,4 @@ class LockInLockfreePath(Rule):
                 )
 
 
-class PrivateAtomicState(Rule):
-    id = "private-atomic-state"
-    rationale = (
-        "All cross-thread state must flow through its owning layer's "
-        "public operations (load/swap/cas on the atomic record); "
-        "touching the private storage bypasses both the locking and the "
-        "race detector's instrumentation."
-    )
-    scope = ("repro/rabbit/", "repro/parallel/")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
-            owners = _PRIVATE_STATE_OWNERS.get(node.attr)
-            if owners is None or any(ctx.rel.endswith(o) for o in owners):
-                continue
-            yield ctx.finding(
-                self.id,
-                node,
-                f"access to concurrent-layer private state .{node.attr} "
-                f"(owned by {', '.join(owners)}); use the owner's public "
-                "operations or the *_view() bulk accessors",
-            )
-
-
 register_rule(LockInLockfreePath())
-register_rule(PrivateAtomicState())

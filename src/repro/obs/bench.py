@@ -246,36 +246,12 @@ register_suite(
 )
 
 
-register_suite(
-    BenchSuite(
-        name="scale",
-        description=(
-            "Scale suite: the production engine and the reference oracle "
-            "on the largest bench graph (R-MAT scale 13), bit-checked "
-            "against each other (docs/PERF.md)."
-        ),
-        graphs=(),
-        orderings=(),
-        analyses=(),
-        runner=lambda suite: _scale_suite_runner(suite),
-    )
-)
-
-
 def _serve_suite_runner(suite: BenchSuite) -> list[dict[str, Any]]:
     # Lazy import: repro.serve sits above repro.obs in the layering, so
     # the suite registration must not pull it in at module level.
     from repro.serve.loadgen import run_serve_suite
 
     return run_serve_suite(repeats=suite.repeats)
-
-
-def _scale_suite_runner(suite: BenchSuite) -> list[dict[str, Any]]:
-    # Lazy import: the runner drives repro.rabbit, which sits above
-    # repro.obs in the layering.
-    from repro.obs.scalebench import run_scale_suite
-
-    return run_scale_suite(repeats=suite.repeats)
 
 
 # ---------------------------------------------------------------------------

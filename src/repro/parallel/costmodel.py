@@ -31,9 +31,7 @@ testbed (topology, bandwidth ceiling, synchronisation latency).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,29 +39,6 @@ from repro.errors import ReproError
 from repro.order.base import OrderingStats
 
 __all__ = ["ParallelMachine", "projected_time", "projected_speedup"]
-
-
-def _parse_cpuinfo(text: str) -> tuple[int, int]:
-    """Count ``(processor lines, unique (physical id, core id) pairs)``
-    in a ``/proc/cpuinfo`` dump.  Either count may come back 0 when the
-    fields are absent (non-x86, containers with masked cpuinfo)."""
-    threads = 0
-    cores: set[tuple[str, str]] = set()
-    physical_id = core_id = None
-    for line in text.splitlines():
-        key, _, value = line.partition(":")
-        key = key.strip()
-        if key == "processor":
-            threads += 1
-            physical_id = core_id = None
-        elif key == "physical id":
-            physical_id = value.strip()
-        elif key == "core id":
-            core_id = value.strip()
-        if physical_id is not None and core_id is not None:
-            cores.add((physical_id, core_id))
-            physical_id = core_id = None
-    return threads, len(cores)
 
 
 @dataclass(frozen=True)
@@ -105,69 +80,6 @@ class ParallelMachine:
     def memory_parallelism(self, threads: int) -> float:
         """Effective parallelism of memory-bound work."""
         return min(self.effective_parallelism(threads), self.memory_parallelism_cap)
-
-    @classmethod
-    def detect(
-        cls,
-        cpuinfo_path: str | None = None,
-        sched_threads: int | None = None,
-    ) -> "ParallelMachine":
-        """The *actual* host, not the paper's testbed.
-
-        The class defaults describe the paper's two-socket Ivy Bridge
-        node so the figure-reproduction experiments project against the
-        published machine; ladder sizing and bench metadata should use
-        the machine the run is actually on.  Hardware threads come from
-        the scheduling quota when one is imposed
-        (``os.sched_getaffinity``, so container CPU masks are honoured)
-        falling back to :func:`os.cpu_count`; physical cores come from
-        counting unique ``(physical id, core id)`` pairs in
-        ``/proc/cpuinfo``.  Hosts where that is unreadable or masked
-        (macOS, some containers) are assumed SMT-free — physical ==
-        hardware threads — which is the conservative choice.  The
-        memory-parallelism ceiling is scaled from the
-        testbed's measured saturation ratio (20 of 24 cores).
-
-        Results for the default path are cached per process; pass an
-        explicit *cpuinfo_path* (tests) to bypass the cache, and
-        *sched_threads* to stand in for the scheduling quota.
-        """
-        if cpuinfo_path is None and sched_threads is None:
-            return _detect_host()
-        return cls._detect(cpuinfo_path or "/proc/cpuinfo", sched_threads)
-
-    @classmethod
-    def _detect(
-        cls, cpuinfo_path: str, sched_threads: int | None = None
-    ) -> "ParallelMachine":
-        threads = sched_threads
-        if threads is None:
-            try:
-                threads = len(os.sched_getaffinity(0))
-            except (AttributeError, OSError):
-                threads = os.cpu_count() or 1
-        cores = 0
-        try:
-            with open(cpuinfo_path, "r", encoding="ascii", errors="replace") as f:
-                seen, cores = _parse_cpuinfo(f.read())
-            # An affinity mask narrower than the package hides cores the
-            # scheduler will never give us; never report more physical
-            # cores than schedulable threads.
-            if seen and cores:
-                cores = min(cores, threads)
-        except OSError:
-            cores = 0
-        physical = cores or threads
-        return cls(
-            physical_cores=max(1, physical),
-            hardware_threads=max(1, threads, physical),
-            memory_parallelism_cap=max(1.0, physical * (20.0 / 24.0)),
-        )
-
-
-@lru_cache(maxsize=1)
-def _detect_host() -> ParallelMachine:
-    return ParallelMachine._detect("/proc/cpuinfo")
 
 
 def projected_time(

@@ -270,9 +270,9 @@ class FaultyAtomicPairArray(AtomicPairArray):
         desired: tuple[float, int],
     ) -> bool:
         if self.injector.force_cas_failure():
-            # repro: ignore[private-atomic-state]  this subclass IS part
-            # of the atomic layer: the forced failure must be tallied
-            # under the same shard lock a genuine CAS would hold.
+            # This subclass is part of the atomic layer: the forced failure
+            # must be tallied under the same shard lock a genuine CAS would
+            # hold.
             with self._lock_for(i):
                 self.counter.cas_failure += 1
             return False

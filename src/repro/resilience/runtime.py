@@ -52,9 +52,9 @@ class RunControl:
         # The registry counter is process-wide and survives across
         # attempts; progress is measured relative to this control's birth.
         self._baseline = self._counter.value
-        # repro: ignore[lock-in-lockfree-path]  supervisor plumbing, not
-        # algorithm state: guards the cancel reason against a racing
-        # watchdog; never held across an algorithmic atomic operation.
+        # Supervisor plumbing, not algorithm state: guards the cancel
+        # reason against a racing watchdog; never held across an
+        # algorithmic atomic operation.
         self._lock = threading.Lock()
 
     # -- supervisor side ------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from repro.check.analyzers import ownership
 from repro.check.facts import OwnershipFact
-from repro.check.rules import concurrency
 
 #: A bump-allocator cursor guarded by reserve/commit-style entry points:
 #: the protected state the ownership fixtures below are written against.
@@ -25,13 +24,9 @@ ARENA_CURSOR = OwnershipFact(
 
 @pytest.fixture
 def arena_cursor_fact(monkeypatch):
-    """Declare :data:`ARENA_CURSOR` in the ownership table for one test,
-    for both the ``state-ownership`` analyzer and the lexical
-    ``private-atomic-state`` rule.  The shipped tree has no such
-    allocator, so the analyzers' sensitivity is tested on fixtures."""
+    """Declare :data:`ARENA_CURSOR` in the ownership table for one test.
+    The shipped tree has no such allocator, so the ``state-ownership``
+    analyzer's sensitivity is tested on fixtures."""
     monkeypatch.setattr(
         ownership, "OWNERSHIP_FACTS", (*ownership.OWNERSHIP_FACTS, ARENA_CURSOR)
-    )
-    monkeypatch.setitem(
-        concurrency._PRIVATE_STATE_OWNERS, "_cursor", ("repro/rabbit/arena.py",)
     )

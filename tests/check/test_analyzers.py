@@ -1,5 +1,5 @@
 """The three interprocedural analyzers: positives, negatives, and the
-two seeded mutants the acceptance gate requires.
+seeded mutants the acceptance gate requires.
 
 Each test builds a tiny ``repro/`` tree under ``tmp_path`` (the module
 anchoring keys off the ``repro`` path component) and runs ``run_check``
@@ -103,10 +103,9 @@ class TestAsyncReachability:
         report = run_check([tree], rules=["async-blocking-reachable"])
         assert findings_for(report, "async-blocking-reachable") == []
 
-    def test_depth_zero_sink_left_to_lexical_rule(self, tmp_path):
-        # Inside repro/serve/ a time.sleep directly in the async def is
-        # the lexical rule's finding; the interprocedural rule must stay
-        # silent (no double report), and the lexical rule must fire.
+    def test_depth_zero_sink_in_serve_is_flagged(self, tmp_path):
+        # A time.sleep written directly in a repro/serve/ coroutine is
+        # flagged at its own line.
         tree = write_tree(tmp_path, {
             "serve/svc.py": """
                 import time
@@ -116,15 +115,14 @@ class TestAsyncReachability:
                     time.sleep(1.0)
             """,
         })
-        inter = run_check([tree], rules=["async-blocking-reachable"])
-        assert findings_for(inter, "async-blocking-reachable") == []
-        lexical = run_check([tree], rules=["blocking-call-in-async"])
-        assert len(findings_for(lexical, "blocking-call-in-async")) == 1
+        report = run_check([tree], rules=["async-blocking-reachable"])
+        found = findings_for(report, "async-blocking-reachable")
+        assert [f.line for f in found] == [5]
+        assert "called directly in coroutine" in found[0].message
 
     def test_depth_zero_sink_outside_lexical_scope_is_covered(self, tmp_path):
-        # Outside repro/serve/ the lexical rule does not apply — the
-        # interprocedural rule must pick up the direct sink so no
-        # coroutine escapes both.
+        # Outside repro/serve/ too: no coroutine anywhere in the tree may
+        # call a blocking sink directly.
         tree = write_tree(tmp_path, {
             "order/svc.py": """
                 import time
@@ -310,9 +308,9 @@ class TestDtypeFlow:
         })
         report = run_check([tree], rules=["dtype-flow"])
         found = findings_for(report, "dtype-flow")
-        assert len(found) == 1
+        # the sink inside pick(), and the np.int32 construction site
+        assert [f.line for f in found] == [5, 9]
         f = found[0]
-        assert f.line == 5  # the sink inside pick()
         assert "int32" in f.message
         assert "'pos'" in f.message
         assert any("caller" in step for step in f.trace)
@@ -381,10 +379,16 @@ class TestDtypeFlow:
 
 @pytest.fixture(scope="module")
 def mutant_tree(tmp_path_factory):
-    """A full copy of src/repro with the acceptance mutants seeded: a
-    blocking call in a coroutine-reachable sync helper, a rogue
-    arena-cursor write in a non-owner module, and a daemon coroutine
-    that loads the compiled sweep itself instead of on the executor."""
+    """A full copy of src/repro with the acceptance mutants seeded, one
+    per contract:
+
+    * async: a blocking call in a coroutine-reachable sync helper; a
+      daemon coroutine that loads the compiled sweep itself instead of on
+      the executor; a daemon coroutine that opens a socket directly;
+    * ownership: a rogue arena-cursor write in a non-owner module; a read
+      of the serve cache's memory tier from the obs layer;
+    * dtype: a float64-default ``indptr`` in the CSR module.
+    """
     root = tmp_path_factory.mktemp("mutants")
     tree = root / "repro"
     shutil.copytree(
@@ -413,10 +417,31 @@ def mutant_tree(tmp_path_factory):
         needle,
         "    async def _mutant_warm_up(self):\n"
         "        from repro.rabbit import native\n"
-        "        native.library()\n\n" + needle,
+        "        native.library()\n\n"
+        "    async def _mutant_probe(self):\n"
+        "        import socket\n"
+        "        socket.create_connection(('localhost', 1))\n\n" + needle,
         1,
     ))
+    metrics = tree / "obs" / "metrics.py"
+    metrics.write_text(
+        metrics.read_text()
+        + "\n\ndef _mutant_peek(cache):\n    return len(cache._memory)\n"
+    )
+    csr = tree / "graph" / "csr.py"
+    csr.write_text(
+        csr.read_text()
+        + "\n\ndef _mutant_indptr(n):\n    indptr = np.zeros(n)\n"
+        "    return indptr\n"
+    )
     return tree
+
+
+def mutant_findings(mutant_tree, rule, filename):
+    report = run_check([mutant_tree], rules=[rule])
+    return [
+        f for f in findings_for(report, rule) if Path(f.path).name == filename
+    ]
 
 
 class TestSeededMutants:
@@ -446,6 +471,15 @@ class TestSeededMutants:
         assert found, "compiler subprocess reachable from a coroutine"
         assert all("_mutant_warm_up" in f.message for f in found)
 
+    def test_socket_opened_in_a_daemon_coroutine_is_flagged(self, mutant_tree):
+        """A direct sink in a repro/serve/ coroutine that the lexical
+        rule's sink list lacked and the analyzer left to it."""
+        found = mutant_findings(
+            mutant_tree, "async-blocking-reachable", "daemon.py"
+        )
+        assert [f.message for f in found if "socket" in f.message], found
+        assert all("_mutant_probe" in f.message for f in found)
+
     @pytest.mark.usefixtures("arena_cursor_fact")
     def test_rogue_cursor_write_is_flagged(self, mutant_tree):
         report = run_check([mutant_tree], rules=["state-ownership"])
@@ -456,8 +490,27 @@ class TestSeededMutants:
             for f in found
         )
 
+    def test_cache_memory_read_from_obs_is_flagged(self, mutant_tree):
+        """A read (not a write) from a package outside rabbit/ and
+        parallel/, the lexical rule's scope."""
+        found = mutant_findings(mutant_tree, "state-ownership", "metrics.py")
+        assert len(found) == 1
+        assert "._memory" in found[0].message
+
+    def test_float_indptr_in_csr_is_flagged(self, mutant_tree):
+        found = mutant_findings(mutant_tree, "dtype-flow", "csr.py")
+        assert len(found) == 1
+        assert "'indptr'" in found[0].message
+        assert "float64 by default" in found[0].message
+
     def test_unmutated_rules_stay_clean_on_mutant_tree(self, mutant_tree):
-        # The mutants must trip exactly the targeted analyzers — the
-        # dtype-flow pass has no seeded defect and must stay quiet.
-        report = run_check([mutant_tree], rules=["dtype-flow"])
-        assert findings_for(report, "dtype-flow") == []
+        # Each mutant trips only the rule it targets, only in the file it
+        # was seeded into; every other rule stays quiet.
+        report = run_check([mutant_tree])
+        assert {(f.rule, Path(f.path).name) for f in report.findings} == {
+            ("async-blocking-reachable", "protocol.py"),
+            ("async-blocking-reachable", "native.py"),
+            ("async-blocking-reachable", "daemon.py"),
+            ("state-ownership", "metrics.py"),
+            ("dtype-flow", "csr.py"),
+        }

@@ -4,6 +4,7 @@ report — the workflow layer around the analyzers."""
 import json
 import subprocess
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -194,11 +195,16 @@ class TestRestrictedRun:
         (pkg / "callee.py").write_text(callee)
         tree = tmp_path / "repro"
         full = run_check([tree], rules=["dtype-flow"])
-        assert len(full.findings) == 1
+        # the sink in callee.py, plus the np.int32 construction site in
+        # caller.py
+        assert sorted(Path(f.path).name for f in full.findings) == [
+            "callee.py",
+            "caller.py",
+        ]
         sink_scoped = run_check(
             [tree], rules=["dtype-flow"], restrict=[pkg / "callee.py"]
         )
-        assert len(sink_scoped.findings) == 1
+        assert [Path(f.path).name for f in sink_scoped.findings] == ["callee.py"]
 
 
 class TestDebtReport:
@@ -220,6 +226,24 @@ class TestDebtReport:
         assert "NO JUSTIFICATION" in text and "[file-wide]" in text
         doc = json.loads(report.to_json())
         assert doc["unjustified"] == 1 and doc["file_wide"] == 1
+
+    def test_pragma_text_in_a_docstring_is_not_a_suppression(self, tmp_path):
+        # Docs that show the pragma syntax are not pragmas: only comments
+        # (as the tokenizer sees them) count, exactly as for suppression.
+        pkg = tmp_path / "repro"
+        pkg.mkdir()
+        (pkg / "a.py").write_text(
+            '"""Suppress with ``# repro: ignore[layering] why``, or\n'
+            '\n'
+            '    # repro: ignore-file[unseeded-rng]  whole file\n'
+            '"""\n'
+            "x = 1  # repro: ignore[unseeded-rng] fixture noise only\n"
+        )
+        report = debt_report([pkg])
+        assert [(s.rule, s.line) for s in report.suppressions] == [
+            ("unseeded-rng", 5)
+        ]
+        assert report.file_wide == []
 
     def test_clean_tree(self, tmp_path):
         pkg = tmp_path / "repro"

@@ -26,13 +26,27 @@ class TestRegistry:
     def test_all_rules_sorted_and_documented(self):
         rules = all_rules()
         assert [r.id for r in rules] == sorted(r.id for r in rules)
-        assert len(rules) == 15
+        assert len(rules) == 11
         for rule in rules:
             assert rule.rationale
 
     def test_get_rule_unknown_id(self):
         with pytest.raises(CheckError, match="unknown rule"):
             get_rule("no-such-rule")
+
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            "blocking-call-in-async",
+            "private-atomic-state",
+            "int32-index",
+            "float-index-array",
+        ],
+    )
+    def test_merged_lexical_rule_ids_are_gone(self, retired):
+        # Folded into their analyzers without aliases.
+        with pytest.raises(CheckError, match="unknown rule"):
+            get_rule(retired)
 
     def test_register_rejects_bad_ids(self):
         class Bad(Rule):

@@ -7,9 +7,21 @@ gone trigger-happy) fails here first.
 
 from pathlib import Path
 
-from repro.check import run_check
+from repro.check import get_rule, run_check, scan_suppressions
+from repro.check.engine import FileContext, iter_python_files
+from repro.errors import CheckError
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def src_contexts():
+    """Every file under ``src/``, parsed, with repo-relative paths."""
+    ctxs = []
+    for path in iter_python_files([REPO_ROOT / "src"]):
+        ctx = FileContext(path, rel=path.relative_to(REPO_ROOT).as_posix())
+        ctx.tree
+        ctxs.append(ctx)
+    return ctxs
 
 
 class TestSelfHost:
@@ -19,7 +31,7 @@ class TestSelfHost:
 
     def test_every_registered_rule_ran(self):
         report = run_check([REPO_ROOT / "src"])
-        assert len(report.rules_run) == 15
+        assert len(report.rules_run) == 11
         assert report.files_checked > 90
 
     def test_interprocedural_analyzers_are_registered(self):
@@ -35,15 +47,9 @@ class TestSelfHost:
         # Every DISPATCH_EDGES / OWNERSHIP_FACTS qualname must still
         # name a function in the tree — facts must not rot as code moves.
         from repro.check.callgraph import build_callgraph
-        from repro.check.engine import FileContext, iter_python_files
         from repro.check.facts import OWNERSHIP_FACTS
 
-        ctxs = []
-        for path in iter_python_files([REPO_ROOT / "src"]):
-            rel = path.relative_to(REPO_ROOT).as_posix()
-            ctx = FileContext(path, rel=rel)
-            ctx.tree
-            ctxs.append(ctx)
+        ctxs = src_contexts()
         graph = build_callgraph(ctxs)
         assert graph.unbound_facts == []
         missing = [
@@ -57,17 +63,23 @@ class TestSelfHost:
     def test_intentional_suppressions_carry_justifications(self):
         # Every inline pragma must say *why* (text after the bracket);
         # a bare pragma is a suppression nobody can review.
-        import re
-
-        pragma = re.compile(
-            r"#\s*repro:\s*(?:ignore|ignore-file)\[[^\]]+\](?P<why>.*)"
-        )
-        bare = []
-        for path in (REPO_ROOT / "src").rglob("*.py"):
-            for lineno, line in enumerate(
-                path.read_text().splitlines(), start=1
-            ):
-                m = pragma.search(line)
-                if m and not m.group("why").strip():
-                    bare.append(f"{path}:{lineno}")
+        bare = [
+            f"{s.path}:{s.line}"
+            for s in scan_suppressions(src_contexts())
+            if not s.justification
+        ]
         assert bare == [], f"suppressions without justification: {bare}"
+
+    def test_every_pragma_names_a_live_rule_for_its_file(self):
+        # A pragma naming a retired rule, or a rule whose scope does not
+        # cover the file, suppresses nothing and only misleads readers.
+        ctxs = {ctx.rel: ctx for ctx in src_contexts()}
+        dead = []
+        for supp in scan_suppressions(list(ctxs.values())):
+            try:
+                live = get_rule(supp.rule).applies_to(ctxs[supp.path])
+            except CheckError:
+                live = False
+            if not live:
+                dead.append(f"{supp.path}:{supp.line} [{supp.rule}]")
+        assert dead == [], f"pragmas that cannot suppress anything: {dead}"

@@ -46,50 +46,6 @@ class TestParallelMachine:
             ParallelMachine().effective_parallelism(0)
 
 
-class TestDetect:
-    CPUINFO_4C8T = "\n\n".join(
-        f"processor\t: {p}\nphysical id\t: 0\ncore id\t: {p % 4}\n"
-        for p in range(8)
-    )
-
-    def test_synthetic_topology(self, tmp_path):
-        path = tmp_path / "cpuinfo"
-        path.write_text(self.CPUINFO_4C8T)
-        m = ParallelMachine.detect(cpuinfo_path=str(path), sched_threads=8)
-        assert m.physical_cores == 4
-        assert m.hardware_threads == 8
-        assert m.memory_parallelism_cap == pytest.approx(4 * 20.0 / 24.0)
-
-    def test_affinity_clamps_cores(self, tmp_path):
-        """A cgroup quota below the socket's core count wins: the machine
-        model must not promise cores the scheduler will never grant."""
-        path = tmp_path / "cpuinfo"
-        path.write_text(self.CPUINFO_4C8T)
-        m = ParallelMachine.detect(cpuinfo_path=str(path), sched_threads=2)
-        assert m.physical_cores == 2
-        assert m.hardware_threads == 2
-
-    def test_unreadable_cpuinfo_falls_back_to_threads(self, tmp_path):
-        m = ParallelMachine.detect(
-            cpuinfo_path=str(tmp_path / "missing"), sched_threads=6
-        )
-        assert m.physical_cores == 6
-        assert m.hardware_threads == 6
-
-    def test_garbage_cpuinfo_falls_back(self, tmp_path):
-        path = tmp_path / "cpuinfo"
-        path.write_text("not a cpuinfo file at all\n")
-        m = ParallelMachine.detect(cpuinfo_path=str(path), sched_threads=3)
-        assert m.physical_cores == 3
-
-    def test_host_detect_is_sane_and_cached(self):
-        a = ParallelMachine.detect()
-        b = ParallelMachine.detect()
-        assert a is b
-        assert a.physical_cores >= 1
-        assert a.hardware_threads >= a.physical_cores
-
-
 class TestProjection:
     def test_one_thread_is_total_work(self):
         assert projected_time(stats(1000, 10), 1) == pytest.approx(1000)
