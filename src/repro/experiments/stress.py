@@ -304,8 +304,8 @@ def _checkpointed_permutation(
 
     Baseline, child, and resumed runs all go through this same
     configuration, so bit-identity comparisons are against the identical
-    checkpointed driver (the parallel round-based driver reseeds per
-    round and is only comparable to itself).
+    checkpointed configuration (a checkpointed parallel run reseeds per
+    round and is only comparable to checkpointed runs).
     """
     from repro.resilience.checkpoint import CheckpointConfig
 

@@ -42,7 +42,11 @@ def save_npz(graph: CSRGraph, path) -> None:
 
 
 def load_npz(path) -> CSRGraph:
-    """Load a graph previously written by :func:`save_npz`."""
+    """Load a graph previously written by :func:`save_npz`.
+
+    Anything else — unreadable, not a zip archive, a member missing or
+    malformed — raises :class:`~repro.errors.GraphFormatError`.
+    """
     try:
         with np.load(Path(path)) as data:
             if "format_version" not in data:
@@ -57,7 +61,9 @@ def load_npz(path) -> CSRGraph:
                 indices=data["indices"],
                 weights=data["weights"] if "weights" in data else None,
             )
-    except (OSError, BadZipFile, ValueError) as exc:
+    except (OSError, BadZipFile, ValueError, KeyError, IndexError, TypeError) as exc:
         # np.load raises BadZipFile or ValueError depending on how the
-        # file is corrupt.
+        # file is corrupt, and returns a bare array (no context manager:
+        # TypeError) for an .npy file; a missing member raises KeyError
+        # and an empty format_version IndexError.
         raise GraphFormatError(f"cannot read graph archive {path}: {exc}") from exc

@@ -17,23 +17,52 @@ Readers therefore see either the old complete file or the new complete
 file, never a mixture.  The ``bare-open-write`` lint rule
 (:mod:`repro.check.rules.io`) enforces that result-artifact writes in
 ``src/`` go through this module.
+
+Checkpoints and permutation-cache entries share one *sealed* container
+(:func:`write_sealed` / :func:`read_sealed`)::
+
+    magic (8 bytes) | schema_version u32 | payload_crc32 u32
+    | payload_len u64 | payload (npz: the arrays, then meta as JSON)
+
+Atomic install rules out a torn write; the header and CRC catch a
+truncated or bit-flipped file; and the reader turns every malformed
+payload into the caller's typed error, so a damaged file is skipped or
+reported, never a crash.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
+import struct
 import tempfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
+from zipfile import BadZipFile
+
+import numpy as np
 
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "atomic_writer",
     "atomic_numpy_save",
+    "write_sealed",
+    "read_sealed",
 ]
+
+_SEAL = struct.Struct("<8sIIQ")
+
+#: What parsing an npz payload can raise: zipfile (bad archive, missing
+#: or truncated member; RuntimeError covers encrypted members and unknown
+#: compression), the npy header parser, JSON decoding and dtype casts.
+_MALFORMED = (
+    BadZipFile, EOFError, KeyError, OSError, RuntimeError, TypeError,
+    ValueError, zlib.error,
+)
 
 
 @contextmanager
@@ -91,3 +120,78 @@ def atomic_numpy_save(path: str | Path, saver: Callable[[IO[bytes]], None]) -> N
     buf = io.BytesIO()
     saver(buf)
     atomic_write_bytes(path, buf.getvalue())
+
+
+def write_sealed(
+    path: str | Path,
+    magic: bytes,
+    version: int,
+    arrays: dict[str, np.ndarray],
+    meta: dict[str, Any],
+) -> Path:
+    """Atomically install *arrays* and *meta* as one sealed file."""
+    buf = io.BytesIO()
+    meta_json = json.dumps(meta, sort_keys=True).encode("utf-8")
+    np.savez(buf, **arrays, meta_json=np.frombuffer(meta_json, dtype=np.uint8))
+    payload = buf.getvalue()
+    header = _SEAL.pack(magic, version, zlib.crc32(payload), len(payload))
+    dest = Path(path)
+    atomic_write_bytes(dest, header + payload)
+    return dest
+
+
+def read_sealed(
+    path: str | Path,
+    magic: bytes,
+    version: int,
+    fields: Iterable[tuple[str, Any]],
+    *,
+    error: type[Exception],
+    kind: str,
+) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """Read and verify a :func:`write_sealed` file.
+
+    Returns ``(meta, arrays)``, each ``(name, dtype)`` of *fields* cast
+    to its dtype.  Any failure — unreadable, truncated, wrong magic or
+    version, CRC mismatch, a payload that is not the expected npz, meta
+    that is not a JSON object — raises *error*, with *kind* naming the
+    file in the message.
+    """
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {kind} {path}: {exc}") from exc
+    if len(raw) < _SEAL.size:
+        raise error(
+            f"{path}: truncated {kind} ({len(raw)} bytes, header needs "
+            f"{_SEAL.size})"
+        )
+    got_magic, got_version, crc, length = _SEAL.unpack_from(raw)
+    if got_magic != magic:
+        raise error(f"{path}: not a {kind} (bad magic)")
+    if got_version != version:
+        raise error(
+            f"{path}: unsupported {kind} schema version {got_version} "
+            f"(this build reads {version})"
+        )
+    payload = raw[_SEAL.size :]
+    if len(payload) != length:
+        raise error(
+            f"{path}: truncated {kind} payload ({len(payload)} of {length} bytes)"
+        )
+    if zlib.crc32(payload) != crc:
+        raise error(f"{path}: {kind} payload fails its CRC32")
+    try:
+        # Only a zip payload reaches np.load: anything else would be
+        # parsed as a bare array or refused as a pickle.
+        if not payload.startswith(b"PK\x03\x04"):
+            raise ValueError("payload is not an npz archive")
+        with np.load(io.BytesIO(payload), allow_pickle=False) as data:
+            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+            arrays = {name: np.asarray(data[name], dtype=dt) for name, dt in fields}
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta is a JSON {type(meta).__name__}, not an object")
+    except _MALFORMED as exc:
+        raise error(f"{path}: malformed {kind} payload: {exc}") from exc
+    return meta, arrays

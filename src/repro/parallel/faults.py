@@ -19,10 +19,10 @@ describes a hostile environment —
 A plan is pure data; the runtime state lives in :class:`FaultInjector`,
 whose RNG is seeded from the plan so any schedule is replayable under the
 deterministic :class:`~repro.parallel.scheduler.InterleavingScheduler`.
-The hooks are opt-in at construction time: the unfaulted
-:class:`~repro.parallel.atomics.AtomicPairArray` and the scheduler's plain
-run loop are untouched when no plan is given, so the hot path pays
-nothing for this machinery.
+The hooks are opt-in at construction time: without a plan the driver
+builds the unfaulted :class:`~repro.parallel.atomics.AtomicPairArray`
+and the scheduler skips its per-step fault hook, so an unfaulted run
+pays one ``None`` test per scheduling step for this machinery.
 """
 
 from __future__ import annotations
@@ -150,19 +150,21 @@ class FaultInjector:
             self._windows.clear()
 
     def enable(self) -> None:
-        """Resume injecting after a :meth:`disable` (round-based runs)."""
+        """Resume injecting after a :meth:`disable`: checkpointed runs
+        recover after every round, then inject again in the next."""
         with self._lock:
             self._enabled = True
 
     def reseed(self, seed: int) -> None:
         """Restart the decision RNG from *seed*.
 
-        Round-based checkpointed runs reseed at every round boundary with
-        a seed derived from ``(plan.seed, rounds_completed)``, so a
-        resumed run draws exactly the fault sequence the uninterrupted
-        run would have drawn from that boundary on.  Counters are *not*
-        reset: the ``max_stalls``/``max_crashes`` caps stay cumulative
-        across rounds (and are restored from checkpoint meta on resume).
+        Checkpointed runs reseed at every round boundary with a seed
+        derived from ``(plan.seed, chunks_done)``, so a resumed run draws
+        exactly the fault sequence the uninterrupted run would have drawn
+        from that boundary on; an uncheckpointed run is one round on the
+        plan's own seed and never reseeds.  Counters are *not* reset: the
+        ``max_stalls``/``max_crashes`` caps stay cumulative across rounds
+        (and are restored from checkpoint meta on resume).
         """
         with self._lock:
             self._rng = np.random.default_rng(seed)

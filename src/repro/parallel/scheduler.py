@@ -55,11 +55,11 @@ class InterleavingScheduler:
         not quiesce within this many scheduling steps (catches livelock in
         retry loops).
     faults:
-        optional :class:`~repro.parallel.faults.FaultInjector`; when set,
-        live tasks may be stalled for ``plan.stall_steps`` scheduling
-        steps or crashed (abandoned mid-flight, never resumed) at any
-        scheduling point.  ``None`` selects the plain run loop — the
-        default path is untouched by fault machinery.
+        optional :class:`~repro.parallel.faults.FaultInjector`, consulted
+        once per scheduling step: the drawn task may be stalled for
+        ``plan.stall_steps`` steps or crashed (abandoned mid-flight,
+        never resumed).  ``None`` skips the hook, and the schedule draws
+        are the same either way.
     """
 
     def __init__(
@@ -82,52 +82,14 @@ class InterleavingScheduler:
         admitted in order as slots free up) — modelling a machine with
         that many hardware threads.  ``None`` makes every task live
         immediately (maximal adversarial interleaving).
-        """
-        if self._faults is not None:
-            self._run_with_faults(tasks, window=window)
-            return
-        pending: deque[TaskGen] = deque(tasks)
-        runnable: list[TaskGen] = []
-        limit = len(pending) if window is None else max(1, window)
-        steps = 0
-        while runnable or pending:
-            while pending and len(runnable) < limit:
-                runnable.append(pending.popleft())
-            idx = int(self._rng.integers(0, len(runnable)))
-            task = runnable[idx]
-            try:
-                spawned = next(task)
-            except StopIteration:
-                # Swap-remove keeps the step O(1).
-                runnable[idx] = runnable[-1]
-                runnable.pop()
-            else:
-                if spawned is not None:
-                    pending.append(spawned)
-            steps += 1
-            if steps > self._max_steps:
-                raise LivelockError(
-                    f"tasks did not quiesce within {self._max_steps} steps; "
-                    "likely a livelock in a retry loop"
-                )
-        self.steps_taken = steps
-        registry = get_registry()
-        registry.counter("scheduler.interleave.runs").inc()
-        registry.counter("scheduler.interleave.steps").inc(steps)
 
-    def _run_with_faults(
-        self, tasks: Iterable[TaskGen], *, window: int | None = None
-    ) -> None:
-        """The run loop with stall/crash injection at scheduling points.
-
-        Identical schedule draws as the plain loop (one RNG draw per
-        step), so a given ``(seed, plan)`` pair replays exactly.  A
-        stalled task keeps its hardware-thread slot but burns steps; a
-        crashed task is dropped without cleanup, exactly like a worker
-        dying mid-critical-section.
+        Each step draws one task; with a fault injector, the draw is
+        followed by the injector's decision for that task, so a given
+        ``(seed, plan)`` pair replays exactly.  A stalled task keeps its
+        hardware-thread slot but burns steps; a crashed task is dropped
+        without cleanup, exactly like a worker dying mid-critical-section.
         """
-        injector = self._faults
-        assert injector is not None
+        faults = self._faults
         pending: deque[TaskGen] = deque(tasks)
         runnable: list[TaskGen] = []
         stalled: list[int] = []  # per-task remaining frozen steps
@@ -145,36 +107,38 @@ class InterleavingScheduler:
                     f"tasks did not quiesce within {self._max_steps} steps; "
                     "likely a livelock in a retry loop"
                 )
-            if stalled[idx] > 0:
-                stalled[idx] -= 1
-                continue
-            action = injector.schedule_action()
-            if action == CRASH:
-                # Abandon without close(): a crash runs no cleanup.
+            done = False
+            if faults is not None:
+                if stalled[idx] > 0:
+                    stalled[idx] -= 1
+                    continue
+                action = faults.schedule_action()
+                if action == STALL:
+                    stalled[idx] = faults.plan.stall_steps
+                    continue
+                if action == CRASH:
+                    # Abandon without close(): a crash runs no cleanup.
+                    self.crashed_tasks += 1
+                    done = True
+            if not done:
+                try:
+                    spawned = next(runnable[idx])
+                except StopIteration:
+                    done = True
+                else:
+                    if spawned is not None:
+                        pending.append(spawned)
+            if done:
+                # Swap-remove keeps the step O(1).
                 runnable[idx] = runnable[-1]
                 stalled[idx] = stalled[-1]
                 runnable.pop()
                 stalled.pop()
-                self.crashed_tasks += 1
-                continue
-            if action == STALL:
-                stalled[idx] = injector.plan.stall_steps
-                continue
-            task = runnable[idx]
-            try:
-                spawned = next(task)
-            except StopIteration:
-                runnable[idx] = runnable[-1]
-                stalled[idx] = stalled[-1]
-                runnable.pop()
-                stalled.pop()
-            else:
-                if spawned is not None:
-                    pending.append(spawned)
         self.steps_taken = steps
         registry = get_registry()
         registry.counter("scheduler.interleave.runs").inc()
         registry.counter("scheduler.interleave.steps").inc(steps)
-        registry.counter("scheduler.interleave.crashed_tasks").inc(
-            self.crashed_tasks
-        )
+        if faults is not None:
+            registry.counter("scheduler.interleave.crashed_tasks").inc(
+                self.crashed_tasks
+            )

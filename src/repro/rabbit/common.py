@@ -22,12 +22,16 @@ endpoints, and fold internal edges into the self-loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.community.dendrogram import NO_VERTEX
 from repro.graph.csr import CSRGraph
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.resilience.checkpoint import Snapshot
 
 __all__ = ["AggregationState", "RabbitStats", "trace_dest", "aggregate_vertex"]
 
@@ -82,6 +86,38 @@ class AggregationState:
             sibling=np.full(n, NO_VERTEX, dtype=np.int64),
             adj=[None] * n,
             total_weight=graph.total_edge_weight(),
+        )
+
+    def restore(self, snapshot: "Snapshot") -> None:
+        """Load a checkpoint's links and folded adjacency (resume).
+
+        Writes into the existing arrays, so a ``child`` aliased to an
+        atomic array's storage receives the links too.  Dict entries keep
+        the snapshot's first-encounter key order, which is what makes the
+        resumed accumulation bit-identical.
+        """
+        self.dest[:] = snapshot.dest
+        self.child[:] = snapshot.child
+        self.sibling[:] = snapshot.sibling
+        for v, entry in enumerate(snapshot.iter_adjacency()):
+            if entry is not None:
+                keys, ws = entry
+                self.adj[v] = dict(zip(keys.tolist(), ws.tolist()))
+
+    def capture(self, **fields: Any) -> "Snapshot":
+        """This state as a checkpoint; *fields* are the remaining
+        :func:`~repro.resilience.checkpoint.build_snapshot` arguments."""
+        from repro.resilience.checkpoint import build_snapshot
+
+        return build_snapshot(
+            dest=self.dest,
+            child=self.child,
+            sibling=self.sibling,
+            adjacency=(
+                None if d is None else (list(d.keys()), list(d.values()))
+                for d in self.adj
+            ),
+            **fields,
         )
 
 

@@ -25,17 +25,30 @@ Faithfulness notes relative to the paper's pseudocode:
   decided from valid neighbours only — this bounds livelock between
   mutually-retrying vertices, a case the paper leaves unspecified.
 
+The driver runs the degree-ordered chunk list as a sequence of *rounds*:
+each round is one seeded scheduler run over a slice of the chunks, ends
+when every worker has quiesced, and is followed by crash recovery (under
+a fault plan) and a snapshot (when checkpointing).  An uncheckpointed run
+is a single round seeded with ``scheduler_seed`` and the fault plan's own
+seed.  With ``checkpoint=``/``resume=`` a round holds
+``ceil(every / chunk_size)`` chunks and is seeded with
+``derive_seed(seed, chunks_done)`` — its schedule depends only on where
+it starts, so a resumed run replays exactly the rounds the uninterrupted
+run executes.  Generator frames cannot be serialised, so a round boundary
+is the only point at which the shared state is a snapshot.
+
 Fault tolerance (beyond the paper): with a
 :class:`~repro.parallel.faults.FaultPlan`, the scheduler may stall or
 *crash* workers and the atomics may lie (forced CAS failures, spurious
-invalidation windows).  After the scheduler returns, a recovery pass
-repairs the shared state a dead worker left behind — committed CAS merges
-whose ``dest`` write never landed, dangling pre-CAS ``sibling`` writes,
+invalidation windows).  After each round a recovery pass repairs the
+shared state a dead worker left behind — committed CAS merges whose
+``dest`` write never landed, dangling pre-CAS ``sibling`` writes,
 vertices stranded in the invalidated state — and drives the residual
 (orphaned) vertex set through a *sequential* fallback aggregation pass.
 The fallback runs with injection disabled and all community degrees
-restored, so it cannot retry indefinitely: termination is guaranteed and
-the result is a complete dendrogram, auditable via ``audit=True``.
+restored, so it cannot retry indefinitely: termination is guaranteed, a
+checkpoint never stores a dead worker's partial writes, and the result
+is a complete dendrogram, auditable via ``audit=True``.
 """
 
 from __future__ import annotations
@@ -65,7 +78,6 @@ from repro.rabbit.seq import restore_stats
 from repro.resilience.checkpoint import (
     Snapshot,
     as_checkpointer,
-    build_snapshot,
     graph_fingerprint,
     require_fingerprint_match,
 )
@@ -238,10 +250,10 @@ def _recover_from_faults(
     atoms: AtomicPairArray,
     base_degrees: np.ndarray,
     sinks: list[list[int]],
+    admitted: np.ndarray,
     *,
     merge_threshold: float,
     max_attempts: int,
-    eligible: np.ndarray | None = None,
 ) -> RabbitStats:
     """Crash recovery: repair partial writes, then sequentially finish.
 
@@ -262,12 +274,11 @@ def _recover_from_faults(
     including untouched vertices from a dead worker's queue) are then
     driven through the normal worker logic *sequentially*.
 
-    *eligible*, if given, restricts the orphan scan to a boolean mask of
-    vertices the run has already admitted — the round-based checkpointed
-    driver recovers after every round, when the unprocessed suffix of the
+    *admitted* is the boolean mask of vertices the rounds so far have
+    handed to workers; the orphan scan is restricted to it, because
+    recovery runs after every round, when the unprocessed suffix of the
     visit order is still legitimately untouched (not orphaned).  Chained
-    vertices are always a subset of admitted ones, so steps 1–2 need no
-    mask.  With
+    vertices are always admitted, so steps 1–2 need no mask.  With
     injection off and every community degree valid, no retry path can
     trigger, so this pass terminates in one sweep — bounded livelock
     degrades to guaranteed termination with a complete dendrogram.
@@ -302,10 +313,7 @@ def _recover_from_faults(
         rec.merges += 1
         rec.partial_repairs += 1
     # 3. Orphans: neither merged, nor in a chain, nor decided top-level.
-    orphan_mask = unmerged & ~chained & ~in_sink
-    if eligible is not None:
-        orphan_mask &= eligible
-    orphans = np.flatnonzero(orphan_mask)
+    orphans = np.flatnonzero(unmerged & ~chained & ~in_sink & admitted)
     if orphans.size == 0:
         return rec
     rec.orphans_recovered = int(orphans.size)
@@ -371,8 +379,8 @@ def community_detection_par(
     fault_plan:
         inject faults from this seed-replayable plan (forced CAS
         failures, spurious invalidation windows, worker stalls/crashes)
-        and run crash recovery afterwards.  ``None`` (the default) uses
-        the unfaulted atomics and scheduler loop.
+        and run crash recovery after every round.  ``None`` (the
+        default) uses the unfaulted atomics and no scheduler hook.
     audit:
         run the post-run integrity auditor
         (:func:`repro.rabbit.audit.audit_dendrogram`) and raise
@@ -385,11 +393,11 @@ def community_detection_par(
         ``None`` test per atomic operation).
     checkpoint:
         a :class:`~repro.resilience.checkpoint.CheckpointConfig` or
-        :class:`~repro.resilience.checkpoint.Checkpointer`: run the
-        round-based driver that quiesces the workers every ~``every``
-        decided vertices and snapshots the shared state.  Incompatible
-        with ``detect_races`` (the tracing proxies cannot cross a
-        quiescence boundary).
+        :class:`~repro.resilience.checkpoint.Checkpointer`: split the run
+        into rounds of ~``every`` vertices and snapshot the shared state
+        after each (module docstring).  Incompatible with
+        ``detect_races`` (the tracing proxies cannot cross a round
+        boundary).
     resume:
         a :class:`~repro.resilience.checkpoint.Snapshot` (from any
         engine) to restore and continue from.  The completed run is
@@ -398,12 +406,12 @@ def community_detection_par(
     """
     require_symmetric(graph, "Rabbit Order")
     n = graph.num_vertices
-    if checkpoint is not None or resume is not None:
-        if detect_races:
-            raise ValueError(
-                "detect_races cannot be combined with checkpoint/resume: "
-                "the race log cannot span a quiescence boundary"
-            )
+    checkpointed = checkpoint is not None or resume is not None
+    if checkpointed and detect_races:
+        raise ValueError(
+            "detect_races cannot be combined with checkpoint/resume: "
+            "the race log cannot span a quiescence boundary"
+        )
     if graph.total_edge_weight() <= 0.0:
         stats = RabbitStats(toplevels=n)
         dendrogram = Dendrogram(
@@ -424,20 +432,7 @@ def community_detection_par(
             worker_work=np.zeros(0, dtype=np.int64),
             audit_report=audit_report,
         )
-    if checkpoint is not None or resume is not None:
-        return _detect_par_checkpointed(
-            graph,
-            num_threads=num_threads,
-            scheduler_seed=scheduler_seed,
-            chunk_size=chunk_size,
-            merge_threshold=merge_threshold,
-            max_attempts=max_attempts,
-            collect_vertex_work=collect_vertex_work,
-            fault_plan=fault_plan,
-            audit=audit,
-            checkpointer=as_checkpointer(checkpoint),
-            resume=resume,
-        )
+    checkpointer = as_checkpointer(checkpoint)
     with span("rabbit.par.setup", n=n):
         state = AggregationState.initialize(graph)
         counter = OpCounter()
@@ -451,6 +446,32 @@ def community_detection_par(
         # the paper's single 16-byte record guarantees: alias the dendrogram
         # child links to the atomic array's storage.
         state.child = atoms.children_view()
+        stats = RabbitStats()
+        if collect_vertex_work:
+            stats.vertex_work = np.zeros(n, dtype=np.int64)
+        toplevel: list[int] = []
+        worker_work: list[int] = []  # edges folded per completed chunk
+        if checkpointed:
+            fingerprint = graph_fingerprint(graph, merge_threshold=merge_threshold)
+        if resume is None:
+            start = 0
+            order = np.argsort(graph.degrees(), kind="stable")
+        else:
+            require_fingerprint_match(resume, fingerprint)
+            start = resume.progress
+            order = resume.order.copy()
+            state.restore(resume)  # child links land in the atomics (aliased)
+            # Merged vertices legitimately carry INVALID_DEGREE, which the
+            # constructor would reject: restore through the view.
+            atoms.degrees_view()[:] = resume.degrees
+            toplevel = resume.toplevel.tolist()
+            worker_work = resume.chunk_edges.tolist()
+            restore_stats(stats, resume)
+            if injector is not None:
+                # Fault caps (max_crashes/max_stalls) are cumulative
+                # across the whole logical run, not per process.
+                for name, value in resume.fault_counters.items():
+                    setattr(injector.counters, name, value)
         race_log = None
         if detect_races:
             from repro.check.races import (
@@ -470,93 +491,119 @@ def community_detection_par(
             state.sibling = TracingArray(state.sibling, race_log, "sibling")
             state.child = TracingArray(state.child, race_log, "child")
             state.adj = TracingList(state.adj, race_log, "adj")
-        order = np.argsort(graph.degrees(), kind="stable")
         if chunk_size is None:
-            chunk_size = _default_chunk_size(n, num_threads)
-        chunks = [order[i : i + chunk_size] for i in range(0, n, chunk_size)]
+            stored = None if resume is None else resume.config.get("chunk_size")
+            chunk_size = (
+                int(stored) if stored else _default_chunk_size(n, num_threads)
+            )
+        chunks = [order[i : i + chunk_size] for i in range(start, n, chunk_size)]
+        chunks_done = start // chunk_size
+        round_chunks = max(1, len(chunks))
+        if checkpointed:
+            every = (
+                checkpointer.every
+                if checkpointer is not None
+                else int(resume.config.get("checkpoint_every", chunk_size))
+            )
+            round_chunks = max(1, -(-every // chunk_size))
+            config = {
+                "engine": "par",
+                "num_threads": int(num_threads),
+                "scheduler_seed": int(scheduler_seed),
+                "chunk_size": int(chunk_size),
+                "checkpoint_every": int(every),
+                "merge_threshold": float(merge_threshold),
+                "max_attempts": int(max_attempts),
+                "collect_vertex_work": bool(collect_vertex_work),
+                "parallel": True,
+            }
 
-    per_chunk_stats = [RabbitStats() for _ in chunks]
-    per_chunk_toplevel: list[list[int]] = [[] for _ in chunks]
-    if collect_vertex_work:
-        for s in per_chunk_stats:
-            s.vertex_work = np.zeros(n, dtype=np.int64)
-    tasks = [
-        _worker(
-            state,
-            atoms,
-            chunk,
-            per_chunk_toplevel[i],
-            per_chunk_stats[i],
-            merge_threshold=merge_threshold,
-            max_attempts=max_attempts,
-        )
-        for i, chunk in enumerate(chunks)
-    ]
-    if race_log is not None:
-        from repro.check.races import tag_worker
-
-        tasks = [tag_worker(task, i) for i, task in enumerate(tasks)]
+    pos = start
+    race_report = None
     with span(
         "rabbit.par.aggregate", n=n, workers=len(chunks), threads=num_threads
     ):
-        # Window = thread count: the scheduler models num_threads hardware
-        # threads, each advancing one task, admitted in degree order.
-        InterleavingScheduler(seed=scheduler_seed, faults=injector).run(
-            tasks, window=num_threads
-        )
+        for first in range(0, len(chunks), round_chunks):
+            batch = chunks[first : first + round_chunks]
+            batch_stats = [RabbitStats() for _ in batch]
+            if collect_vertex_work:
+                for s in batch_stats:
+                    s.vertex_work = np.zeros(n, dtype=np.int64)
+            sinks: list[list[int]] = [[] for _ in batch]
+            tasks = [
+                _worker(state, atoms, chunk, sinks[j], batch_stats[j],
+                        merge_threshold=merge_threshold, max_attempts=max_attempts)
+                for j, chunk in enumerate(batch)
+            ]
+            seed = scheduler_seed
+            if checkpointed:
+                seed = derive_seed(scheduler_seed, chunks_done)
+                if injector is not None:
+                    injector.reseed(derive_seed(fault_plan.seed, chunks_done))
+                    injector.enable()
+            if race_log is not None:
+                from repro.check.races import tag_worker
 
-    race_report = None
-    if race_log is not None:
-        # Quiescence: stop recording and strip every proxy before the
-        # whole-array phases (recovery compares/permutes dest and sibling
-        # in bulk, which the scalar-only proxies refuse by design).
-        from repro.check.races import analyze_log, unwrap
-
-        race_log.close()
-        atoms.tracer = None
-        state.dest = unwrap(state.dest)
-        state.sibling = unwrap(state.sibling)
-        state.child = unwrap(state.child)
-        state.adj = unwrap(state.adj)
-        with span("rabbit.par.racecheck", n=n, events=len(race_log.events)):
-            race_report = analyze_log(race_log)
-
-    recovery_stats = None
-    if injector is not None:
-        # Recovery (and its sequential fallback pass) must see truthful
-        # atomics: no further injected lies or crashes.
-        injector.disable()
-        with span("rabbit.par.recover", n=n):
-            recovery_stats = _recover_from_faults(
-                state,
-                atoms,
-                base_degrees,
-                per_chunk_toplevel,
-                merge_threshold=merge_threshold,
-                max_attempts=max_attempts,
+                tasks = [tag_worker(task, first + j) for j, task in enumerate(tasks)]
+            # Window = thread count: the scheduler models num_threads hardware
+            # threads, each advancing one task, admitted in degree order.
+            InterleavingScheduler(seed=seed, faults=injector).run(
+                tasks, window=num_threads
             )
+            chunks_done += len(batch)
+            pos += sum(len(c) for c in batch)
 
-    stats = RabbitStats()
-    if collect_vertex_work:
-        stats.vertex_work = np.zeros(n, dtype=np.int64)
-    worker_work = np.zeros(len(chunks), dtype=np.int64)
-    for i, s in enumerate(per_chunk_stats):
-        stats.merge_from(s)
-        worker_work[i] = s.edges_scanned
-        if collect_vertex_work and s.vertex_work is not None:
-            stats.vertex_work += s.vertex_work
-    if recovery_stats is not None:
-        stats.merge_from(recovery_stats)
-    toplevel = np.array(
-        [u for sink in per_chunk_toplevel for u in sink], dtype=np.int64
-    )
-    # The dendrogram's child links live in atoms (authoritative) and were
-    # mirrored into state.child on every successful CAS; use the atomic
-    # array's view, which is exact once workers have quiesced.
+            if race_log is not None:
+                race_report = _close_race_log(race_log, state, atoms)
+            recovery_stats = None
+            if injector is not None:
+                # Recovery (and its sequential fallback pass) must see
+                # truthful atomics: no further injected lies or crashes.
+                injector.disable()
+                admitted = np.zeros(n, dtype=bool)
+                admitted[order[:pos]] = True
+                sinks.insert(0, toplevel)
+                with span("rabbit.par.recover", n=n):
+                    recovery_stats = _recover_from_faults(
+                        state, atoms, base_degrees, sinks, admitted,
+                        merge_threshold=merge_threshold, max_attempts=max_attempts,
+                    )
+                del sinks[0]
+            for s in batch_stats:
+                stats.merge_from(s)
+                worker_work.append(s.edges_scanned)
+                if collect_vertex_work and s.vertex_work is not None:
+                    stats.vertex_work += s.vertex_work
+            if recovery_stats is not None:
+                stats.merge_from(recovery_stats)
+            for sink in sinks:
+                toplevel.extend(sink)
+            if checkpointer is not None:
+                checkpointer.save(
+                    state.capture(
+                        engine="par",
+                        progress=pos,
+                        order=order,
+                        comm_deg=atoms.degrees_view(),
+                        toplevel=toplevel,
+                        stats=stats,
+                        fingerprint=fingerprint,
+                        config=config,
+                        chunk_edges=worker_work,
+                        fault_counters=(
+                            None
+                            if injector is None
+                            else injector.counters.snapshot()
+                        ),
+                    )
+                )
+
+    # The dendrogram's child links live in atoms (authoritative); state.child
+    # aliases them, so the atomic array's view is exact once workers quiesce.
     dendrogram = Dendrogram(
         child=atoms.children_view().copy(),
         sibling=state.sibling.copy(),
-        toplevel=toplevel,
+        toplevel=np.array(toplevel, dtype=np.int64),
     )
     # Fold this run's counters into the process-wide metrics registry so
     # harnesses (bench, stress) read one coherent snapshot.
@@ -576,12 +623,33 @@ def community_detection_par(
         dendrogram=dendrogram,
         stats=stats,
         op_counter=counter,
-        num_workers=len(chunks),
-        worker_work=worker_work,
+        num_workers=len(worker_work),
+        worker_work=np.array(worker_work, dtype=np.int64),
         fault_counters=None if injector is None else injector.counters,
         audit_report=audit_report,
         race_report=race_report,
     )
+
+
+def _close_race_log(race_log, state: AggregationState, atoms: AtomicPairArray):
+    """Stop recording, strip every tracing proxy and analyse the log.
+
+    The workers have quiesced; the whole-array phases that follow
+    (recovery compares and permutes ``dest`` and ``sibling`` in bulk)
+    need the raw arrays, which the scalar-only proxies refuse by design.
+    """
+    from repro.check.races import analyze_log, unwrap
+
+    race_log.close()
+    atoms.tracer = None
+    state.dest = unwrap(state.dest)
+    state.sibling = unwrap(state.sibling)
+    state.child = unwrap(state.child)
+    state.adj = unwrap(state.adj)
+    with span(
+        "rabbit.par.racecheck", n=state.dest.size, events=len(race_log.events)
+    ):
+        return analyze_log(race_log)
 
 
 def _default_chunk_size(n: int, num_threads: int) -> int:
@@ -590,228 +658,3 @@ def _default_chunk_size(n: int, num_threads: int) -> int:
     individual vertices): a wide per-thread degree window measurably
     hurts community quality."""
     return max(1, min(32, -(-n // max(1, 8 * num_threads))))
-
-
-def _detect_par_checkpointed(
-    graph: CSRGraph,
-    *,
-    num_threads: int,
-    scheduler_seed: int,
-    chunk_size: int | None,
-    merge_threshold: float,
-    max_attempts: int,
-    collect_vertex_work: bool,
-    fault_plan: FaultPlan | None,
-    audit: bool,
-    checkpointer,
-    resume: Snapshot | None,
-) -> ParallelDetectionResult:
-    """Round-based parallel detection with checkpoint/resume.
-
-    The scheduler cannot be snapshotted mid-flight (generator frames are
-    not serialisable), so the checkpointed driver runs the chunk list in
-    *rounds* of ``ceil(every / chunk_size)`` chunks and snapshots at each
-    round boundary, when every worker has quiesced and the shared state
-    is exactly the engine-agnostic aggregation state.
-
-    Determinism across a kill/resume: the interleaving scheduler and the
-    fault injector are reseeded at every round boundary with
-    ``derive_seed(base_seed, chunks_done)``, so the schedule of round *k*
-    depends only on the boundary position — a resumed run replays the
-    exact rounds the uninterrupted run would have executed.
-
-    Under fault injection, crash recovery runs after *every* round (with
-    the orphan scan masked to admitted vertices), so each snapshot is a
-    fully repaired state — a checkpoint never stores a dead worker's
-    partial writes.
-    """
-    n = graph.num_vertices
-    fingerprint = graph_fingerprint(graph, merge_threshold=merge_threshold)
-    with span("rabbit.par.setup", n=n):
-        state = AggregationState.initialize(graph)
-        counter = OpCounter()
-        base_degrees = newman_degrees(graph)
-        injector = None if fault_plan is None else FaultInjector(fault_plan)
-        if injector is None:
-            atoms = AtomicPairArray(base_degrees, counter)
-        else:
-            atoms = FaultyAtomicPairArray(base_degrees, injector, counter)
-        agg = RabbitStats()
-        if collect_vertex_work:
-            agg.vertex_work = np.zeros(n, dtype=np.int64)
-        toplevel_acc: list[int] = []
-        chunk_edges: list[int] = []
-        start = 0
-        if resume is None:
-            order = np.argsort(graph.degrees(), kind="stable")
-        else:
-            require_fingerprint_match(resume, fingerprint)
-            start = resume.progress
-            order = resume.order.copy()
-            state.dest[:] = resume.dest
-            state.sibling[:] = resume.sibling
-            # Bulk pre-run restore writes straight through the views
-            # (merged vertices legitimately carry INVALID_DEGREE, which
-            # the constructor would reject).
-            atoms.degrees_view()[:] = resume.degrees
-            atoms.children_view()[:] = resume.child
-            for v, entry in enumerate(resume.iter_adjacency()):
-                if entry is not None:
-                    keys, ws = entry
-                    state.adj[v] = dict(zip(keys.tolist(), ws.tolist()))
-            toplevel_acc = resume.toplevel.tolist()
-            chunk_edges = resume.chunk_edges.tolist()
-            restore_stats(agg, resume)
-            if injector is not None:
-                # Fault caps (max_crashes/max_stalls) are cumulative
-                # across the whole logical run, not per process.
-                for name, value in resume.fault_counters.items():
-                    setattr(injector.counters, name, value)
-        # Aggregation must see children the instant their CAS lands (see
-        # community_detection_par): alias the child links to the atomics.
-        state.child = atoms.children_view()
-        if chunk_size is None:
-            stored = None if resume is None else resume.config.get("chunk_size")
-            chunk_size = (
-                int(stored) if stored else _default_chunk_size(n, num_threads)
-            )
-        rem_chunks = [
-            order[i : i + chunk_size] for i in range(start, n, chunk_size)
-        ]
-        chunks_done = start // chunk_size
-        every = (
-            checkpointer.every
-            if checkpointer is not None
-            else int(resume.config.get("checkpoint_every", chunk_size))
-        )
-        round_chunks = max(1, -(-every // chunk_size))
-        config = {
-            "engine": "par",
-            "num_threads": int(num_threads),
-            "scheduler_seed": int(scheduler_seed),
-            "chunk_size": int(chunk_size),
-            "checkpoint_every": int(every),
-            "merge_threshold": float(merge_threshold),
-            "max_attempts": int(max_attempts),
-            "collect_vertex_work": bool(collect_vertex_work),
-            "parallel": True,
-        }
-
-    pos = start
-    with span(
-        "rabbit.par.aggregate",
-        n=n,
-        workers=len(rem_chunks),
-        threads=num_threads,
-    ):
-        next_round = 0
-        while next_round < len(rem_chunks):
-            round_slice = rem_chunks[next_round : next_round + round_chunks]
-            round_stats = [RabbitStats() for _ in round_slice]
-            if collect_vertex_work:
-                for s in round_stats:
-                    s.vertex_work = np.zeros(n, dtype=np.int64)
-            round_sinks: list[list[int]] = [[] for _ in round_slice]
-            tasks = [
-                _worker(
-                    state,
-                    atoms,
-                    chunk_arr,
-                    round_sinks[j],
-                    round_stats[j],
-                    merge_threshold=merge_threshold,
-                    max_attempts=max_attempts,
-                )
-                for j, chunk_arr in enumerate(round_slice)
-            ]
-            if injector is not None:
-                injector.reseed(derive_seed(fault_plan.seed, chunks_done))
-                injector.enable()
-            InterleavingScheduler(
-                seed=derive_seed(scheduler_seed, chunks_done),
-                faults=injector,
-            ).run(tasks, window=num_threads)
-            next_round += len(round_slice)
-            chunks_done += len(round_slice)
-            pos = min(pos + sum(int(c.size) for c in round_slice), n)
-            rec = None
-            new_sinks: list[list[int]] = round_sinks
-            if injector is not None:
-                injector.disable()
-                eligible = np.zeros(n, dtype=bool)
-                eligible[order[:pos]] = True
-                sinks = [toplevel_acc] + round_sinks
-                with span("rabbit.par.recover", n=n):
-                    rec = _recover_from_faults(
-                        state,
-                        atoms,
-                        base_degrees,
-                        sinks,
-                        merge_threshold=merge_threshold,
-                        max_attempts=max_attempts,
-                        eligible=eligible,
-                    )
-                new_sinks = sinks[1:]
-            for s in round_stats:
-                agg.merge_from(s)
-                chunk_edges.append(int(s.edges_scanned))
-                if collect_vertex_work and s.vertex_work is not None:
-                    agg.vertex_work += s.vertex_work
-            if rec is not None:
-                agg.merge_from(rec)
-            for sink in new_sinks:
-                toplevel_acc.extend(sink)
-            if checkpointer is not None:
-                checkpointer.save(
-                    build_snapshot(
-                        engine="par",
-                        progress=pos,
-                        order=order,
-                        dest=state.dest,
-                        child=atoms.children_view(),
-                        sibling=state.sibling,
-                        comm_deg=atoms.degrees_view(),
-                        toplevel=toplevel_acc,
-                        adjacency=(
-                            None if d is None else (list(d.keys()), list(d.values()))
-                            for d in state.adj
-                        ),
-                        stats=agg,
-                        fingerprint=fingerprint,
-                        config=config,
-                        chunk_edges=chunk_edges,
-                        fault_counters=(
-                            None
-                            if injector is None
-                            else injector.counters.snapshot()
-                        ),
-                    )
-                )
-
-    toplevel = np.array(toplevel_acc, dtype=np.int64)
-    dendrogram = Dendrogram(
-        child=atoms.children_view().copy(),
-        sibling=state.sibling.copy(),
-        toplevel=toplevel,
-    )
-    registry = get_registry()
-    registry.absorb_rabbit_stats(agg)
-    registry.absorb_op_counter(counter.snapshot())
-    if injector is not None:
-        registry.absorb_fault_counters(injector.counters)
-    audit_report = None
-    if audit:
-        with span("rabbit.par.audit", n=n):
-            audit_report = audit_dendrogram(
-                graph, dendrogram, stats=agg, degrees=atoms.degrees_view()
-            )
-        audit_report.raise_if_failed()
-    return ParallelDetectionResult(
-        dendrogram=dendrogram,
-        stats=agg,
-        op_counter=counter,
-        num_workers=len(chunk_edges),
-        worker_work=np.array(chunk_edges, dtype=np.int64),
-        fault_counters=None if injector is None else injector.counters,
-        audit_report=audit_report,
-    )

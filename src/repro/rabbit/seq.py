@@ -28,7 +28,6 @@ from repro.rabbit.common import AggregationState, RabbitStats, aggregate_vertex
 from repro.resilience.checkpoint import (
     Snapshot,
     as_checkpointer,
-    build_snapshot,
     graph_fingerprint,
     require_fingerprint_match,
 )
@@ -160,16 +159,10 @@ def community_detection_seq(
             require_fingerprint_match(resume, fingerprint)
             start = resume.progress
             order = resume.order.copy()
-            state.dest[:] = resume.dest
-            state.child[:] = resume.child
-            state.sibling[:] = resume.sibling
+            state.restore(resume)
             # Merged vertices carry INVALID_DEGREE (never read again); roots
             # carry their exact accumulated community degree.
             comm_deg = resume.degrees.copy()
-            for v, entry in enumerate(resume.iter_adjacency()):
-                if entry is not None:
-                    keys, ws = entry
-                    state.adj[v] = dict(zip(keys.tolist(), ws.tolist()))
             toplevel = resume.toplevel.tolist()
             restore_stats(stats, resume)
         config = {
@@ -216,19 +209,12 @@ def community_detection_seq(
                 stats.merges += 1
             if ckpt is not None and ckpt.due(i + 1):
                 ckpt.save(
-                    build_snapshot(
+                    state.capture(
                         engine="dict",
                         progress=i + 1,
                         order=order,
-                        dest=dest,
-                        child=child,
-                        sibling=sibling,
                         comm_deg=comm_deg,
                         toplevel=toplevel,
-                        adjacency=(
-                            None if d is None else (list(d.keys()), list(d.values()))
-                            for d in state.adj
-                        ),
                         stats=stats,
                         fingerprint=fingerprint,
                         config=config,

@@ -22,26 +22,23 @@ aggregation state, not engine internals:
 
 File format
 -----------
-A fixed binary header followed by an ``npz`` payload::
+The sealed container of :func:`repro.ioutil.write_sealed`, magic
+``RBO-CKPT``: a fixed binary header followed by an ``npz`` payload::
 
     magic "RBO-CKPT" | schema_version u32 | payload_crc32 u32
     | payload_len u64 | payload (npz bytes, meta as JSON inside)
 
-Files are written via :func:`repro.ioutil.atomic_write_bytes` (tmp +
-fsync + rename), so a crash mid-write can never tear a checkpoint; a
-torn, truncated, or bit-flipped file fails the magic/length/CRC checks
-and is rejected with :class:`~repro.errors.CheckpointError`.  Stale
+Files are installed atomically (tmp + fsync + rename), so a crash
+mid-write can never tear a checkpoint; a torn, truncated, bit-flipped or
+otherwise malformed file is rejected with
+:class:`~repro.errors.CheckpointError`.  Stale
 files — written for a different graph or detection parameterisation —
 are rejected by the fingerprint check before any state is trusted.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
 from dataclasses import dataclass, field
-from io import BytesIO
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -50,7 +47,7 @@ import numpy as np
 from repro.community.dendrogram import NO_VERTEX
 from repro.errors import CheckpointError
 from repro.graph.fingerprint import graph_fingerprint
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import read_sealed, write_sealed
 from repro.parallel.atomics import INVALID_DEGREE
 
 __all__ = [
@@ -72,7 +69,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _MAGIC = b"RBO-CKPT"
-_HEADER = struct.Struct("<8sIIQ")
 
 #: Array fields of a :class:`Snapshot`, in serialisation order.
 _ARRAY_FIELDS = (
@@ -178,6 +174,19 @@ class Snapshot:
 
     def validate(self) -> None:
         """Internal-consistency checks beyond the CRC (cheap, O(n))."""
+        # The meta is read back from the file: check every field the
+        # accessors above and the resume paths index into.
+        meta = self.meta
+        if not isinstance(meta.get("progress"), int):
+            raise CheckpointError("snapshot meta needs an integer 'progress'")
+        if not isinstance(meta.get("engine"), str):
+            raise CheckpointError("snapshot meta needs an 'engine' name")
+        for key in ("stats", "fault_counters", "fingerprint", "config"):
+            if not isinstance(meta.get(key, {}), dict):
+                raise CheckpointError(f"snapshot meta {key!r} is not an object")
+        for key in ("stats", "fault_counters"):
+            if not all(isinstance(v, int) for v in meta.get(key, {}).values()):
+                raise CheckpointError(f"snapshot meta {key!r} holds a non-integer")
         n = self.dest.size
         for name in ("child", "sibling", "degrees", "adj_offsets", "adj_lengths"):
             if getattr(self, name).size != n:
@@ -350,65 +359,21 @@ def build_snapshot(
 def save_checkpoint(path: str | Path, snapshot: Snapshot) -> Path:
     """Serialise *snapshot* and install it atomically at *path*."""
     snapshot.validate()
-    buf = BytesIO()
     arrays = {
         name: np.ascontiguousarray(getattr(snapshot, name), dtype=dtype)
         for name, dtype in _ARRAY_FIELDS
     }
-    arrays["meta_json"] = np.frombuffer(
-        json.dumps(snapshot.meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez(buf, **arrays)
-    payload = buf.getvalue()
-    header = _HEADER.pack(
-        _MAGIC, SCHEMA_VERSION, zlib.crc32(payload), len(payload)
-    )
-    dest = Path(path)
-    atomic_write_bytes(dest, header + payload)
-    return dest
+    return write_sealed(path, _MAGIC, SCHEMA_VERSION, arrays, snapshot.meta)
 
 
 def load_checkpoint(path: str | Path) -> Snapshot:
     """Read and verify a checkpoint; any damage raises
     :class:`~repro.errors.CheckpointError`."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise CheckpointError(
-            f"{path}: truncated checkpoint ({len(raw)} bytes, header needs "
-            f"{_HEADER.size})"
-        )
-    magic, version, crc, length = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise CheckpointError(f"{path}: not a repro checkpoint (bad magic)")
-    if version != SCHEMA_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint schema version {version} "
-            f"(this build reads {SCHEMA_VERSION})"
-        )
-    payload = raw[_HEADER.size :]
-    if len(payload) != length:
-        raise CheckpointError(
-            f"{path}: truncated checkpoint payload ({len(payload)} of "
-            f"{length} bytes)"
-        )
-    if zlib.crc32(payload) != crc:
-        raise CheckpointError(f"{path}: checkpoint payload fails its CRC32")
-    try:
-        with np.load(BytesIO(payload), allow_pickle=False) as data:
-            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-            kwargs = {
-                name: np.asarray(data[name], dtype=dtype)
-                for name, dtype in _ARRAY_FIELDS
-            }
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise CheckpointError(
-            f"{path}: malformed checkpoint payload: {exc}"
-        ) from exc
-    snapshot = Snapshot(meta=meta, **kwargs)
+    meta, arrays = read_sealed(
+        path, _MAGIC, SCHEMA_VERSION, _ARRAY_FIELDS,
+        error=CheckpointError, kind="checkpoint",
+    )
+    snapshot = Snapshot(meta=meta, **arrays)
     try:
         snapshot.validate()
     except CheckpointError as exc:

@@ -18,11 +18,11 @@ Two tiers:
   (reordering pays off only when the same graph is analysed again)
   across process lifetimes.
 
-File format mirrors the checkpoint container: a fixed header
-(magic ``RBO-PERM`` | schema version u32 | payload CRC32 u32 | payload
-length u64) over an npz payload holding the permutation and a JSON meta
-blob (the full fingerprint plus the key).  A truncated, bit-flipped, or
-wrong-key file fails the header/CRC/fingerprint checks and is treated
+The file is the checkpoints' sealed container
+(:func:`repro.ioutil.write_sealed`, magic ``RBO-PERM``): a fixed header
+over an npz payload holding the permutation and a JSON meta blob (the
+full fingerprint plus the key).  A truncated, bit-flipped, malformed or
+wrong-key file fails the header/CRC/payload/fingerprint checks and is treated
 exactly like a corrupt checkpoint in
 :func:`~repro.resilience.checkpoint.latest_checkpoint`: *skipped*, not
 fatal — the daemon recomputes instead of serving a 500 (and unlinks the
@@ -31,20 +31,16 @@ poisoned file so the slot can be refilled).
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 import threading
-import zlib
 from collections import OrderedDict
-from io import BytesIO
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro.errors import ServeError
-from repro.ioutil import atomic_write_bytes
+from repro.ioutil import read_sealed, write_sealed
 from repro.obs.metrics import get_registry
 
 __all__ = [
@@ -59,7 +55,6 @@ __all__ = [
 ENTRY_SCHEMA_VERSION = 1
 
 _MAGIC = b"RBO-PERM"
-_HEADER = struct.Struct("<8sIIQ")
 _ENTRY_GLOB = "perm-*.rbp"
 
 
@@ -71,66 +66,35 @@ def save_entry(
     path: str | Path, key: str, fingerprint: dict[str, Any], permutation: np.ndarray
 ) -> Path:
     """Serialise one cache entry and install it atomically at *path*."""
-    meta = {"key": key, "fingerprint": dict(fingerprint)}
-    buf = BytesIO()
-    np.savez(
-        buf,
-        permutation=np.ascontiguousarray(permutation, dtype=np.int64),
-        meta_json=np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        ),
+    return write_sealed(
+        path,
+        _MAGIC,
+        ENTRY_SCHEMA_VERSION,
+        {"permutation": np.ascontiguousarray(permutation, dtype=np.int64)},
+        {"key": key, "fingerprint": dict(fingerprint)},
     )
-    payload = buf.getvalue()
-    header = _HEADER.pack(
-        _MAGIC, ENTRY_SCHEMA_VERSION, zlib.crc32(payload), len(payload)
-    )
-    dest = Path(path)
-    atomic_write_bytes(dest, header + payload)
-    return dest
 
 
 def load_entry(path: str | Path, *, expect_key: str | None = None) -> np.ndarray:
     """Read and verify one cache entry; any damage raises
     :class:`~repro.errors.ServeError`."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ServeError(f"cannot read cache entry {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise ServeError(
-            f"{path}: truncated cache entry ({len(raw)} bytes, header needs "
-            f"{_HEADER.size})"
-        )
-    magic, version, crc, length = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ServeError(f"{path}: not a permutation cache entry (bad magic)")
-    if version != ENTRY_SCHEMA_VERSION:
-        raise ServeError(
-            f"{path}: unsupported cache entry schema version {version} "
-            f"(this build reads {ENTRY_SCHEMA_VERSION})"
-        )
-    payload = raw[_HEADER.size :]
-    if len(payload) != length:
-        raise ServeError(
-            f"{path}: truncated cache entry payload ({len(payload)} of "
-            f"{length} bytes)"
-        )
-    if zlib.crc32(payload) != crc:
-        raise ServeError(f"{path}: cache entry payload fails its CRC32")
-    try:
-        with np.load(BytesIO(payload), allow_pickle=False) as data:
-            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-            permutation = np.asarray(data["permutation"], dtype=np.int64)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise ServeError(f"{path}: malformed cache entry payload: {exc}") from exc
+    meta, arrays = read_sealed(
+        path, _MAGIC, ENTRY_SCHEMA_VERSION, [("permutation", np.int64)],
+        error=ServeError, kind="cache entry",
+    )
+    permutation = arrays["permutation"]
     if expect_key is not None and meta.get("key") != expect_key:
         raise ServeError(
             f"{path}: cache entry is for key {meta.get('key')!r}, "
             f"expected {expect_key!r} (poisoned or misplaced entry)"
         )
-    n = int(meta.get("fingerprint", {}).get("n", permutation.size))
-    if permutation.size != n:
+    fingerprint = meta.get("fingerprint", {})
+    n = (
+        fingerprint.get("n", permutation.size)
+        if isinstance(fingerprint, dict)
+        else None
+    )
+    if n != permutation.size:
         raise ServeError(
             f"{path}: permutation has {permutation.size} entries, "
             f"fingerprint says {n}"

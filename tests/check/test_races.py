@@ -4,9 +4,10 @@ Three layers of evidence:
 
 * unit — hand-built event logs with known verdicts (a seeded synthetic
   race, a release/acquire-ordered pair, the relaxed exemption);
-* mutation — the real Algorithm 3 worker passes clean, a deliberately
-  broken variant (the pre-CAS ``sibling`` write moved *after* the CAS,
-  outside its release) is flagged on every seed;
+* mutation — through the real driver, the Algorithm 3 worker passes
+  clean and a deliberately broken variant patched in for it (the pre-CAS
+  ``sibling`` write moved *after* the CAS, outside its release) is
+  flagged on every seed;
 * integration — ``community_detection_par(detect_races=True)`` and the
   stress harness report zero races across 50 interleaving seeds,
   including under fault injection (FaultyAtomicPairArray).
@@ -17,6 +18,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import repro.rabbit.par
 from repro.check.races import (
     PLAIN,
     RELAXED,
@@ -29,14 +31,11 @@ from repro.check.races import (
     tag_worker,
     unwrap,
 )
-from repro.community.dendrogram import NO_VERTEX
-from repro.community.modularity import newman_degrees
 from repro.graph.generators import rmat_graph
-from repro.parallel.atomics import INVALID_DEGREE, AtomicPairArray, OpCounter
-from repro.parallel.faults import FaultInjector, FaultPlan, FaultyAtomicPairArray
-from repro.parallel.scheduler import InterleavingScheduler
-from repro.rabbit.common import AggregationState, RabbitStats, aggregate_vertex
-from repro.rabbit.par import _worker, community_detection_par
+from repro.parallel.atomics import INVALID_DEGREE
+from repro.parallel.faults import FaultPlan
+from repro.rabbit.common import aggregate_vertex
+from repro.rabbit.par import community_detection_par
 
 
 def _log(events):
@@ -311,38 +310,14 @@ def _broken_worker(state, atoms, chunk, sink, stats, *,
             stats.toplevels += 1
 
 
-def _instrumented_run(graph, worker_fn, seed, *, fault_plan=None):
-    """Drive *worker_fn* over *graph* under the interleaving scheduler
-    with full tracing; returns the race report."""
-    n = graph.num_vertices
-    state = AggregationState.initialize(graph)
-    counter = OpCounter()
-    degrees = newman_degrees(graph)
-    injector = None if fault_plan is None else FaultInjector(fault_plan)
-    if injector is None:
-        atoms = AtomicPairArray(degrees, counter)
-    else:
-        atoms = FaultyAtomicPairArray(degrees, injector, counter)
-    state.child = atoms.children_view()
-    log = EventLog()
-    atoms.tracer = log
-    state.dest = TracingArray(state.dest, log, "dest", RELAXED)
-    state.sibling = TracingArray(state.sibling, log, "sibling")
-    state.child = TracingArray(state.child, log, "child")
-    state.adj = TracingList(state.adj, log, "adj")
-    order = np.argsort(graph.degrees(), kind="stable")
-    chunks = [order[i : i + 8] for i in range(0, n, 8)]
-    tasks = [
-        tag_worker(
-            worker_fn(state, atoms, chunk, [], RabbitStats(),
-                      merge_threshold=0.0, max_attempts=100),
-            i,
-        )
-        for i, chunk in enumerate(chunks)
-    ]
-    InterleavingScheduler(seed=seed, faults=injector).run(tasks, window=4)
-    log.close()
-    return analyze_log(log)
+def _traced_run(graph, seed, *, fault_plan=None):
+    """The real driver, race-traced, over chunks of 8 at four threads;
+    returns the race report."""
+    res = community_detection_par(
+        graph, scheduler_seed=seed, chunk_size=8, num_threads=4,
+        detect_races=True, fault_plan=fault_plan,
+    )
+    return res.race_report
 
 
 class TestMutationFixture:
@@ -354,14 +329,15 @@ class TestMutationFixture:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_correct_worker_is_race_free(self, graph, seed):
-        report = _instrumented_run(graph, _worker, seed)
+        report = _traced_run(graph, seed)
         assert report.ok
         assert report.races == []
         assert report.sync_operations > 0
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_broken_worker_is_flagged(self, graph, seed):
-        report = _instrumented_run(graph, _broken_worker, seed)
+    def test_broken_worker_is_flagged(self, graph, seed, monkeypatch):
+        monkeypatch.setattr(repro.rabbit.par, "_worker", _broken_worker)
+        report = _traced_run(graph, seed)
         assert len(report.races) >= 1
         assert any(r.loc[0] == "sibling" for r in report.races)
 
@@ -373,7 +349,7 @@ class TestMutationFixture:
             seed=11, cas_failure_rate=0.4,
             spurious_invalid_rate=0.1, spurious_window=4,
         )
-        report = _instrumented_run(graph, _worker, 11, fault_plan=plan)
+        report = _traced_run(graph, 11, fault_plan=plan)
         assert report.ok
         assert report.races == []
 

@@ -3,9 +3,13 @@ structurally diverse graphs used by generic contract tests."""
 
 from __future__ import annotations
 
+import io
+import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -116,3 +120,28 @@ def run_in_fresh_interpreter(code: str) -> subprocess.CompletedProcess:
         text=True,
         timeout=300,
     )
+
+
+#: Header of a sealed file: magic, schema version, payload CRC32, length.
+SEAL_HEADER = struct.Struct("<8sIIQ")
+
+
+def reseal(path: Path, payload: bytes) -> None:
+    """Replace the payload of the sealed file (checkpoint or cache entry)
+    at *path*, keeping its magic and version and writing a valid CRC —
+    the damage a reader must catch past the header checks."""
+    magic, version, _, _ = SEAL_HEADER.unpack_from(path.read_bytes())
+    header = SEAL_HEADER.pack(magic, version, zlib.crc32(payload), len(payload))
+    path.write_bytes(header + payload)
+
+
+def reseal_meta(path: Path, meta) -> None:
+    """Rewrite the sealed file at *path* with its arrays kept and its
+    JSON meta blob replaced by *meta* (any JSON value)."""
+    payload = path.read_bytes()[SEAL_HEADER.size :]
+    with np.load(io.BytesIO(payload)) as data:
+        arrays = {name: data[name] for name in data.files if name != "meta_json"}
+    blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays, meta_json=blob)
+    reseal(path, buf.getvalue())

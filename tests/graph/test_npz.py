@@ -41,6 +41,34 @@ class TestNpz:
         with pytest.raises(GraphFormatError):
             load_npz(p)
 
+    def test_missing_indices_rejected(self, tmp_path):
+        p = tmp_path / "partial.npz"
+        np.savez(
+            p,
+            format_version=np.array([1], dtype=np.int64),
+            indptr=np.array([0], dtype=np.int64),
+        )
+        with pytest.raises(GraphFormatError, match="indices"):
+            load_npz(p)
+
+    def test_empty_format_version_rejected(self, tmp_path):
+        p = tmp_path / "noversion.npz"
+        np.savez(
+            p,
+            format_version=np.empty(0, dtype=np.int64),
+            indptr=np.array([0], dtype=np.int64),
+            indices=np.empty(0, dtype=np.int64),
+        )
+        with pytest.raises(GraphFormatError):
+            load_npz(p)
+
+    def test_bare_npy_array_rejected(self, tmp_path):
+        p = tmp_path / "array.npz"
+        with p.open("wb") as fh:
+            np.save(fh, np.arange(3))
+        with pytest.raises(GraphFormatError):
+            load_npz(p)
+
     def test_wrong_version_rejected(self, tmp_path):
         p = tmp_path / "future.npz"
         np.savez(

@@ -15,6 +15,7 @@ from repro.resilience.checkpoint import (
     require_fingerprint_match,
     save_checkpoint,
 )
+from tests.conftest import reseal, reseal_meta
 
 
 @pytest.fixture
@@ -27,6 +28,31 @@ def snapshots_of(graph, directory, *, every=10, keep=1000):
     ck = Checkpointer(CheckpointConfig(directory=directory, every=every, keep=keep))
     community_detection_seq(graph, checkpoint=ck)
     return ck.saved
+
+
+#: Damage past the header and CRC checks: a payload that claims to be a
+#: zip archive but is not, and meta fields the resume paths cannot use.
+MALFORMED = [
+    "zip-magic", "no-progress", "bad-progress", "no-engine", "bad-stats",
+]
+
+
+def damage(path, how):
+    """Rewrite the checkpoint at *path* with a valid header and CRC over
+    a malformed payload."""
+    if how == "zip-magic":
+        reseal(path, b"PK\x03\x04" + b"not a zip archive" * 4)
+        return
+    meta = load_checkpoint(path).meta
+    if how == "no-progress":
+        del meta["progress"]
+    elif how == "bad-progress":
+        meta["progress"] = "x"
+    elif how == "no-engine":
+        del meta["engine"]
+    else:
+        meta["stats"]["merges"] = "x"
+    reseal_meta(path, meta)
 
 
 class TestRoundTrip:
@@ -102,6 +128,23 @@ class TestRejection:
             p.write_bytes(b"garbage")
         with pytest.raises(CheckpointError):
             latest_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("how", MALFORMED)
+    def test_malformed_payload_rejected(self, graph, tmp_path, how):
+        (path,) = snapshots_of(graph, tmp_path, every=10, keep=1)
+        damage(path, how)
+        with pytest.raises(CheckpointError, match="malformed|meta"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("how", MALFORMED)
+    def test_latest_checkpoint_skips_malformed_newest(self, graph, tmp_path, how):
+        snapshots_of(graph, tmp_path)
+        *_, older, newest = sorted(tmp_path.glob("*.rbk"))
+        damage(newest, how)
+        found = latest_checkpoint(tmp_path)
+        assert found is not None
+        assert found[0] == older
+        assert found[1].progress == load_checkpoint(older).progress
 
     def test_fingerprint_mismatch_rejected(self, graph, tmp_path):
         (path,) = snapshots_of(graph, tmp_path, every=10, keep=1)

@@ -20,6 +20,7 @@ from repro.serve.cache import (
     load_entry,
     save_entry,
 )
+from tests.conftest import reseal, reseal_meta
 
 
 @pytest.fixture
@@ -78,6 +79,18 @@ class TestEntryFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ServeError, match="cannot read"):
             load_entry(tmp_path / "absent.rbp")
+
+    def test_zip_magic_without_a_zip_rejected(self, tmp_path, fingerprint):
+        path = save_entry(tmp_path / "e.rbp", "k", fingerprint, np.arange(3))
+        reseal(path, b"PK\x03\x04" + b"not a zip archive" * 4)
+        with pytest.raises(ServeError, match="malformed"):
+            load_entry(path, expect_key="k")
+
+    def test_meta_that_is_not_an_object_rejected(self, tmp_path, fingerprint):
+        path = save_entry(tmp_path / "e.rbp", "k", fingerprint, np.arange(3))
+        reseal_meta(path, ["k", fingerprint])
+        with pytest.raises(ServeError, match="malformed"):
+            load_entry(path, expect_key="k")
 
     def test_size_mismatch_with_fingerprint(self, tmp_path, fingerprint):
         perm = np.arange(7, dtype=np.int64)  # fingerprint says n=3
@@ -181,9 +194,15 @@ class TestCorruptionIsAMiss:
             path.write_bytes(bytes(raw))
         elif how == "wrong-key":
             save_entry(path, "other", fingerprint, perm)
+        elif how == "zip-magic":
+            reseal(path, b"PK\x03\x04" + b"\0" * 64)
+        elif how == "meta-array":
+            reseal_meta(path, ["k", fingerprint])
         return path
 
-    @pytest.mark.parametrize("how", ["truncate", "bitflip", "wrong-key"])
+    @pytest.mark.parametrize(
+        "how", ["truncate", "bitflip", "wrong-key", "zip-magic", "meta-array"]
+    )
     def test_corrupt_entry_is_skipped_and_unlinked(
         self, tmp_path, fingerprint, how
     ):

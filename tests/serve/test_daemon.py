@@ -255,6 +255,27 @@ class TestRejections:
             response = client.request("reorder", graph={"edges": [[0]]})
             assert response["error"]["code"] == 400
 
+    @pytest.mark.parametrize("members", [
+        {"format_version": [1], "indptr": [0]},  # no indices
+        {"format_version": [], "indptr": [0], "indices": []},
+    ], ids=["missing-indices", "empty-version"])
+    def test_malformed_graph_path_archive_is_400(self, tmp_path, sock, members):
+        """A graph_path archive with a missing or empty member must get
+        the 400 protocol error frame, not a dropped connection."""
+        import numpy as np
+
+        gpath = tmp_path / "bad.npz"
+        np.savez(gpath, **{k: np.array(v, dtype=np.int64) for k, v in members.items()})
+        config = ServerConfig(unix_path=sock)
+        with ServerThread(config), ServeClient(unix_path=sock) as client:
+            response = client.request("reorder", graph_path=str(gpath))
+            assert response["ok"] is False
+            assert response["error"]["code"] == 400
+            assert response["error"]["kind"] == "protocol"
+            assert "graph_path" in response["error"]["message"]
+            # The connection survives and serves the next request.
+            assert client.reorder(edges=EDGES) == direct_permutation()
+
     def test_oversized_response_is_413_not_a_dropped_connection(
         self, tmp_path, sock, monkeypatch
     ):
