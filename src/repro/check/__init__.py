@@ -18,18 +18,17 @@ on rather than generic style:
   and ``repro stress --races``.
 
 On top of the engine sits the interprocedural layer:
-:mod:`repro.check.callgraph` builds the project call graph (``repro
-check --graph json|dot``), :mod:`repro.check.analyzers` runs three
-dataflow analyzers over it — the only rules for the event-loop,
-shared-state-ownership (against the :mod:`repro.check.facts` table) and
-index-dtype contracts — and
-:mod:`repro.check.baseline` / :mod:`repro.check.changed` /
-:mod:`repro.check.debt` provide the ratchet workflow (``--baseline``,
-``--changed``, ``--debt``).
+:mod:`repro.check.callgraph` builds the project call graph and
+:mod:`repro.check.analyzers` runs three dataflow analyzers over it —
+the only rules for the event-loop, shared-state-ownership (against the
+:mod:`repro.check.facts` table) and index-dtype contracts.  Their
+findings carry the call path that reached the flagged line.
 
 The whole subsystem self-hosts: ``repro check src/`` must run clean, so
 every intentional exception in the tree carries an inline suppression
-with its justification (inventoried by ``repro check src/ --debt``).
+with its justification, and the self-host tests
+(``tests/check/test_selfhost.py``) reject a pragma without one or one
+that names no live rule for its file.
 """
 
 from __future__ import annotations

@@ -38,14 +38,11 @@ synthetic ``<module>`` node per module for import-time calls.  Edges are
 Bodies of nested ``def``\\ s get their own nodes; ``lambda`` bodies are
 skipped entirely (a lambda handed to ``run_in_executor`` must not leak
 its calls into the enclosing coroutine).
-
-Export the graph with ``repro check --graph json|dot``.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -82,16 +79,6 @@ class CallNode:
     is_async: bool
     kind: str  # "function" | "method" | "module"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "module": self.module,
-            "path": self.path,
-            "line": self.line,
-            "is_async": self.is_async,
-            "kind": self.kind,
-        }
-
 
 @dataclass(frozen=True)
 class CallEdge:
@@ -103,16 +90,6 @@ class CallEdge:
     line: int
     col: int
     kind: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "caller": self.caller,
-            "callee": self.callee,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "kind": self.kind,
-        }
 
 
 @dataclass
@@ -161,55 +138,6 @@ class CallGraph:
 
     def async_nodes(self) -> List[CallNode]:
         return [n for n in self.nodes.values() if n.is_async]
-
-    def nodes_in_module(self, module: str) -> List[CallNode]:
-        return [n for n in self.nodes.values() if n.module == module]
-
-    # -- export ----------------------------------------------------------
-    def to_json(self) -> str:
-        doc = {
-            "schema": "repro-callgraph/1",
-            "nodes": [
-                self.nodes[q].to_dict() for q in sorted(self.nodes)
-            ],
-            "edges": [
-                e.to_dict()
-                for e in sorted(
-                    self.edges,
-                    key=lambda e: (e.path, e.line, e.col, e.callee),
-                )
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    def to_dot(self) -> str:
-        lines = ["digraph callgraph {", "  rankdir=LR;", "  node [shape=box];"]
-        external: Set[str] = set()
-        for node in sorted(self.nodes.values(), key=lambda n: n.qualname):
-            shape = "ellipse" if node.is_async else "box"
-            lines.append(
-                f'  "{node.qualname}" [shape={shape}, '
-                f'label="{node.qualname}\\n{node.path}:{node.line}"];'
-            )
-        for edge in self.edges:
-            if edge.callee not in self.nodes:
-                external.add(edge.callee)
-        for name in sorted(external):
-            lines.append(f'  "{name}" [shape=plaintext, fontcolor=gray40];')
-        seen: Set[Tuple[str, str, str]] = set()
-        for edge in sorted(
-            self.edges, key=lambda e: (e.caller, e.callee, e.kind)
-        ):
-            key = (edge.caller, edge.callee, edge.kind)
-            if key in seen:
-                continue
-            seen.add(key)
-            style = "" if edge.kind in ("direct", "method") else (
-                f' [style=dashed, label="{edge.kind}"]'
-            )
-            lines.append(f'  "{edge.caller}" -> "{edge.callee}"{style};')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 class _Builder:

@@ -98,23 +98,13 @@ class Finding:
 
 @dataclass(frozen=True)
 class Suppression:
-    """One inline pragma (per rule id): what suppression and the
-    suppression-debt report both read."""
+    """One inline pragma (per rule id), with its trailing justification."""
 
     rule: str
     path: str
     line: int
     kind: str  # "ignore" | "ignore-file"
     justification: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "kind": self.kind,
-            "justification": self.justification,
-        }
 
 
 class FileContext:
@@ -383,27 +373,18 @@ def run_check(
     paths: Sequence[str | Path],
     *,
     rules: Optional[Sequence[str]] = None,
-    restrict: Optional[Sequence[str | Path]] = None,
 ) -> CheckReport:
     """Lint every ``.py`` file under *paths* with the selected rules.
 
     ``rules=None`` runs every registered rule; otherwise only the named
     ids (unknown ids raise :class:`~repro.errors.CheckError`).  Findings
     are sorted by path, line, column, rule id.
-
-    *restrict* (the ``--changed`` machinery) limits *reporting* to the
-    given files: file-local rules skip everything else outright, and
-    project-wide rules still see the whole file set (a call graph needs
-    every module) but only their findings in restricted files survive.
     """
     _ensure_rules_loaded()
     selected = (
         all_rules() if rules is None else [get_rule(rule_id) for rule_id in rules]
     )
     files = iter_python_files([Path(p) for p in paths])
-    restricted: Optional[Set[Path]] = None
-    if restrict is not None:
-        restricted = {Path(p).resolve() for p in restrict}
     findings: List[Finding] = []
     ctxs: List[FileContext] = []
     for path in files:
@@ -422,41 +403,30 @@ def run_check(
             )
             continue
         ctxs.append(ctx)
-    reportable = {
-        ctx.rel
-        for ctx in ctxs
-        if restricted is None or ctx.path.resolve() in restricted
-    }
+    by_rel = {ctx.rel: ctx for ctx in ctxs}
     for rule in selected:
+        in_scope = [ctx for ctx in ctxs if rule.applies_to(ctx)]
         if rule.project_wide:
-            in_scope = [ctx for ctx in ctxs if rule.applies_to(ctx)]
             raw: Iterable[Finding] = rule.check_project(in_scope)
         else:
-            raw = (
-                finding
-                for ctx in ctxs
-                if ctx.rel in reportable and rule.applies_to(ctx)
-                for finding in rule.check(ctx)
-            )
-        by_rel = {ctx.rel: ctx for ctx in ctxs}
+            raw = (finding for ctx in in_scope for finding in rule.check(ctx))
         for finding in raw:
-            if finding.path not in reportable:
-                continue
-            ctx2 = by_rel.get(finding.path)
-            if ctx2 is not None and ctx2.is_suppressed(finding.rule, finding.line):
-                continue
-            findings.append(finding)
+            owner = by_rel.get(finding.path)
+            if owner is not None and not owner.is_suppressed(
+                finding.rule, finding.line
+            ):
+                findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return CheckReport(
         findings=findings,
-        files_checked=len(files) if restricted is None else len(reportable),
+        files_checked=len(files),
         rules_run=[rule.id for rule in selected],
     )
 
 
 def scan_suppressions(ctxs: Sequence[FileContext]) -> List[Suppression]:
-    """Every inline pragma in *ctxs*, with its trailing justification —
-    the raw material of the suppression-debt report."""
+    """Every inline pragma in *ctxs*, with its trailing justification,
+    sorted by rule, path and line."""
     return sorted(
         (supp for ctx in ctxs for supp in ctx.pragmas),
         key=lambda s: (s.rule, s.path, s.line),

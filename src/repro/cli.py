@@ -423,73 +423,12 @@ def _cmd_check(args) -> int:
             kind = "project" if rule.project_wide else "file"
             print(f"{rule.id:<28} [{kind}] {rule.rationale}")
         return 0
-    paths = args.paths or ["src"]
-    if args.debt:
-        from repro.check.debt import debt_report
-
-        debt = debt_report(paths)
-        print(debt.to_json() if args.format == "json" else debt.format_text())
-        return 0
-    if args.graph:
-        return _check_graph(paths, args.graph)
-    restrict = None
-    if args.changed:
-        from repro.check.changed import GitError, changed_files
-
-        try:
-            restrict = changed_files(args.base)
-        except GitError as exc:
-            print(f"error: --changed needs git: {exc}", file=sys.stderr)
-            return 2
-        if not restrict:
-            print(f"no python files changed vs {args.base}")
-            return 0
-    report = run_check(paths, rules=args.rule, restrict=restrict)
-    if args.baseline:
-        from repro.check.baseline import (
-            DEFAULT_BASELINE,
-            diff_baseline,
-            write_baseline,
-        )
-
-        target = args.baseline_file or DEFAULT_BASELINE
-        if args.baseline == "write":
-            count = write_baseline(report, target)
-            print(f"wrote {count} fingerprint(s) "
-                  f"({len(report.findings)} finding(s)) to {target}")
-            return 0
-        diff = diff_baseline(report, target)
-        print(diff.to_json(report) if args.format == "json"
-              else diff.format_text(report))
-        return 0 if diff.ok else 1
+    report = run_check(args.paths or ["src"], rules=args.rule)
     if args.format == "json":
         print(report.to_json())
     else:
         print(report.format_text())
     return 0 if report.ok else 1
-
-
-def _check_graph(paths, fmt: str) -> int:
-    """Emit the project call graph (``repro check --graph json|dot``)."""
-    from repro.check.callgraph import build_callgraph
-    from repro.check.engine import FileContext, iter_python_files
-
-    ctxs = []
-    for path in iter_python_files([Path(p) for p in paths]):
-        try:
-            rel = path.resolve().relative_to(Path.cwd().resolve()).as_posix()
-        except ValueError:
-            rel = path.as_posix()
-        ctx = FileContext(path, rel=rel)
-        try:
-            ctx.tree
-        except SyntaxError as exc:
-            print(f"error: cannot parse {path}: {exc.msg}", file=sys.stderr)
-            return 2
-        ctxs.append(ctx)
-    graph = build_callgraph(ctxs)
-    print(graph.to_json() if fmt == "json" else graph.to_dot())
-    return 0
 
 
 def _cmd_bench(args) -> int:
@@ -706,21 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to this rule id (repeatable)")
     p.add_argument("--list-rules", action="store_true",
                    help="list registered rules and exit")
-    p.add_argument("--changed", action="store_true",
-                   help="report findings only for files changed vs --base "
-                        "(project-wide analyzers still see the whole tree)")
-    p.add_argument("--base", default="HEAD", metavar="REF",
-                   help="git ref --changed diffs against (default: HEAD)")
-    p.add_argument("--graph", choices=["json", "dot"],
-                   help="emit the project call graph instead of linting")
-    p.add_argument("--baseline", choices=["write", "diff"],
-                   help="write the accepted-findings baseline, or report "
-                        "only findings not in it")
-    p.add_argument("--baseline-file", default=None, metavar="PATH",
-                   help="baseline location (default: CHECK_BASELINE.json)")
-    p.add_argument("--debt", action="store_true",
-                   help="report the suppression-pragma inventory instead "
-                        "of linting")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser(
@@ -809,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # Downstream closed the pipe (e.g. `... --graph dot | head`);
+        # Downstream closed the pipe (e.g. `... check --list-rules | head`);
         # suppress the traceback and let the flush-at-exit not re-raise.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

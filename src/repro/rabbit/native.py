@@ -274,7 +274,8 @@ def community_detection_fastseq(
     get_registry().counter("rabbit.engine.native").inc()
     n = graph.num_vertices
     # Setup covers everything before the sweep: the symmetry check, the
-    # fingerprint, the visit order and the state build.
+    # fingerprint (checkpointed runs only), the visit order and the state
+    # build.
     with span("rabbit.seq.setup", n=n, engine="native"):
         require_symmetric(graph, "Rabbit Order")
         ckpt = as_checkpointer(checkpoint)
@@ -294,9 +295,11 @@ def community_detection_fastseq(
                 ),
                 stats,
             )
-        fingerprint = graph_fingerprint(
-            graph, merge_threshold=merge_threshold, visit=visit, visit_rng=visit_rng
-        )
+        if ckpt is not None or resume is not None:
+            fingerprint = graph_fingerprint(
+                graph, merge_threshold=merge_threshold, visit=visit,
+                visit_rng=visit_rng,
+            )
         toplevel = np.empty(n, dtype=np.int64)
         if resume is None:
             start = 0

@@ -125,7 +125,8 @@ def community_detection_seq(
     get_registry().counter("rabbit.engine.dict").inc()
     n = graph.num_vertices
     # Setup covers everything before the sweep: the symmetry check, the
-    # state build, the fingerprint and the visit order.
+    # state build, the fingerprint (checkpointed runs only) and the visit
+    # order.
     with span("rabbit.seq.setup", n=n, engine="dict"):
         require_symmetric(graph, "Rabbit Order")
         ckpt = as_checkpointer(checkpoint)
@@ -149,9 +150,11 @@ def community_detection_seq(
             )
 
         two_m = 2.0 * m
-        fingerprint = graph_fingerprint(
-            graph, merge_threshold=merge_threshold, visit=visit, visit_rng=visit_rng
-        )
+        if ckpt is not None or resume is not None:
+            fingerprint = graph_fingerprint(
+                graph, merge_threshold=merge_threshold, visit=visit,
+                visit_rng=visit_rng,
+            )
         start = 0
         if resume is None:
             order = visit_order(graph, visit, visit_rng)

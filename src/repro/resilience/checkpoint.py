@@ -173,7 +173,7 @@ class Snapshot:
                 yield keys[off : off + ln], ws[off : off + ln]
 
     def validate(self) -> None:
-        """Internal-consistency checks beyond the CRC (cheap, O(n))."""
+        """Internal-consistency checks beyond the CRC (cheap, O(n log n))."""
         # The meta is read back from the file: check every field the
         # accessors above and the resume paths index into.
         meta = self.meta
@@ -224,12 +224,41 @@ class Snapshot:
                 raise CheckpointError(
                     f"snapshot {name} holds values outside [{low}, {n})"
                 )
+        self._validate_forest(n)
         if self.adj_lengths.size and self.adj_lengths.min() < -1:
             raise CheckpointError("snapshot adj_lengths holds values below -1")
         if self.toplevel.size > self.progress:
             raise CheckpointError(
                 f"snapshot has {self.toplevel.size} top-level vertices but "
                 f"only {self.progress} decided"
+            )
+
+    def _validate_forest(self, n: int) -> None:
+        """The ``child``/``sibling`` links must form a forest: every
+        engine walks a community's members along them, and a vertex
+        linked from two places or a cycle makes that walk never end."""
+        links = np.concatenate((self.child, self.sibling))
+        linked = links != NO_VERTEX
+        targets = links[linked]
+        counts = np.bincount(targets, minlength=n)
+        if counts.max(initial=0) > 1:
+            raise CheckpointError(
+                f"snapshot links are malformed: vertex {int(counts.argmax())} "
+                "is linked from two places"
+            )
+        # Point each vertex at its one parent (roots at themselves) and
+        # double: after ceil(log2 n) rounds every vertex of a tree points
+        # at its root, and a vertex on or below a cycle at one that still
+        # has a parent.
+        up = np.arange(n, dtype=np.int64)
+        up[targets] = np.flatnonzero(linked) % n
+        for _ in range(n.bit_length()):
+            up = up[up]
+        looped = np.flatnonzero(counts[up])
+        if looped.size:
+            raise CheckpointError(
+                f"snapshot links are malformed: vertex {int(up[looped[0]])} "
+                "lies on a cycle"
             )
 
 

@@ -22,8 +22,9 @@ The file is the checkpoints' sealed container
 (:func:`repro.ioutil.write_sealed`, magic ``RBO-PERM``): a fixed header
 over an npz payload holding the permutation and a JSON meta blob (the
 full fingerprint plus the key).  A truncated, bit-flipped, malformed or
-wrong-key file fails the header/CRC/payload/fingerprint checks and is treated
-exactly like a corrupt checkpoint in
+wrong-key file, or one whose array is not a permutation of the
+fingerprint's ``n`` vertices, fails the header/CRC/payload/fingerprint
+checks and is treated exactly like a corrupt checkpoint in
 :func:`~repro.resilience.checkpoint.latest_checkpoint`: *skipped*, not
 fatal — the daemon recomputes instead of serving a 500 (and unlinks the
 poisoned file so the slot can be refilled).
@@ -39,7 +40,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ServeError
+from repro.errors import PermutationError, ServeError
+from repro.graph.perm import validate_permutation
 from repro.ioutil import read_sealed, write_sealed
 from repro.obs.metrics import get_registry
 
@@ -99,6 +101,11 @@ def load_entry(path: str | Path, *, expect_key: str | None = None) -> np.ndarray
             f"{path}: permutation has {permutation.size} entries, "
             f"fingerprint says {n}"
         )
+    # The daemon sends the entry to clients as the answer.
+    try:
+        validate_permutation(permutation)
+    except PermutationError as exc:
+        raise ServeError(f"{path}: cache entry is not a permutation: {exc}") from exc
     return permutation
 
 

@@ -6,7 +6,6 @@ nodes and edges it must produce, so a resolver regression shows up as a
 concrete missing/extra edge rather than a silently weaker analyzer.
 """
 
-import json
 from pathlib import Path
 
 from repro.check.callgraph import DYNAMIC_PREFIX, build_callgraph
@@ -147,22 +146,7 @@ class TestGoldenEdges:
         ) in edge_set(fixture_graph())
 
 
-class TestExports:
-    def test_json_export_round_trips(self):
-        doc = json.loads(fixture_graph().to_json())
-        assert doc["schema"] == "repro-callgraph/1"
-        qualnames = {n["qualname"] for n in doc["nodes"]}
-        assert "repro.alpha.Widget.bump" in qualnames
-        keys = {(e["caller"], e["callee"], e["kind"]) for e in doc["edges"]}
-        assert ("repro.alpha.chain_a", "repro.alpha.chain_b", "direct") in keys
-
-    def test_dot_export_shape(self):
-        dot = fixture_graph().to_dot()
-        assert dot.startswith("digraph callgraph {")
-        assert '"repro.alpha.chain_a" -> "repro.alpha.chain_b";' in dot
-        # non-call-context edges are visually distinct
-        assert 'label="executor"' in dot
-
+class TestDispatchFacts:
     def test_dispatch_facts_unbound_on_fixture(self):
         # The global facts tables name real repro.order functions; none
         # exist in the fixture, so every fact must surface as unbound

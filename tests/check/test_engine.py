@@ -138,6 +138,34 @@ class TestSuppressions:
         )
         assert lint(tmp_path, src, rules=["lock-in-lockfree-path"]).ok
 
+    def test_pragma_text_in_a_docstring_is_not_a_suppression(self, tmp_path):
+        # Docs that show the pragma syntax are not pragmas: only comments
+        # (as the tokenizer sees them) count.  The docstring's last line
+        # reads like a standalone pragma right above the flagged line.
+        src = (
+            "import threading\n"
+            "\n"
+            "\n"
+            "def make():\n"
+            '    """Accept a finding file-wide with\n'
+            "\n"
+            "    # repro: ignore-file[lock-in-lockfree-path]  whole file\n"
+            "\n"
+            "    or on the next line with\n"
+            "\n"
+            '    # repro: ignore[lock-in-lockfree-path]  why"""\n'
+            "    return threading.Lock()\n"
+            "\n"
+            "\n"
+            "x = 1  # repro: ignore[unseeded-rng] fixture noise only\n"
+        )
+        report = lint(tmp_path, src, rules=["lock-in-lockfree-path"])
+        assert [(f.rule, f.line) for f in report.findings] == [
+            ("lock-in-lockfree-path", 12)
+        ]
+        ctx = FileContext(tmp_path / "repro/rabbit/mod.py")
+        assert [(s.rule, s.line) for s in ctx.pragmas] == [("unseeded-rng", 15)]
+
 
 class TestParseErrors:
     def test_reported_under_reserved_rule(self, tmp_path):

@@ -92,6 +92,21 @@ class TestInvariants:
             rabbit_order(g)
 
     @pytest.mark.parametrize("engine", ["fast", "dict"])
+    def test_uncheckpointed_run_does_not_hash_the_graph(self, engine, monkeypatch):
+        """Only the checkpoint and resume branches read the fingerprint."""
+        from repro.rabbit import native, seq
+
+        g = hierarchical_community_graph(400, rng=2).graph
+        expected = rabbit_order(g, engine=engine).permutation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph_fingerprint called")
+
+        monkeypatch.setattr(native, "graph_fingerprint", refuse)
+        monkeypatch.setattr(seq, "graph_fingerprint", refuse)
+        assert np.array_equal(rabbit_order(g, engine=engine).permutation, expected)
+
+    @pytest.mark.parametrize("engine", ["fast", "dict"])
     def test_setup_span_covers_the_symmetry_check(self, engine):
         """``rabbit.seq.setup`` opens before the symmetry check, so a
         traced run charges that check (and a failed one) to setup."""

@@ -1,7 +1,11 @@
 """Checkpoint file format: atomic install, corruption rejection, pruning."""
 
+import io
+
+import numpy as np
 import pytest
 
+from repro.community.dendrogram import NO_VERTEX
 from repro.errors import CheckpointError
 from repro.graph.generators import erdos_renyi_graph
 from repro.rabbit.seq import community_detection_seq
@@ -15,7 +19,7 @@ from repro.resilience.checkpoint import (
     require_fingerprint_match,
     save_checkpoint,
 )
-from tests.conftest import reseal, reseal_meta
+from tests.conftest import SEAL_HEADER, reseal, reseal_meta
 
 
 @pytest.fixture
@@ -30,11 +34,41 @@ def snapshots_of(graph, directory, *, every=10, keep=1000):
     return ck.saved
 
 
+#: child/sibling links (valid ids all) that are no forest: walking a
+#: community's members along them never ends.
+LINK_DAMAGE = ("sibling-self-link", "two-parents", "sibling-cycle")
+
 #: Damage past the header and CRC checks: a payload that claims to be a
-#: zip archive but is not, and meta fields the resume paths cannot use.
+#: zip archive but is not, meta fields the resume paths cannot use, and
+#: links that are no forest.
 MALFORMED = [
     "zip-magic", "no-progress", "bad-progress", "no-engine", "bad-stats",
+    *LINK_DAMAGE,
 ]
+
+
+def relink(path, how):
+    """Rewrite the checkpoint's child/sibling links per *how*."""
+    payload = path.read_bytes()[SEAL_HEADER.size :]
+    with np.load(io.BytesIO(payload)) as data:
+        arrays = {name: data[name].copy() for name in data.files}
+    child, sibling = arrays["child"], arrays["sibling"]
+    # Vertices nothing links to: undecided or top-level.
+    linked = set(child.tolist()) | set(sibling.tolist())
+    roots = [v for v in range(child.size) if v not in linked]
+    if how == "sibling-self-link":
+        u, x = roots[:2]
+        child[u], sibling[x] = x, x
+    elif how == "two-parents":
+        a = int(np.flatnonzero(child != NO_VERTEX)[0])
+        b = next(v for v in roots if v != a)
+        child[b] = child[a]
+    else:  # a 2-cycle of sibling links that no child link reaches
+        p, q = roots[:2]
+        sibling[p], sibling[q] = q, p
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    reseal(path, buf.getvalue())
 
 
 def damage(path, how):
@@ -42,6 +76,9 @@ def damage(path, how):
     a malformed payload."""
     if how == "zip-magic":
         reseal(path, b"PK\x03\x04" + b"not a zip archive" * 4)
+        return
+    if how in LINK_DAMAGE:
+        relink(path, how)
         return
     meta = load_checkpoint(path).meta
     if how == "no-progress":

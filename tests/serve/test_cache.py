@@ -2,8 +2,8 @@
 
 The corruption tests mirror the checkpoint discipline
 (`tests/resilience/test_checkpoint.py`): any damaged entry — truncated,
-bit-flipped, wrong magic, wrong key — is *skipped* (treated as a miss
-and unlinked), never an error surfaced to the caller.
+bit-flipped, wrong magic, wrong key, not a permutation — is *skipped*
+(treated as a miss and unlinked), never an error surfaced to the caller.
 """
 
 import os
@@ -39,6 +39,14 @@ def _counters():
     return get_registry().counter_values("serve.cache.")
 
 
+#: Arrays of the fixture graph's length (3) that are no permutation.
+NOT_PERMUTATIONS = {
+    "all-zeros": np.zeros(3, dtype=np.int64),
+    "out-of-range": np.array([-1, 7, 0], dtype=np.int64),
+    "two-dimensional": np.arange(3, dtype=np.int64).reshape(1, 3),
+}
+
+
 class TestEntryFormat:
     def test_round_trip(self, tmp_path, fingerprint):
         perm = np.array([2, 0, 1], dtype=np.int64)
@@ -54,6 +62,14 @@ class TestEntryFormat:
             path.write_bytes(raw[:cut])
             with pytest.raises(ServeError, match="truncated"):
                 load_entry(path)
+
+    @pytest.mark.parametrize("name", sorted(NOT_PERMUTATIONS))
+    def test_non_permutation_rejected(self, tmp_path, fingerprint, name):
+        path = save_entry(
+            tmp_path / "e.rbp", "k", fingerprint, NOT_PERMUTATIONS[name]
+        )
+        with pytest.raises(ServeError, match="not a permutation"):
+            load_entry(path, expect_key="k")
 
     def test_bitflip_fails_crc(self, tmp_path, fingerprint):
         perm = np.arange(3, dtype=np.int64)
@@ -198,10 +214,14 @@ class TestCorruptionIsAMiss:
             reseal(path, b"PK\x03\x04" + b"\0" * 64)
         elif how == "meta-array":
             reseal_meta(path, ["k", fingerprint])
+        elif how in NOT_PERMUTATIONS:
+            save_entry(path, "k", fingerprint, NOT_PERMUTATIONS[how])
         return path
 
     @pytest.mark.parametrize(
-        "how", ["truncate", "bitflip", "wrong-key", "zip-magic", "meta-array"]
+        "how",
+        ["truncate", "bitflip", "wrong-key", "zip-magic", "meta-array",
+         *sorted(NOT_PERMUTATIONS)],
     )
     def test_corrupt_entry_is_skipped_and_unlinked(
         self, tmp_path, fingerprint, how
