@@ -43,6 +43,32 @@ def _as_index_array(a, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _sorted_slots(
+    key: np.ndarray, weights: np.ndarray | None, coalesce: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sort the slot keys ``src * n + dst`` once (stable when weights ride
+    along) and, when *coalesce*, merge equal keys, summing their weights
+    in input order.  *key* is consumed."""
+    if weights is None:
+        # equal keys are indistinguishable without weights
+        key.sort()
+    else:
+        order = np.argsort(key, kind="stable")
+        key, weights = key[order], weights[order]
+    if not coalesce or key.size == 0:
+        return key, weights
+    keep = np.empty(key.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    if weights is not None:
+        # Sum weights of duplicate edges into the first slot of each group.
+        group = np.cumsum(keep) - 1
+        summed = np.zeros(int(group[-1]) + 1, dtype=np.float64)
+        np.add.at(summed, group, weights)
+        weights = summed
+    return key[keep], weights
+
+
 def coalesce_edges(
     src: np.ndarray,
     dst: np.ndarray,
@@ -52,25 +78,19 @@ def coalesce_edges(
 
     Returns the coalesced ``(src, dst, weights)`` triple.  When *weights* is
     ``None`` the duplicates are merged without accumulating multiplicity
-    (i.e. the result is an unweighted simple edge set).
+    (i.e. the result is an unweighted simple edge set).  Ids must be
+    non-negative; the edges are ordered by one sort of the slot key
+    ``src * n + dst`` with ``n`` the largest id plus one.
     """
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    if weights is not None:
-        weights = weights[order]
-    if src.size == 0:
-        return src, dst, weights
-    keep = np.empty(src.size, dtype=bool)
-    keep[0] = True
-    np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
-    if weights is not None:
-        # Sum weights of duplicate edges into the first slot of each group.
-        group = np.cumsum(keep) - 1
-        summed = np.zeros(int(group[-1]) + 1, dtype=np.float64)
-        np.add.at(summed, group, weights)
-        weights = summed
-    return src[keep], dst[keep], weights
+    src = _as_index_array(src, "src")
+    dst = _as_index_array(dst, "dst")
+    if src.size and (src.min() < 0 or dst.min() < 0):
+        raise GraphFormatError("vertex ids must be non-negative")
+    n = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
+    _require_keyable(n)
+    key, weights = _sorted_slots(src * n + dst, weights, coalesce=True)
+    src = key // n
+    return src, key - src * n, weights
 
 
 @dataclass(frozen=True)
@@ -147,6 +167,11 @@ class CSRGraph:
             undirected (symmetric) graph.
         coalesce:
             sort and merge duplicate edges (weights summed).
+
+        Slots are ordered by one sort of the slot key ``src * n + dst``
+        (stable when weights ride along), so ``n`` must satisfy
+        ``n² < 2⁶³``; larger graphs raise before anything of size ``n``
+        is allocated.
         """
         src = _as_index_array(np.asarray(src), "src")
         dst = _as_index_array(np.asarray(dst), "dst")
@@ -166,23 +191,18 @@ class CSRGraph:
             raise GraphFormatError(
                 f"num_vertices={n} is smaller than max vertex id {observed - 1}"
             )
+        _require_keyable(n)
+        key = src * n + dst
         if symmetrize:
             nonloop = src != dst
-            rev_src, rev_dst = dst[nonloop], src[nonloop]
-            src = np.concatenate([src, rev_src])
-            dst = np.concatenate([dst, rev_dst])
+            key = np.concatenate([key, (dst * n + src)[nonloop]])
             if weights is not None:
                 weights = np.concatenate([weights, weights[nonloop]])
-        if coalesce:
-            src, dst, weights = coalesce_edges(src, dst, weights)
-        else:
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            if weights is not None:
-                weights = weights[order]
-        counts = np.bincount(src, minlength=n).astype(np.int64)
+        key, weights = _sorted_slots(key, weights, coalesce)
+        rows = key // n
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        dst = key - rows * n
         return cls(indptr=indptr, indices=dst, weights=weights)
 
     @classmethod
@@ -373,11 +393,9 @@ class CSRGraph:
         matrix is ``P A Pᵀ``.
 
         The old rows are gathered in new-row order with their columns
-        mapped through ``perm`` and sorted by one sort of the slot key
-        ``row * n + col`` (stable when weights ride along); duplicate
-        slots are coalesced in the order :func:`coalesce_edges` uses, so
-        the result equals a rebuild through :meth:`from_edges` bit for
-        bit.
+        mapped through ``perm``, then sorted and coalesced by the slot-key
+        sort :meth:`from_edges` uses, so the result equals a rebuild
+        through :meth:`from_edges` bit for bit.
         """
         from repro.graph.perm import validate_permutation
 
@@ -395,21 +413,12 @@ class CSRGraph:
         slot += np.repeat(self.indptr[inverse] - starts[:-1], counts)
         rows = np.repeat(np.arange(n, dtype=np.int64), counts)
         key = rows * n + perm[self.indices[slot]]
-        if self.weights is None:
-            # equal keys are indistinguishable without weights, and the
-            # sorted keys stay in their rows, so `rows` still holds
-            key.sort()
-        else:
-            order = np.argsort(key, kind="stable")
-            key, slot = key[order], slot[order]
-        keep = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        weights = None
-        if self.weights is not None:
-            weights = np.zeros(int(np.count_nonzero(keep)), dtype=np.float64)
-            np.add.at(weights, np.cumsum(keep) - 1, self.weights[slot])
-        if not keep.all():
-            key, rows = key[keep], rows[keep]
+        weights = None if self.weights is None else self.weights[slot]
+        key, weights = _sorted_slots(key, weights, coalesce=True)
+        # The sorted keys stay in their rows, so `rows` and `starts` hold
+        # unless duplicate slots were merged.
+        if key.size < rows.size:
+            rows = key // n
             np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
         return CSRGraph(indptr=starts, indices=key - rows * n, weights=weights)
 

@@ -4,11 +4,21 @@ These are the three formats the paper's dataset sources (SNAP, LAW exports,
 DIMACS) commonly ship.  Parsers are strict and raise
 :class:`~repro.errors.GraphFormatError` with line numbers on malformed
 input; writers produce files the parsers round-trip exactly.
+
+The readers tokenise a whole file at once: the fixed-column formats (edge
+lists, MatrixMarket entries) are one ``np.loadtxt`` call, METIS adjacency
+lists one numpy pass over the body's bytes.  No Python code runs per line
+or per token unless the input is malformed; then the offending physical
+line is looked up.  The token grammar is numpy's (``docs/API.md``).  Each
+read is one ``graph.read`` span with ``graph.tokenize`` and
+``graph.csr_build`` children.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +35,125 @@ __all__ = [
     "write_matrix_market",
 ]
 
+#: ``bytes.split()``'s whitespace, which separates METIS tokens.
+_SEPARATOR = np.zeros(256, dtype=bool)
+_SEPARATOR[list(b" \t\n\r\x0b\x0c")] = True
+#: An integer token as ``np.loadtxt`` reads one (ASCII digits, no ``_``).
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+#: METIS neighbour ids longer than this are past every vertex count.
+_DIGITS = 18
+#: Suffixes ``np.loadtxt`` would decompress when given a path.
+_COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
+
+
+def _span(name: str, **attrs):
+    # repro: ignore[layering]  a read's spans are the one place a load
+    # can be split into tokenising and CSR build; the tracer is stdlib
+    # only and imported lazily, so repro.graph stays import-time free
+    # of higher layers (as in ops.reorder_directed).
+    from repro.obs.trace import span
+
+    return span(name, **attrs)
+
 
 def _open_read(path_or_file):
     if isinstance(path_or_file, (str, Path)):
         return open(path_or_file, "r", encoding="utf-8"), True
     return path_or_file, False
+
+
+def _read_text(path_or_file) -> str:
+    """The whole input, every line break (``\\r\\n``, ``\\r``) as ``\\n``:
+    paths open as UTF-8 with universal newlines, and a stream's text is
+    translated the same way."""
+    fh, should_close = _open_read(path_or_file)
+    try:
+        text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"graph file is not UTF-8 text: {exc}") from exc
+    finally:
+        if should_close:
+            fh.close()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _text_bytes(text: str) -> int:
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+def _integer(token: str) -> int | None:
+    """*token*'s value under the integer grammar, or ``None``."""
+    return int(token) if _INTEGER.fullmatch(token) else None
+
+
+def _is_float(token: str) -> bool:
+    """``np.loadtxt``'s float grammar: ``float()``'s, without ``_``
+    separators or non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _content_line(text: str, comment: str, pos: int = 0):
+    """The first line from offset *pos* on (as a match) holding something
+    other than whitespace before its first *comment*, or ``None``."""
+    pattern = rf"^[^\S\n]*(?!{re.escape(comment)})\S.*"
+    return re.compile(pattern, re.M).search(text, pos)
+
+
+def _rows(path_or_file, text, *, weighted, comment, skip=0, pos=0):
+    """The ``u v [w]`` rows of a fixed-column body, read by one
+    ``np.loadtxt`` call past the first *skip* lines (offset *pos*).
+
+    A path is handed to numpy, whose own buffered file reader is twice
+    as fast as reading any stream: made absolute, so that numpy never
+    takes it for a URL, unless its suffix is one numpy would decompress
+    (then *text* is read).  Raises ``ValueError`` on a row numpy cannot
+    read; the caller names the line.
+    """
+    fields = [("u", np.int64), ("v", np.int64)]
+    if weighted:
+        fields.append(("w", np.float64))
+    if _content_line(text, comment, pos) is None:
+        return np.empty(0, dtype=fields)  # np.loadtxt warns on no data
+    if isinstance(path_or_file, (str, Path)) and not str(path_or_file).endswith(
+        _COMPRESSED
+    ):
+        source = os.path.abspath(path_or_file)
+    else:
+        source = io.StringIO(text)
+    return np.loadtxt(
+        source,
+        dtype=fields,
+        comments=comment,
+        usecols=range(len(fields)),
+        skiprows=skip,
+        ndmin=1,
+        encoding="utf-8",
+    )
+
+
+def _bad_line(text, comment, check, cause, *, skip=0) -> GraphFormatError:
+    """Error path only: the first data line after *skip* lines that
+    ``check(tokens, index)`` describes as malformed, by its physical
+    line number (``index`` counts data lines from 0); *cause* is what
+    found the input malformed."""
+    index = 0
+    for lineno, line in enumerate(text.split("\n")[skip:], start=skip + 1):
+        tokens = line.split(comment, 1)[0].split()
+        if not tokens:
+            continue
+        problem = check(tokens, index)
+        if problem:
+            return GraphFormatError(f"line {lineno}: {problem}")
+        index += 1
+    return GraphFormatError(f"unreadable graph file: {cause}")
 
 
 def _open_write(path_or_file):
@@ -55,50 +179,53 @@ def read_edge_list(
 ) -> CSRGraph:
     """Parse a ``u v [w]`` per-line edge list (SNAP style).
 
-    Lines starting with *comment* are skipped.  Vertex ids must be
+    Text from *comment* to the end of its line is skipped, as are blank
+    lines; columns past the ones read are ignored.  Vertex ids must be
     non-negative integers.
     """
-    fh, should_close = _open_read(path_or_file)
-    try:
-        srcs: list[int] = []
-        dsts: list[int] = []
-        ws: list[float] = []
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith(comment):
-                continue
-            parts = line.split()
-            if len(parts) < 2 or (weighted and len(parts) < 3):
-                raise GraphFormatError(
-                    f"line {lineno}: expected "
-                    f"{'u v w' if weighted else 'u v'}, got {line!r}"
-                )
+    if not comment:
+        raise ValueError("comment must be a non-empty string")
+    with _span("graph.read", format="edge_list") as read:
+        with _span("graph.tokenize"):
+            text = _read_text(path_or_file)
+            check = _edge_list_check(weighted)
             try:
-                u, v = int(parts[0]), int(parts[1])
+                rows = _rows(path_or_file, text, weighted=weighted, comment=comment)
             except ValueError as exc:
-                raise GraphFormatError(
-                    f"line {lineno}: non-integer vertex id in {line!r}"
-                ) from exc
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"line {lineno}: negative vertex id")
-            srcs.append(u)
-            dsts.append(v)
-            if weighted:
-                try:
-                    ws.append(float(parts[2]))
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"line {lineno}: non-numeric weight in {line!r}"
-                    ) from exc
-        return CSRGraph.from_edges(
-            np.array(srcs, dtype=np.int64),
-            np.array(dsts, dtype=np.int64),
-            weights=np.array(ws, dtype=np.float64) if weighted else None,
-            symmetrize=undirected,
-        )
-    finally:
-        if should_close:
-            fh.close()
+                raise _bad_line(text, comment, check, exc) from exc
+            src, dst = rows["u"], rows["v"]
+            if src.size and min(src.min(), dst.min()) < 0:
+                raise _bad_line(text, comment, check, "negative vertex id")
+        with _span("graph.csr_build"):
+            graph = CSRGraph.from_edges(
+                src,
+                dst,
+                weights=rows["w"] if weighted else None,
+                symmetrize=undirected,
+            )
+        read.set(bytes=_text_bytes(text), slots=graph.num_edges)
+    return graph
+
+
+def _edge_list_check(weighted):
+    expected = "u v w" if weighted else "u v"
+
+    def check(tokens, index):
+        line = " ".join(tokens)
+        if len(tokens) < len(expected.split()):
+            return f"expected {expected}, got {line!r}"
+        u, v = _integer(tokens[0]), _integer(tokens[1])
+        if u is None or v is None:
+            return f"non-integer vertex id in {line!r}"
+        if u < 0 or v < 0:
+            return "negative vertex id"
+        if max(u, v) >= 2**63:
+            return f"vertex id {max(u, v)} out of range (ids must be below 2**63)"
+        if weighted and not _is_float(tokens[2]):
+            return f"non-numeric weight in {line!r}"
+        return None
+
+    return check
 
 
 def write_edge_list(graph: CSRGraph, path_or_file, *, weighted: bool | None = None) -> None:
@@ -130,103 +257,182 @@ def read_metis(path_or_file) -> CSRGraph:
     """Parse a METIS ``.graph`` file (1-indexed adjacency lists).
 
     Supports fmt codes ``0`` (unweighted) and ``1`` (edge weights).  Vertex
-    weights (fmt ``10``/``11``) are rejected explicitly.
+    weights (fmt ``10``/``11``) are rejected explicitly.  Lines whose
+    first token starts with ``%`` are comments; after the header, a blank
+    line is an isolated vertex's adjacency list.
     """
-    fh, should_close = _open_read(path_or_file)
-    try:
-        header = None
-        rows: list[tuple[int, list[str]]] = []
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped.startswith("%"):
-                continue
-            if header is None:
-                # Blank lines before the header are ignorable; after it,
-                # a blank line is an isolated vertex's (empty) adjacency.
-                if not stripped:
-                    continue
-                header = (lineno, stripped.split())
-            else:
-                rows.append((lineno, stripped.split()))
-        if header is None:
-            raise GraphFormatError("METIS file has no header line")
-        hline, parts = header
-        if len(parts) < 2:
-            raise GraphFormatError(f"line {hline}: METIS header needs 'n m [fmt]'")
-        try:
-            n, m = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(
-                f"line {hline}: non-integer vertex/edge count in METIS "
-                f"header {' '.join(parts)!r}"
-            ) from exc
-        if n < 0 or m < 0:
-            raise GraphFormatError(
-                f"line {hline}: negative vertex/edge count in METIS header"
+    with _span("graph.read", format="metis") as read:
+        with _span("graph.tokenize"):
+            data = _read_text(path_or_file).encode("utf-8")
+            n, m, src, dst, weights = _metis_edges(data)
+        with _span("graph.csr_build"):
+            graph = CSRGraph.from_edges(
+                src,
+                dst,
+                num_vertices=n,
+                weights=weights,
+                symmetrize=False,
+                coalesce=True,
             )
-        fmt = parts[2] if len(parts) >= 3 else "0"
-        if fmt not in ("0", "00", "1", "01"):
-            raise GraphFormatError(
-                f"line {hline}: unsupported METIS fmt {fmt!r} (vertex weights not supported)"
-            )
-        has_ew = fmt in ("1", "01")
-        # Tolerate trailing blank lines (e.g. editor-added final newline).
-        while len(rows) > n and not rows[-1][1]:
-            rows.pop()
-        if len(rows) != n:
-            raise GraphFormatError(
-                f"METIS header declares {n} vertices but file has {len(rows)} adjacency lines"
-            )
-        srcs: list[int] = []
-        dsts: list[int] = []
-        ws: list[float] = []
-        for u, (lineno, tokens) in enumerate(rows):
-            if has_ew and len(tokens) % 2 != 0:
-                raise GraphFormatError(
-                    f"line {lineno}: vertex {u}: odd token count in weighted "
-                    "adjacency list (expected neighbour/weight pairs)"
-                )
-            step = 2 if has_ew else 1
-            for i in range(0, len(tokens), step):
-                try:
-                    v = int(tokens[i]) - 1
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"line {lineno}: vertex {u}: non-integer neighbour "
-                        f"id {tokens[i]!r}"
-                    ) from exc
-                if v < 0 or v >= n:
-                    raise GraphFormatError(
-                        f"line {lineno}: vertex {u}: neighbour id {v + 1} "
-                        f"out of range 1..{n}"
-                    )
-                srcs.append(u)
-                dsts.append(v)
-                if has_ew:
-                    try:
-                        ws.append(float(tokens[i + 1]))
-                    except ValueError as exc:
-                        raise GraphFormatError(
-                            f"line {lineno}: vertex {u}: non-numeric edge "
-                            f"weight {tokens[i + 1]!r}"
-                        ) from exc
-        graph = CSRGraph.from_edges(
-            np.array(srcs, dtype=np.int64),
-            np.array(dsts, dtype=np.int64),
-            num_vertices=n,
-            weights=np.array(ws, dtype=np.float64) if has_ew else None,
-            symmetrize=False,
-            coalesce=True,
+        read.set(bytes=len(data), slots=graph.num_edges)
+    if graph.num_undirected_edges != m:
+        raise GraphFormatError(
+            f"METIS header declares {m} edges but adjacency lists encode "
+            f"{graph.num_undirected_edges}"
         )
-        if graph.num_undirected_edges != m:
-            raise GraphFormatError(
-                f"METIS header declares {m} edges but adjacency lists encode "
-                f"{graph.num_undirected_edges}"
-            )
-        return graph
-    finally:
-        if should_close:
-            fh.close()
+    return graph
+
+
+def _metis_edges(data: bytes):
+    """``(n, m, src, dst, weights)`` of a METIS file, from one numpy pass
+    that finds every token's bytes and line."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    bounds = np.flatnonzero(np.diff(_SEPARATOR[buf], prepend=True, append=True))
+    starts, ends = bounds[0::2], bounds[1::2]
+    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    nlines = data.count(b"\n") + bool(data and not data.endswith(b"\n"))
+    lead = np.ones(starts.size, dtype=bool)  # first token of its line
+    lead[1:] = line[1:] != line[:-1]
+    comment = np.zeros(nlines, dtype=bool)
+    comment[line[lead & (buf[starts] == ord("%"))]] = True
+    heads = np.flatnonzero(lead & ~comment[line])
+    if not heads.size:
+        raise GraphFormatError("METIS file has no header line")
+    first = int(heads[0])
+    hline = int(line[first])
+    last = int(np.searchsorted(line, hline, side="right")) - 1
+    parts = [t.decode() for t in data[starts[first] : ends[last]].split()]
+    n, m, weighted = _metis_header(parts, hline + 1)
+
+    # Every line after the header that is not a comment is an adjacency
+    # list, blank ones included; surplus trailing blank lines are not.
+    rows = hline + 1 + np.flatnonzero(~comment[hline + 1 :])
+    count = np.bincount(line, minlength=nlines)[rows]
+    found = rows.size
+    if found > n:
+        nonblank = np.flatnonzero(count)
+        found = max(n, int(nonblank[-1]) + 1 if nonblank.size else 0)
+    if found != n:
+        raise GraphFormatError(
+            f"METIS header declares {n} vertices but file has {found} "
+            "adjacency lines"
+        )
+    rows, count = rows[:n], count[:n]
+    body = np.flatnonzero((line > hline) & ~comment[line])
+    src = np.repeat(np.arange(n, dtype=np.int64), count)
+
+    # Rows before the first odd one are read as neighbour/weight pairs;
+    # the first malformed token there, or else the odd row, is the error.
+    step, limit, odd = 1, body.size, None
+    if weighted:
+        step = 2
+        odd_rows = np.flatnonzero(count % 2)
+        if odd_rows.size:
+            odd = int(odd_rows[0])
+            limit = int(count[:odd].sum())
+    nbr = body[0:limit:step]
+    value, ok = _integers(buf, starts[nbr], ends[nbr])
+    bad = ~ok | (value < 1) | (value > n)
+    errors = [step * int(np.argmax(bad))] if bad.any() else []
+    weights = None
+    if weighted:
+        wtok = body[1:limit:2]
+        tokens = np.array(data.split(), dtype=object)[wtok]
+        weights, first_bad = _floats(data, tokens, starts[wtok], ends[wtok])
+        if first_bad is not None:
+            errors.append(2 * first_bad + 1)
+    if errors:
+        p = min(errors)
+        t = body[p]
+        raise _metis_token_error(
+            data[starts[t] : ends[t]].decode(),
+            f"line {int(line[t]) + 1}: vertex {int(src[p])}",
+            n,
+            weight=bool(p % step),
+        )
+    if odd is not None:
+        raise GraphFormatError(
+            f"line {int(rows[odd]) + 1}: vertex {odd}: odd token count in "
+            "weighted adjacency list (expected neighbour/weight pairs)"
+        )
+    return n, m, src[::step], value - 1, weights
+
+
+def _metis_header(parts, lineno):
+    if len(parts) < 2:
+        raise GraphFormatError(f"line {lineno}: METIS header needs 'n m [fmt]'")
+    n, m = _integer(parts[0]), _integer(parts[1])
+    if n is None or m is None:
+        raise GraphFormatError(
+            f"line {lineno}: non-integer vertex/edge count in METIS "
+            f"header {' '.join(parts)!r}"
+        )
+    if n < 0 or m < 0:
+        raise GraphFormatError(
+            f"line {lineno}: negative vertex/edge count in METIS header"
+        )
+    fmt = parts[2] if len(parts) >= 3 else "0"
+    if fmt not in ("0", "00", "1", "01"):
+        raise GraphFormatError(
+            f"line {lineno}: unsupported METIS fmt {fmt!r} (vertex weights not supported)"
+        )
+    return n, m, fmt in ("1", "01")
+
+
+def _integers(buf, starts, ends):
+    """Values of the tokens ``buf[starts:ends]`` read as ``[+-]?[0-9]+``,
+    and a mask of the tokens that match.  Only the last ``_DIGITS``
+    digits are summed; a token with a non-zero digit above them is past
+    every vertex count and reads as the largest int64."""
+    sign = buf[starts]
+    first = starts + ((sign == ord("-")) | (sign == ord("+")))
+    ok = ends > first
+    value = np.zeros(starts.size, dtype=np.int64)
+    width = min(int((ends - first).max(initial=0)), _DIGITS)
+    for back in range(width, 0, -1):
+        pos = ends - back
+        digit = buf[pos] - np.uint8(ord("0"))  # wraps below "0"
+        digit[pos < first] = 0
+        ok &= digit <= 9
+        value *= 10
+        value += digit
+    long = np.flatnonzero(ends - first > _DIGITS)
+    if long.size:
+        seg = np.column_stack([first[long], ends[long] - _DIGITS]).ravel()
+        high = buf - np.uint8(ord("0"))
+        ok[long] &= ~np.logical_or.reduceat(high > 9, seg)[::2]
+        value[long[np.logical_or.reduceat(high != 0, seg)[::2]]] = np.iinfo(np.int64).max
+    return np.where(sign == ord("-"), -value, value), ok
+
+
+def _floats(data, tokens, starts, ends):
+    """``(weights, None)``: the weight *tokens* (the bytes of
+    ``data[starts:ends]``) read by ``float()``; or ``(None, index)`` of
+    the first token outside the float grammar."""
+    try:
+        weights = tokens.astype(np.float64)
+    except ValueError:
+        weights = None
+    if weights is not None and b"_" in data and starts.size:
+        # float() accepts digit separators; the grammar does not.
+        underscore = np.append(np.frombuffer(data, dtype=np.uint8) == ord("_"), False)
+        seg = np.column_stack([starts, ends]).ravel()
+        if np.logical_or.reduceat(underscore, seg)[::2].any():
+            weights = None
+    if weights is not None:
+        return weights, None
+    return None, next(
+        i for i, token in enumerate(tokens.tolist()) if not _is_float(token.decode())
+    )
+
+
+def _metis_token_error(token, where, n, *, weight) -> GraphFormatError:
+    if weight:
+        return GraphFormatError(f"{where}: non-numeric edge weight {token!r}")
+    value = _integer(token)
+    if value is None:
+        return GraphFormatError(f"{where}: non-integer neighbour id {token!r}")
+    return GraphFormatError(f"{where}: neighbour id {value} out of range 1..{n}")
 
 
 def write_metis(graph: CSRGraph, path_or_file) -> None:
@@ -261,108 +467,104 @@ def read_matrix_market(path_or_file) -> CSRGraph:
 
     ``symmetric`` matrices are expanded to both directions; ``general``
     matrices are taken as-is (directed).  ``pattern`` fields yield an
-    unweighted graph.
+    unweighted graph.  Nothing is allocated from the size line's
+    counts: the entries are read, then counted against them.
     """
-    fh, should_close = _open_read(path_or_file)
-    try:
-        banner = fh.readline()
-        if not banner.startswith("%%MatrixMarket"):
-            raise GraphFormatError("missing %%MatrixMarket banner")
-        tokens = banner.strip().split()
-        if len(tokens) < 5 or tokens[1] != "matrix" or tokens[2] != "coordinate":
-            raise GraphFormatError(f"unsupported MatrixMarket banner: {banner!r}")
-        field, symmetry = tokens[3], tokens[4]
-        if field not in ("real", "integer", "pattern"):
-            raise GraphFormatError(f"unsupported MatrixMarket field {field!r}")
-        if symmetry not in ("general", "symmetric"):
-            raise GraphFormatError(f"unsupported MatrixMarket symmetry {symmetry!r}")
-        size_line = None
-        lineno = 1  # the banner was line 1
-        for line in fh:
-            lineno += 1
-            s = line.strip()
-            if s and not s.startswith("%"):
-                size_line = (lineno, s)
-                break
-        if size_line is None:
-            raise GraphFormatError("MatrixMarket file has no size line")
-        sline, s = size_line
-        size_tokens = s.split()
-        if len(size_tokens) < 3:
-            raise GraphFormatError(
-                f"line {sline}: MatrixMarket size line needs 'rows cols nnz', "
-                f"got {s!r}"
-            )
-        try:
-            nrows, ncols, nnz = (int(t) for t in size_tokens[:3])
-        except ValueError as exc:
-            raise GraphFormatError(
-                f"line {sline}: non-integer MatrixMarket size in {s!r}"
-            ) from exc
-        if nrows < 0 or ncols < 0 or nnz < 0:
-            raise GraphFormatError(
-                f"line {sline}: negative MatrixMarket dimensions in {s!r}"
-            )
-        if nrows != ncols:
-            raise GraphFormatError(
-                f"adjacency matrix must be square, got {nrows}x{ncols}"
-            )
-        srcs = np.empty(nnz, dtype=np.int64)
-        dsts = np.empty(nnz, dtype=np.int64)
-        ws = np.empty(nnz, dtype=np.float64) if field != "pattern" else None
-        k = 0
-        for line in fh:
-            lineno += 1
-            s = line.strip()
-            if not s or s.startswith("%"):
-                continue
-            parts = s.split()
-            if k >= nnz:
+    with _span("graph.read", format="matrix_market") as read:
+        with _span("graph.tokenize"):
+            text = _read_text(path_or_file)
+            banner = text.partition("\n")[0]
+            if not banner.startswith("%%MatrixMarket"):
+                raise GraphFormatError("missing %%MatrixMarket banner")
+            tokens = banner.split()
+            if len(tokens) < 5 or tokens[1] != "matrix" or tokens[2] != "coordinate":
+                raise GraphFormatError(f"unsupported MatrixMarket banner: {banner!r}")
+            field, symmetry = tokens[3], tokens[4]
+            if field not in ("real", "integer", "pattern"):
+                raise GraphFormatError(f"unsupported MatrixMarket field {field!r}")
+            if symmetry not in ("general", "symmetric"):
                 raise GraphFormatError(
-                    f"line {lineno}: more entries than the declared nnz ({nnz})"
+                    f"unsupported MatrixMarket symmetry {symmetry!r}"
                 )
-            if len(parts) < 2:
-                raise GraphFormatError(
-                    f"line {lineno}: entry needs 'row col"
-                    f"{'' if ws is None else ' value'}', got {s!r}"
-                )
+            size = _content_line(text, "%", len(banner))
+            if size is None:
+                raise GraphFormatError("MatrixMarket file has no size line")
+            sline = text.count("\n", 0, size.start()) + 1
+            nrows, ncols, nnz = _matrix_market_size(size.group().strip(), sline)
+            weighted = field != "pattern"
+            check = _matrix_market_check(nrows, ncols, nnz, weighted)
             try:
-                r, c = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"line {lineno}: non-integer MatrixMarket index in {s!r}"
-                ) from exc
-            if not 1 <= r <= nrows or not 1 <= c <= ncols:
-                raise GraphFormatError(
-                    f"line {lineno}: index ({r}, {c}) out of the declared "
-                    f"{nrows}x{ncols} range"
+                rows = _rows(
+                    path_or_file, text, weighted=weighted, comment="%",
+                    skip=sline, pos=size.end(),
                 )
-            srcs[k] = r - 1
-            dsts[k] = c - 1
-            if ws is not None:
-                if len(parts) < 3:
-                    raise GraphFormatError(f"entry line {lineno}: missing value")
-                try:
-                    ws[k] = float(parts[2])
-                except ValueError as exc:
-                    raise GraphFormatError(
-                        f"line {lineno}: non-numeric MatrixMarket value "
-                        f"{parts[2]!r}"
-                    ) from exc
-            k += 1
-        if k != nnz:
-            raise GraphFormatError(f"declared nnz {nnz} but parsed {k} entries")
-        return CSRGraph.from_edges(
-            srcs,
-            dsts,
-            num_vertices=nrows,
-            weights=ws,
-            symmetrize=(symmetry == "symmetric"),
-            coalesce=True,
+            except ValueError as exc:
+                raise _bad_line(text, "%", check, exc, skip=sline) from exc
+            r, c = rows["u"], rows["v"]
+            if r.size > nnz or (
+                r.size
+                and (min(r.min(), c.min()) < 1 or r.max() > nrows or c.max() > ncols)
+            ):
+                raise _bad_line(text, "%", check, "entry beyond the size line", skip=sline)
+            if r.size != nnz:
+                raise GraphFormatError(
+                    f"declared nnz {nnz} but parsed {r.size} entries"
+                )
+        with _span("graph.csr_build"):
+            graph = CSRGraph.from_edges(
+                r - 1,
+                c - 1,
+                num_vertices=nrows,
+                weights=rows["w"] if weighted else None,
+                symmetrize=(symmetry == "symmetric"),
+                coalesce=True,
+            )
+        read.set(bytes=_text_bytes(text), slots=graph.num_edges)
+    return graph
+
+
+def _matrix_market_size(line: str, lineno: int) -> tuple[int, int, int]:
+    tokens = line.split()
+    if len(tokens) < 3:
+        raise GraphFormatError(
+            f"line {lineno}: MatrixMarket size line needs 'rows cols nnz', "
+            f"got {line!r}"
         )
-    finally:
-        if should_close:
-            fh.close()
+    nrows, ncols, nnz = (_integer(t) for t in tokens[:3])
+    if nrows is None or ncols is None or nnz is None:
+        raise GraphFormatError(
+            f"line {lineno}: non-integer MatrixMarket size in {line!r}"
+        )
+    if nrows < 0 or ncols < 0 or nnz < 0:
+        raise GraphFormatError(
+            f"line {lineno}: negative MatrixMarket dimensions in {line!r}"
+        )
+    if nrows != ncols:
+        raise GraphFormatError(
+            f"adjacency matrix must be square, got {nrows}x{ncols}"
+        )
+    return nrows, ncols, nnz
+
+
+def _matrix_market_check(nrows, ncols, nnz, weighted):
+    def check(tokens, index):
+        line = " ".join(tokens)
+        if index >= nnz:
+            return f"more entries than the declared nnz ({nnz})"
+        if len(tokens) < 2:
+            return f"entry needs 'row col{' value' if weighted else ''}', got {line!r}"
+        r, c = _integer(tokens[0]), _integer(tokens[1])
+        if r is None or c is None:
+            return f"non-integer MatrixMarket index in {line!r}"
+        if not 1 <= r <= nrows or not 1 <= c <= ncols:
+            return f"index ({r}, {c}) out of the declared {nrows}x{ncols} range"
+        if weighted and len(tokens) < 3:
+            return "entry is missing its value"
+        if weighted and not _is_float(tokens[2]):
+            return f"non-numeric MatrixMarket value {tokens[2]!r}"
+        return None
+
+    return check
 
 
 def write_matrix_market(graph: CSRGraph, path_or_file) -> None:

@@ -9,6 +9,7 @@ from repro.errors import GraphFormatError
 from repro.graph import CSRGraph, coalesce_edges, random_permutation
 from repro.graph.validate import check_csr_invariants, is_sorted_within_rows
 from tests.conftest import run_in_fresh_interpreter
+from tests.graph import oracle
 
 
 def edge_lists(max_n=20, max_m=60):
@@ -381,7 +382,7 @@ class TestSortFreeOracle:
     def test_is_symmetric_matches_reverse_rebuild(self, data):
         g = raw_csr(data)
         src, dst, w = g.edge_array()
-        t = CSRGraph.from_edges(
+        t = oracle.from_edges(
             dst, src, num_vertices=g.num_vertices,
             weights=g.weights, symmetrize=False,
         )
@@ -398,7 +399,7 @@ class TestSortFreeOracle:
         g = raw_csr(data)
         perm = random_permutation(g.num_vertices, rng=seed)
         src, dst, w = g.edge_array()
-        expected = CSRGraph.from_edges(
+        expected = oracle.from_edges(
             perm[src], perm[dst], num_vertices=g.num_vertices,
             weights=g.weights, symmetrize=False,
         )

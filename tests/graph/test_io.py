@@ -242,3 +242,117 @@ class TestMatrixMarketHardening:
         )
         with pytest.raises(GraphFormatError, match="line 5"):
             read_matrix_market(io.StringIO(text))
+
+
+class TestFailClosed:
+    """Inputs that once escaped as bare numpy/Python errors, or asked for
+    memory in proportion to a header field."""
+
+    def test_edge_list_id_beyond_int64(self):
+        with pytest.raises(GraphFormatError, match="line 1: .*out of range"):
+            read_edge_list(io.StringIO("99999999999999999999 1\n"))
+
+    def test_matrix_market_nnz_allocates_nothing(self):
+        text = (
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "3 3 100000000000000\n"
+            "1 2\n"
+        )
+        with pytest.raises(GraphFormatError, match="parsed 1 entries"):
+            read_matrix_market(io.StringIO(text))
+
+    def test_matrix_market_huge_dimension(self):
+        text = f"%%MatrixMarket matrix coordinate pattern general\n{2**62} {2**62} 0\n"
+        with pytest.raises(GraphFormatError, match="overflow"):
+            read_matrix_market(io.StringIO(text))
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n\xff\xfe 2\n")
+        with pytest.raises(GraphFormatError, match="UTF-8"):
+            read_edge_list(path)
+
+
+class TestTokenGrammar:
+    """Deliberate differences from ``int()``/``float()`` (docs/API.md):
+    every reader uses numpy's token grammar."""
+
+    @pytest.mark.parametrize("token", ["1_0", "٣", "１", "0x1", "1.0"])
+    def test_integers_are_ascii_digits(self, token):
+        with pytest.raises(GraphFormatError, match="line 2: .*non-integer"):
+            read_edge_list(io.StringIO(f"0 1\n{token} 1\n"))
+        with pytest.raises(GraphFormatError, match="line 3: .*non-integer"):
+            read_metis(io.StringIO(f"2 1\n% c\n{token}\n1\n"))
+        mm = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n"
+        with pytest.raises(GraphFormatError, match="line 3: .*non-integer"):
+            read_matrix_market(io.StringIO(mm + f"{token} 1\n"))
+
+    @pytest.mark.parametrize("token", ["1_0.5", "١.٥"])
+    def test_weights_take_no_digit_separators(self, token):
+        with pytest.raises(GraphFormatError, match="line 1: non-numeric"):
+            read_edge_list(io.StringIO(f"0 1 {token}\n"), weighted=True)
+        with pytest.raises(GraphFormatError, match="line 2: .*non-numeric"):
+            read_metis(io.StringIO(f"2 1 1\n2 {token}\n1 1\n"))
+
+    def test_headers_share_the_integer_grammar(self):
+        with pytest.raises(GraphFormatError, match="line 1: non-integer"):
+            read_metis(io.StringIO("2_0 1\n"))
+        mm = "%%MatrixMarket matrix coordinate pattern general\n1_0 10 0\n"
+        with pytest.raises(GraphFormatError, match="line 2: non-integer"):
+            read_matrix_market(io.StringIO(mm))
+
+    def test_comment_partway_through_a_line(self):
+        g = read_edge_list(io.StringIO("0 1# tail\n1 2 # tail\n"))
+        assert g.indices.tolist() == [1, 0, 2, 1]
+        mm = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2% tail\n"
+        assert read_matrix_market(io.StringIO(mm)).indices.tolist() == [1]
+
+    def test_lone_carriage_return_ends_a_line(self):
+        g = read_edge_list(io.StringIO("0 1\r2 3\n"))
+        assert g.num_undirected_edges == 2
+
+    def test_metis_whitespace_is_ascii(self):
+        with pytest.raises(GraphFormatError, match="line 2: .*non-integer"):
+            read_metis(io.StringIO("2 1\n2\xa0\n1\n"))
+        g = read_metis(io.StringIO("2 1\n\x0c2\x0b\n1\n"))
+        assert g.num_undirected_edges == 1
+
+    def test_empty_comment_string_refused(self):
+        with pytest.raises(ValueError, match="comment"):
+            read_edge_list(io.StringIO("0 1\n"), comment="")
+
+
+class TestReadSpans:
+    """A load is one ``graph.read`` span split into tokenising and CSR
+    build; ``from_edges`` alone opens no span."""
+
+    @pytest.mark.parametrize(
+        "fmt,write,read",
+        [
+            ("edge_list", write_edge_list, read_edge_list),
+            ("metis", write_metis, read_metis),
+            ("matrix_market", write_matrix_market, read_matrix_market),
+        ],
+    )
+    def test_one_read_span_per_load(self, fmt, write, read, tmp_path, paper_graph):
+        from repro.obs import trace
+
+        path = tmp_path / "g.txt"
+        write(paper_graph, path)
+        with trace.capture() as cap:
+            graph = read(path)
+        (root,) = cap.roots
+        assert root.name == "graph.read"
+        assert [c.name for c in root.children] == ["graph.tokenize", "graph.csr_build"]
+        assert root.attrs == {
+            "format": fmt,
+            "bytes": path.stat().st_size,
+            "slots": graph.num_edges,
+        }
+
+    def test_from_edges_opens_no_span(self):
+        from repro.obs import trace
+
+        with trace.capture() as cap:
+            CSRGraph.from_edges([0, 1], [1, 2])
+        assert cap.roots == []
