@@ -27,11 +27,24 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.perm import permutation_from_order
 
-__all__ = ["NO_VERTEX", "Dendrogram"]
+__all__ = ["NO_VERTEX", "Dendrogram", "dfs_error"]
 
 #: Sentinel for "no vertex" links (the paper uses UINT32_MAX; we use -1
 #: since the arrays are int64).
 NO_VERTEX: int = -1
+
+
+def dfs_error(n: int, link: int | None = None) -> GraphFormatError:
+    """The error the ordering DFS raises on links that are not a forest
+    over ``n`` vertices: *link* is an id out of range, or ``None`` when
+    the walk would push more than ``n`` vertices (a cycle, or a vertex
+    with two parents).  The compiled walk raises the same."""
+    if link is not None:
+        return GraphFormatError(f"dendrogram id {link} out of range [0, {n})")
+    return GraphFormatError(
+        f"dendrogram links are not a forest: the DFS would push more than {n} "
+        "vertices"
+    )
 
 
 @dataclass(frozen=True)
@@ -73,17 +86,9 @@ class Dendrogram:
         return out
 
     def members(self, v: int) -> np.ndarray:
-        """All vertices in *v*'s subtree (including *v*), DFS order."""
-        out: list[int] = []
-        stack = [int(v)]
-        while stack:
-            x = stack.pop()
-            out.append(x)
-            c = int(self.child[x])
-            while c != NO_VERTEX:
-                stack.append(c)
-                c = int(self.sibling[c])
-        return np.array(out, dtype=np.int64)
+        """All vertices in *v*'s subtree (including *v*), DFS order: the
+        ordering walk's pops, so damaged links fail closed here too."""
+        return np.array(self._reverse_preorder([int(v)])[::-1], dtype=np.int64)
 
     def parents(self) -> np.ndarray:
         """Reconstruct ``parent[u]`` (``NO_VERTEX`` for roots)."""
@@ -133,15 +138,32 @@ class Dendrogram:
         chain lists.  Pushing roots in forest order and each child chain
         in most-recent-first order makes the pops produce exactly that
         reversed sequence; the caller reverses once at the end.
+
+        In a forest every push names a new vertex, so the walk stops
+        with :func:`dfs_error` before its pushes pass ``n`` or it reads
+        an id outside ``[0, n)``: damaged links fail closed instead of
+        looping.
         """
         child, sibling = self._link_lists()
+        n = len(child)
         out: list[int] = []
         stack = list(roots)
+        budget = n - len(stack)
+        if budget < 0:
+            raise dfs_error(n)
+        for r in stack:
+            if not 0 <= r < n:
+                raise dfs_error(n, r)
         while stack:
             v = stack.pop()
             out.append(v)
             c = child[v]
             while c != NO_VERTEX:
+                if not 0 <= c < n:
+                    raise dfs_error(n, c)
+                budget -= 1
+                if budget < 0:
+                    raise dfs_error(n)
                 stack.append(c)
                 c = sibling[c]
         out.reverse()

@@ -30,11 +30,17 @@ __all__ = ["modularity", "delta_q", "community_degrees", "newman_degrees"]
 
 def newman_degrees(graph: CSRGraph) -> np.ndarray:
     """Weighted degree per vertex with self-loops counted twice."""
-    w = graph.edge_weights()
     row = graph.row_of_slot()
+    loops = row == graph.indices
+    if graph.weights is None:
+        # Slot count plus loop count: exact integers in float64, the
+        # values the weighted sums below give for unit weights.
+        deg = graph.degrees().astype(np.float64)
+        deg += np.bincount(row[loops], minlength=graph.num_vertices)
+        return deg
+    w = graph.weights
     deg = np.zeros(graph.num_vertices, dtype=np.float64)
     np.add.at(deg, row, w)
-    loops = row == graph.indices
     np.add.at(deg, row[loops], w[loops])
     return deg
 

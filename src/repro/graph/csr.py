@@ -297,9 +297,12 @@ class CSRGraph:
     def total_edge_weight(self) -> float:
         """Total undirected edge weight: half the slot-weight sum plus half
         the loop weight again (loops occupy a single slot)."""
-        w = self.edge_weights()
-        row = self.row_of_slot()
-        loop_w = float(w[self.indices == row].sum())
+        if self.weights is None:
+            # Unit weights sum to the exact slot and loop counts.
+            loop_w = float(self.num_self_loops)
+            return (self.num_edges - loop_w) / 2.0 + loop_w
+        w = self.weights
+        loop_w = float(w[self.indices == self.row_of_slot()].sum())
         return (float(w.sum()) - loop_w) / 2.0 + loop_w
 
     def neighbors(self, v: int) -> np.ndarray:

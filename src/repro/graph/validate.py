@@ -16,6 +16,7 @@ from repro.graph.csr import CSRGraph
 __all__ = [
     "check_csr_invariants",
     "require_symmetric",
+    "not_symmetric_error",
     "is_sorted_within_rows",
 ]
 
@@ -50,7 +51,13 @@ def check_csr_invariants(graph: CSRGraph) -> None:
 def require_symmetric(graph: CSRGraph, what: str = "this algorithm") -> None:
     """Raise unless *graph* is symmetric (undirected)."""
     if not graph.is_symmetric():
-        raise GraphFormatError(
-            f"{what} requires an undirected (symmetric) graph; "
-            "build with symmetrize=True or call graph.reverse()-union first"
-        )
+        raise not_symmetric_error(what)
+
+
+def not_symmetric_error(what: str) -> GraphFormatError:
+    """The error :func:`require_symmetric` raises, for callers that reach
+    the verdict another way."""
+    return GraphFormatError(
+        f"{what} requires an undirected (symmetric) graph; "
+        "build with symmetrize=True or call graph.reverse()-union first"
+    )

@@ -4,9 +4,13 @@ The per-vertex work of the sequential sweep (trace, fold, score, merge)
 runs in ``sweep.c``, which performs the dict engine's operations in the
 dict engine's order, so the dendrogram, the stats and the permutation
 are bit-identical to the oracle (``tests/rabbit/test_fastseq_equivalence.py``).
-Python keeps everything that is not per-vertex: the setup, the visit
-order and the state, all of it numpy arrays the C reads and writes in
-place.
+The setup is compiled too: one pass over the CSR gives the symmetry
+verdict, the Newman degrees and the self-loop weight
+(:func:`setup_pass`), and a counting sort the degree visit order
+(:func:`counting_argsort`).  So is ordering generation
+(:func:`dfs_visit_order`), which ``rabbit_order`` runs after every
+detection path.  Python keeps the chunking and the state, all of it
+numpy arrays the C reads and writes in place.
 
 Chunks
 ------
@@ -47,10 +51,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.community.dendrogram import NO_VERTEX, Dendrogram
-from repro.community.modularity import newman_degrees
+from repro.community.dendrogram import NO_VERTEX, Dendrogram, dfs_error
 from repro.graph.csr import CSRGraph
-from repro.graph.validate import require_symmetric
+from repro.graph.validate import not_symmetric_error
 from repro.ioutil import atomic_write_bytes
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -65,7 +68,15 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.runtime import heartbeat
 
-__all__ = ["community_detection_fastseq", "library", "fallback_reason", "delta_q"]
+__all__ = [
+    "community_detection_fastseq",
+    "library",
+    "fallback_reason",
+    "delta_q",
+    "setup_pass",
+    "counting_argsort",
+    "dfs_visit_order",
+]
 
 SOURCE = Path(__file__).with_name("sweep.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -83,6 +94,9 @@ _SIGNATURES = {
          _I64, _P, _P, _F64, _F64, _P],
     ),
     "rabbit_delta_q": (None, [_P, _P, _I64, _F64, _F64, _P]),
+    "rabbit_setup": (_I64, [_P, _P, _P, _I64, _P, _P, _P]),
+    "rabbit_counting_sort": (_I64, [_P, _I64, _P, _I64, _P]),
+    "rabbit_dfs": (_I64, [_P, _P, _I64, _P, _I64, _P, _P, _P]),
 }
 
 # repro: ignore[lock-in-lockfree-path]  guards the one-time library load
@@ -202,20 +216,96 @@ def fallback_reason() -> str | None:
     return _STATE["reason"]
 
 
+def _require_library() -> ctypes.CDLL:
+    lib = library()
+    if lib is None:
+        raise RuntimeError(f"compiled sweep unavailable: {fallback_reason()}")
+    return lib
+
+
 def delta_q(
     w: np.ndarray, deg: np.ndarray, inv_2m: float, penalty: float
 ) -> np.ndarray:
     """The sweep's ΔQ kernel, elementwise: ``2.0 * (w * inv_2m - deg *
     penalty)``.  Exported so tests can check it against numpy."""
-    lib = library()
-    if lib is None:
-        raise RuntimeError(f"compiled sweep unavailable: {fallback_reason()}")
+    lib = _require_library()
     w = np.ascontiguousarray(w, dtype=np.float64)
     deg = np.ascontiguousarray(deg, dtype=np.float64)
     out = np.empty_like(w)
     lib.rabbit_delta_q(w.ctypes.data, deg.ctypes.data, w.size, inv_2m, penalty,
                        out.ctypes.data)
     return out
+
+
+def setup_pass(graph: CSRGraph) -> tuple[bool, np.ndarray, float]:
+    """``(graph.is_symmetric(), newman_degrees(graph), self-loop weight)``
+    from one compiled pass over the CSR.
+
+    The verdict is :meth:`~repro.graph.csr.CSRGraph.is_symmetric`'s:
+    every row strictly increasing, and every slot's reverse present with
+    an ``np.isclose`` weight.  Rows are visited in ascending order, and
+    the reverse of slot ``(u, v)`` must be the next unread slot of row
+    ``v`` (one cursor per row), so the check needs no sort and no search.
+    The degrees are summed in ``newman_degrees``' order, bit for bit; the
+    loop weight is summed in slot order, so it is exact for unit weights.
+    """
+    lib = _require_library()
+    n = graph.num_vertices
+    indptr = np.ascontiguousarray(graph.indptr)
+    indices = np.ascontiguousarray(graph.indices)
+    weights = (
+        None if graph.weights is None else np.ascontiguousarray(graph.weights)
+    )
+    cursor = np.empty(n, dtype=np.int64)
+    deg = np.empty(n, dtype=np.float64)
+    loop_w = np.zeros(1, dtype=np.float64)
+    symmetric = lib.rabbit_setup(
+        indptr.ctypes.data, indices.ctypes.data,
+        None if weights is None else weights.ctypes.data, n,
+        cursor.ctypes.data, deg.ctypes.data, loop_w.ctypes.data,
+    )
+    return bool(symmetric), deg, float(loop_w[0])
+
+
+def counting_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative integer keys,
+    by the compiled counting sort (``max(keys) + 1`` counters: meant for
+    degrees, which never exceed the vertex count on a symmetric graph)."""
+    lib = _require_library()
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    nbins = max(int(keys.max()) + 1, 0) if keys.size else 0
+    count = np.empty(nbins, dtype=np.int64)
+    out = np.empty(keys.size, dtype=np.int64)
+    if lib.rabbit_counting_sort(keys.ctypes.data, keys.size, count.ctypes.data,
+                                nbins, out.ctypes.data) < 0:
+        raise ValueError("counting_argsort needs non-negative keys")
+    return out
+
+
+def dfs_visit_order(dendrogram: Dendrogram) -> np.ndarray:
+    """:meth:`Dendrogram.dfs_visit_order` (Algorithm 2's
+    ORDERINGGENERATION) from the compiled walk, which keeps the Python
+    walk's flat stack and push order; the Python walk runs when the
+    library is unavailable.  Links that do not form a forest raise
+    :func:`~repro.community.dendrogram.dfs_error`'s ``GraphFormatError``
+    either way."""
+    lib = library()
+    if lib is None:
+        return dendrogram.dfs_visit_order()
+    n = dendrogram.num_vertices
+    child = np.ascontiguousarray(dendrogram.child)
+    sibling = np.ascontiguousarray(dendrogram.sibling)
+    roots = np.ascontiguousarray(dendrogram.toplevel)
+    stack = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
+    bad = np.zeros(1, dtype=np.int64)
+    size = lib.rabbit_dfs(
+        child.ctypes.data, sibling.ctypes.data, n, roots.ctypes.data,
+        roots.size, stack.ctypes.data, out.ctypes.data, bad.ctypes.data,
+    )
+    if size < 0:
+        raise dfs_error(n, int(bad[0]) if size == -2 else None)
+    return out[:size]
 
 
 def _pool_capacity(graph: CSRGraph) -> int:
@@ -273,17 +363,24 @@ def community_detection_fastseq(
         )
     get_registry().counter("rabbit.engine.native").inc()
     n = graph.num_vertices
-    # Setup covers everything before the sweep: the symmetry check, the
-    # fingerprint (checkpointed runs only), the visit order and the state
-    # build.
+    # Setup covers everything before the sweep: the symmetry check and
+    # degrees (one compiled pass), the fingerprint (checkpointed runs
+    # only), the visit order and the state build.
     with span("rabbit.seq.setup", n=n, engine="native"):
-        require_symmetric(graph, "Rabbit Order")
+        symmetric, comm_deg, loop_w = setup_pass(graph)
+        if not symmetric:
+            raise not_symmetric_error("Rabbit Order")
         ckpt = as_checkpointer(checkpoint)
         stats = RabbitStats()
         if collect_vertex_work:
             stats.vertex_work = np.zeros(n, dtype=np.int64)
-        comm_deg = newman_degrees(graph)
-        m = graph.total_edge_weight()
+        if graph.weights is None:
+            # total_edge_weight's sum: unit weights make every term an
+            # exact integer, so the slot-order loop weight is numpy's.
+            m = (graph.num_edges - loop_w) / 2.0 + loop_w
+        else:
+            # numpy's pairwise sum, which no sequential sum reproduces
+            m = graph.total_edge_weight()
         if m <= 0.0:
             # Edgeless graph: every vertex is trivially top-level.
             stats.toplevels = n
@@ -303,7 +400,10 @@ def community_detection_fastseq(
         toplevel = np.empty(n, dtype=np.int64)
         if resume is None:
             start = 0
-            order = visit_order(graph, visit, visit_rng)
+            if visit == "degree":
+                order = counting_argsort(graph.degrees())
+            else:
+                order = visit_order(graph, visit, visit_rng)
             dest = np.arange(n, dtype=np.int64)
             child = np.full(n, NO_VERTEX, dtype=np.int64)
             sibling = np.full(n, NO_VERTEX, dtype=np.int64)

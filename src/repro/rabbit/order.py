@@ -14,9 +14,11 @@ import numpy as np
 from pathlib import Path
 
 from repro.community.dendrogram import Dendrogram
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.graph.perm import permutation_from_order
 from repro.obs.trace import span
+from repro.rabbit import native
 from repro.rabbit.common import RabbitStats
 from repro.rabbit.par import ParallelDetectionResult, community_detection_par
 from repro.rabbit.seq import community_detection_seq
@@ -68,8 +70,25 @@ class RabbitResult:
 
 def ordering_generation_seq(dendrogram: Dendrogram) -> np.ndarray:
     """Sequential ordering generation (Algorithm 2, ORDERINGGENERATION):
-    one DFS over the whole forest, returning π."""
-    return dendrogram.ordering()
+    one DFS over the whole forest, returning π.  The DFS is compiled
+    when the library loaded (:func:`~repro.rabbit.native.dfs_visit_order`);
+    without it, :meth:`Dendrogram.dfs_visit_order` gives the same order.
+    A forest whose roots do not reach every vertex raises
+    ``GraphFormatError``: π would not cover the graph."""
+    order = native.dfs_visit_order(dendrogram)
+    n = dendrogram.num_vertices
+    if order.size != n:
+        raise GraphFormatError(
+            f"dendrogram is not a forest partition: the DFS reached "
+            f"{order.size} of {n} vertices"
+        )
+    return permutation_from_order(order)
+
+
+def _ordering_span(parallel: bool):
+    """The ``rabbit.ordering`` span, naming the DFS that runs in it."""
+    engine = "python" if native.library() is None else "native"
+    return span("rabbit.ordering", parallel=parallel, engine=engine)
 
 
 def rabbit_order(
@@ -143,7 +162,7 @@ def rabbit_order(
                 checkpoint=checkpoint,
                 resume=resume,
             )
-        with span("rabbit.ordering", parallel=True):
+        with _ordering_span(parallel=True):
             perm = ordering_generation_seq(result.dendrogram)
         return RabbitResult(
             permutation=perm,
@@ -160,6 +179,6 @@ def rabbit_order(
             checkpoint=checkpoint,
             resume=resume,
         )
-    with span("rabbit.ordering", parallel=False):
+    with _ordering_span(parallel=False):
         perm = ordering_generation_seq(dendrogram)
     return RabbitResult(permutation=perm, dendrogram=dendrogram, stats=stats)

@@ -1,7 +1,9 @@
-/* Compiled aggregation sweep of sequential Rabbit Order (Algorithm 2
- * lines 3-8 with Algorithm 4's lazy aggregation).
+/* Compiled kernels of sequential Rabbit Order: the aggregation sweep
+ * (Algorithm 2 lines 3-8 with Algorithm 4's lazy aggregation), its setup
+ * pass and degree visit order, and ordering generation (the dendrogram
+ * DFS), at the end of the file.
  *
- * Per vertex it performs the dict engine's operations in the dict
+ * Per vertex the sweep performs the dict engine's operations in the dict
  * engine's order (repro/rabbit/common.py, repro/rabbit/seq.py), so the
  * dendrogram is bit-identical:
  *   - members are u (its raw CSR row, self-loops doubled and untraced)
@@ -12,7 +14,8 @@
  *   - dQ = 2.0 * (w * inv_2m - comm_deg[v] * penalty), the first strict
  *     maximum wins;
  *   - the entry is the keys in encounter order, then the self-loop.
- * Build with -ffp-contract=off: an FMA in delta_q changes the last ulp.
+ * Build with -ffp-contract=off: an FMA in delta_q (or is_close) changes
+ * the last ulp.
  *
  * All state is caller-owned (numpy arrays); nothing here is global, so
  * concurrent calls on disjoint state are safe. */
@@ -128,4 +131,134 @@ int64_t rabbit_sweep(const int64_t *indptr, const int64_t *indices,
         }
     }
     return i;
+}
+
+/* np.isclose(x, y) with its default tolerances, evaluated as numpy does:
+ * (|x - y| <= atol + rtol * |y| and y finite) or x == y. */
+static inline int is_close(double x, double y) {
+    return (fabs(x - y) <= 1e-08 + 1e-05 * fabs(y) && isfinite(y)) || x == y;
+}
+
+/* The sweep's setup in one pass over the CSR.  Returns 1 when the graph
+ * is symmetric by CSRGraph.is_symmetric's rule (every row strictly
+ * increasing; every slot (u, v, w) matched by a slot (v, u, w') with
+ * is_close(w, w')), else 0.  Visiting rows in ascending u, the reverse
+ * of slot (u, v) must be the next unread slot of row v (cursor[v], a
+ * caller-owned array of n): a symmetric row v lists the u that point at
+ * it in exactly the order they are visited.  Each slot consumes one cursor
+ * step and no cursor passes its row's end, so all m checks passing
+ * pairs every slot with its reverse.
+ * Each check reads two places no earlier slot predicts (cursor[v], then
+ * row v at it), so the pass prefetches both a few slots ahead (1.5x
+ * faster on R-MAT scale 17 and 22, docs/PERF.md).
+ * deg[u] is u's Newman degree summed in newman_degrees' order (the
+ * row's weights in slot order, then each self-loop's weight again);
+ * *loop_w is the self-loop weight summed in slot order.  weights may be
+ * NULL (every weight 1.0). */
+#define AHEAD 16
+int64_t rabbit_setup(const int64_t *indptr, const int64_t *indices,
+                     const double *weights, int64_t n, int64_t *cursor,
+                     double *deg, double *loop_w) {
+    const int64_t m = indptr[n];
+    int64_t symmetric = 1;
+    double loops = 0.0;
+    for (int64_t v = 0; v < n; v++)
+        cursor[v] = indptr[v];
+    for (int64_t u = 0; u < n; u++) {
+        const int64_t lo = indptr[u], hi = indptr[u + 1];
+        int64_t nloops = 0;
+        double d = 0.0;
+        for (int64_t k = lo; k < hi; k++) {
+            const int64_t v = indices[k];
+            const double w = weights ? weights[k] : 1.0;
+            d += w;
+            nloops += v == u;
+            if (symmetric) {
+                /* while symmetric, every cursor is at most m */
+                if (k + 2 * AHEAD < m)
+                    __builtin_prefetch(&cursor[indices[k + 2 * AHEAD]]);
+                if (k + AHEAD < m)
+                    __builtin_prefetch(&indices[cursor[indices[k + AHEAD]]]);
+                const int64_t r = cursor[v]++;
+                if ((k > lo && v <= indices[k - 1]) || r >= indptr[v + 1] ||
+                    indices[r] != u || (weights && !is_close(w, weights[r])))
+                    symmetric = 0;
+            }
+        }
+        for (int64_t k = lo; nloops > 0 && k < hi; k++)
+            if (indices[k] == u) {
+                const double w = weights ? weights[k] : 1.0;
+                d += w;
+                loops += w;
+                nloops--;
+            }
+        deg[u] = d;
+    }
+    *loop_w = loops;
+    return symmetric;
+}
+
+/* Stable counting sort: out lists 0..n-1 by ascending key, ties in index
+ * order, as np.argsort(keys, kind="stable").  count holds nbins
+ * counters; returns 0, or -1 if a key lies outside [0, nbins). */
+int64_t rabbit_counting_sort(const int64_t *keys, int64_t n, int64_t *count,
+                             int64_t nbins, int64_t *out) {
+    for (int64_t b = 0; b < nbins; b++)
+        count[b] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (keys[i] < 0 || keys[i] >= nbins)
+            return -1;
+        count[keys[i]]++;
+    }
+    for (int64_t b = 0, start = 0; b < nbins; b++) {
+        const int64_t c = count[b];
+        count[b] = start;
+        start += c;
+    }
+    for (int64_t i = 0; i < n; i++)
+        out[count[keys[i]]++] = i;
+    return 0;
+}
+
+/* Algorithm 2's ORDERINGGENERATION: Dendrogram._reverse_preorder's walk
+ * with the same flat stack and push order (roots in order, each child
+ * chain most recent first), then reversed into the post-order visit.
+ * Returns the number of vertices visited.  In a forest every push names
+ * a new vertex, so the pushes, the stack and out stay within n (stack and
+ * out hold n entries): a walk that would push more returns -1 (a cycle or
+ * a vertex with two parents), and an id outside [0, n) returns -2 with
+ * the id in *bad.  Ids are checked in the Python walk's order, so both
+ * walks report the same error. */
+int64_t rabbit_dfs(const int64_t *child, const int64_t *sibling, int64_t n,
+                   const int64_t *roots, int64_t nroots, int64_t *stack,
+                   int64_t *out, int64_t *bad) {
+    int64_t budget = n - nroots, sp = 0, len = 0;
+    if (budget < 0)
+        return -1;
+    for (int64_t i = 0; i < nroots; i++) {
+        if (roots[i] < 0 || roots[i] >= n) {
+            *bad = roots[i];
+            return -2;
+        }
+        stack[sp++] = roots[i];
+    }
+    while (sp > 0) {
+        const int64_t v = stack[--sp];
+        out[len++] = v;
+        for (int64_t c = child[v]; c != -1; c = sibling[c]) {
+            if (c < 0 || c >= n) {
+                *bad = c;
+                return -2;
+            }
+            if (--budget < 0)
+                return -1;
+            stack[sp++] = c;
+        }
+    }
+    for (int64_t i = 0, j = len - 1; i < j; i++, j--) {
+        const int64_t t = out[i];
+        out[i] = out[j];
+        out[j] = t;
+    }
+    return len;
 }

@@ -105,6 +105,28 @@ class TestDegrees:
         assert deg[0] == pytest.approx(7.0)  # 2*3 (loop) + 1
         assert deg[1] == pytest.approx(1.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=80),
+            )
+        )
+    )
+    def test_unweighted_equals_explicit_unit_weights(self, data):
+        """Unweighted graphs count slots and loops instead of summing a
+        materialised array of ones; the values are bit-identical, and so
+        is ``total_edge_weight``."""
+        n, edges = data
+        src = np.array([e[0] for e in edges], dtype=np.int64)
+        dst = np.array([e[1] for e in edges], dtype=np.int64)
+        g = CSRGraph.from_edges(src, dst, num_vertices=n)
+        ones = g.with_unit_weights()
+        assert newman_degrees(g).tobytes() == newman_degrees(ones).tobytes()
+        assert g.total_edge_weight() == ones.total_edge_weight()
+
     def test_community_degrees_sum(self, paper_graph):
         labels = np.array([0, 1, 0, 1, 0, 0, 1, 0])
         cd = community_degrees(paper_graph, labels)

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from repro.graph.generators import rmat_graph
 from repro.obs import trace
 from repro.obs.metrics import counter_delta, get_registry
-from repro.rabbit import native
+from repro.rabbit import native, rabbit_order
 from repro.rabbit.seq import community_detection_seq
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -121,12 +122,20 @@ class TestBuild:
         assert len(names) == 1 and names[0].endswith(".so")
 
 
+def _without_compiler(monkeypatch) -> None:
+    """Forget the loaded library and hide the compiler from the loader."""
+    monkeypatch.setattr(native, "_STATE", {})
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+
+
 class TestFallbackAndProvenance:
     def test_no_compiler_falls_back_to_dict_bit_identical(
         self, monkeypatch, fresh_loader
     ):
-        monkeypatch.setattr(native.shutil, "which", lambda name: None)
         g = rmat_graph(7, edge_factor=6, rng=4)
+        # With a compiler: the compiled setup, sweep and DFS.
+        compiled = rabbit_order(g)
+        _without_compiler(monkeypatch)
         ref, ref_stats = community_detection_seq(g, engine="dict")
         before = get_registry().counter_values()
         with trace.capture() as cap:
@@ -142,6 +151,27 @@ class TestFallbackAndProvenance:
         assert np.array_equal(dend.sibling, ref.sibling)
         assert np.array_equal(dend.toplevel, ref.toplevel)
         assert stats.edges_scanned == ref_stats.edges_scanned
+        # The fallback's permutation, Python DFS included, is the
+        # compiled path's.
+        with pytest.warns(RuntimeWarning, match="no-compiler"):
+            fallback = rabbit_order(g)
+        assert np.array_equal(fallback.permutation, compiled.permutation)
+
+    @requires_cc
+    def test_ordering_span_names_the_dfs(self, monkeypatch, fresh_loader):
+        g = rmat_graph(6, edge_factor=4, rng=2)
+        for parallel in (False, True):
+            with trace.capture() as cap:
+                rabbit_order(g, parallel=parallel)
+            (span,) = cap.find("rabbit.ordering")
+            assert span.attrs == {"parallel": parallel, "engine": "native"}
+        _without_compiler(monkeypatch)
+        for parallel in (False, True):
+            with trace.capture() as cap, warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rabbit_order(g, parallel=parallel)
+            (span,) = cap.find("rabbit.ordering")
+            assert span.attrs == {"parallel": parallel, "engine": "python"}
 
     @requires_cc
     def test_registry_counts_runs_per_engine(self):
