@@ -55,20 +55,6 @@ from repro.obs import trace
 __all__ = ["main"]
 
 
-def _load_graph(path: str):
-    from repro.graph.io import read_edge_list, read_matrix_market, read_metis
-    from repro.graph.npz import load_npz
-
-    suffix = Path(path).suffix.lower()
-    if suffix == ".npz":
-        return load_npz(path)
-    if suffix == ".graph":
-        return read_metis(path)
-    if suffix == ".mtx":
-        return read_matrix_market(path)
-    return read_edge_list(path)
-
-
 def _save_graph(graph, path: str) -> None:
     from repro.graph.io import write_edge_list, write_matrix_market, write_metis
     from repro.graph.npz import save_npz
@@ -175,6 +161,7 @@ def _reorder_resilient(args, graph):
 
 
 def _cmd_reorder(args) -> int:
+    from repro.graph.io import read_graph
     from repro.order import get_algorithm
 
     resilient = _resilience_flags(args)
@@ -187,7 +174,7 @@ def _cmd_reorder(args) -> int:
             file=sys.stderr,
         )
         return 2
-    graph = _load_graph(args.input)
+    graph = read_graph(args.input)
     if resilient:
         with trace.capture() as cap:
             res = _reorder_resilient(args, graph)
@@ -239,6 +226,7 @@ def _cmd_resume(args) -> int:
     executor fail closed with a :class:`~repro.errors.CheckpointError`.
     """
     from repro.errors import CheckpointError
+    from repro.graph.io import read_graph
     from repro.rabbit.order import rabbit_order, resolve_resume
     from repro.resilience import CheckpointConfig
 
@@ -253,7 +241,7 @@ def _cmd_resume(args) -> int:
                 "scratch"
             )
     fingerprint = snap.meta.get("fingerprint", {})
-    graph = _load_graph(args.input)
+    graph = read_graph(args.input)
     kwargs = {
         "merge_threshold": float(fingerprint.get("merge_threshold", 0.0)),
         "resume": snap,
@@ -304,8 +292,9 @@ def _cmd_analyze(args) -> int:
         pseudo_diameter,
         strongly_connected_components,
     )
+    from repro.graph.io import read_graph
 
-    graph = _load_graph(args.input)
+    graph = read_graph(args.input)
     with trace.capture() as cap:
         with trace.span(f"analyze.{args.analysis}"):
             if args.analysis == "pagerank":
@@ -343,6 +332,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from repro.graph.io import read_graph
     from repro.metrics import (
         average_neighbor_gap,
         bandwidth,
@@ -350,7 +340,7 @@ def _cmd_stats(args) -> int:
         spy,
     )
 
-    g = _load_graph(args.input)
+    g = read_graph(args.input)
     deg = g.degrees()
     print(f"vertices        {g.num_vertices}")
     print(f"edges           {g.num_undirected_edges}")

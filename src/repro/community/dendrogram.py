@@ -16,10 +16,17 @@ Ordering generation (Algorithm 2's ``OrderingGeneration``) is the
 post-order DFS over this forest: children subtrees first (most recent
 child first, matching the paper's running example where DFS from top-level
 4 yields 5, 7, 0, 2, 4), then the vertex itself.
+
+Two bounded walks read the links: :func:`dfs_preorder`, the ordering
+DFS (the compiled ``rabbit_dfs`` is the same walk), and
+:func:`chain_walk`, which follows child→sibling chains to direct
+children.  Every other reader here derives from one of them, so links
+that are not a forest raise ``GraphFormatError`` instead of looping.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +34,14 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.perm import permutation_from_order
 
-__all__ = ["NO_VERTEX", "Dendrogram", "dfs_error"]
+__all__ = [
+    "NO_VERTEX",
+    "Dendrogram",
+    "chain_walk",
+    "dfs_error",
+    "dfs_preorder",
+    "require_partition",
+]
 
 #: Sentinel for "no vertex" links (the paper uses UINT32_MAX; we use -1
 #: since the arrays are int64).
@@ -37,14 +51,105 @@ NO_VERTEX: int = -1
 def dfs_error(n: int, link: int | None = None) -> GraphFormatError:
     """The error the ordering DFS raises on links that are not a forest
     over ``n`` vertices: *link* is an id out of range, or ``None`` when
-    the walk would push more than ``n`` vertices (a cycle, or a vertex
-    with two parents).  The compiled walk raises the same."""
+    the walk would push more than ``n`` vertices, so one of them twice.
+    The compiled walk raises the same."""
     if link is not None:
         return GraphFormatError(f"dendrogram id {link} out of range [0, {n})")
     return GraphFormatError(
         f"dendrogram links are not a forest: the DFS would push more than {n} "
-        "vertices"
+        "vertices, so a vertex appears twice (a cycle, or a vertex with two "
+        "parents)"
     )
+
+
+def dfs_preorder(
+    child: Sequence[int], sibling: Sequence[int], roots: Iterable[int]
+) -> list[int]:
+    """The ordering DFS from *roots*, as the order it pops vertices.
+
+    The pops are a preorder that visits children first-merged-first;
+    reversed, they are the post-order visit of Algorithm 2
+    (:meth:`Dendrogram.dfs_visit_order`).  Pushing roots in forest
+    order and each child chain most-recent-first makes one flat stack
+    with a single push/pop per vertex produce exactly that, with no
+    (vertex, expanded) marker pairs and no per-node chain lists.
+
+    In a forest every push names a new vertex, so the walk checks the
+    roots, then every link, against ``[0, n)`` and stops with
+    :func:`dfs_error` before its pushes pass ``n``: damaged links fail
+    closed instead of looping.  *child* and *sibling* may be lists or
+    arrays; lists index fastest.
+    """
+    n = len(child)
+    stack = list(roots)
+    for r in stack:
+        if not 0 <= r < n:
+            raise dfs_error(n, r)
+    budget = n - len(stack)
+    if budget < 0:
+        raise dfs_error(n)
+    out: list[int] = []
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        c = child[v]
+        while c != NO_VERTEX:
+            if not 0 <= c < n:
+                raise dfs_error(n, c)
+            budget -= 1
+            if budget < 0:
+                raise dfs_error(n)
+            stack.append(c)
+            c = sibling[c]
+    return out
+
+
+def chain_walk(
+    child: Sequence[int], sibling: Sequence[int], heads: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """Follow the child→sibling chain of each of *heads*: ``links`` are
+    their direct children, most-recently merged first per head, and
+    ``owners[i]`` is the head that ``links[i]`` hangs from.
+
+    A forest holds fewer than ``n`` links, so the walk stops with a
+    ``GraphFormatError`` past ``n`` links in all (a sibling chain that
+    never ends) or at an id outside ``[0, n)``, as :func:`dfs_preorder`
+    does.  It reads no roots: a child cycle, or a vertex reached from
+    two roots, is only seen by a walk from the roots.
+    """
+    n = len(child)
+    owners: list[int] = []
+    links: list[int] = []
+    for v in heads:
+        c = child[v]
+        while c != NO_VERTEX:
+            if not 0 <= c < n:
+                raise dfs_error(n, c)
+            if len(links) == n:
+                raise GraphFormatError(
+                    "dendrogram links are not a forest: the child/sibling "
+                    f"chains hold more than {n} links"
+                )
+            owners.append(v)
+            links.append(c)
+            c = sibling[c]
+    return owners, links
+
+
+def require_partition(order: Sequence[int], n: int) -> None:
+    """Raise ``GraphFormatError`` unless *order*, the visits of the
+    ordering DFS from every root, holds each id of ``[0, n)`` exactly
+    once: the top-level subtrees then partition the vertices, and the
+    order inverts to a permutation."""
+    counts = np.bincount(np.asarray(order, dtype=np.int64), minlength=n)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        v = int(bad[0])
+        raise GraphFormatError(
+            f"dendrogram is not a forest partition: vertex {v} appears "
+            f"{int(counts[v])} times across top-level subtrees (the DFS "
+            f"reached {np.count_nonzero(counts)} of {n} vertices)"
+        )
 
 
 @dataclass(frozen=True)
@@ -54,7 +159,7 @@ class Dendrogram:
     child: np.ndarray  # int64, child[v] = last vertex merged into v
     sibling: np.ndarray  # int64, sibling[u] = previous vertex merged into u's parent
     toplevel: np.ndarray  # int64, roots in detection order
-    # Lazily-built plain-list mirrors of child/sibling: DFS traversals are
+    # Lazily-built plain-list mirrors of child/sibling: the walks are
     # per-node scalar reads, where list indexing beats ndarray indexing by
     # a wide margin.  Built once per dendrogram (the arrays are frozen).
     _links_cache: tuple | None = field(
@@ -77,27 +182,23 @@ class Dendrogram:
 
     # ------------------------------------------------------------------
     def children(self, v: int) -> list[int]:
-        """Direct children of *v*, most-recently merged first."""
-        out: list[int] = []
-        c = int(self.child[v])
-        while c != NO_VERTEX:
-            out.append(c)
-            c = int(self.sibling[c])
-        return out
+        """Direct children of *v*, most-recently merged first (the chain
+        walk)."""
+        return chain_walk(*self._link_lists(), [int(v)])[1]
 
     def members(self, v: int) -> np.ndarray:
-        """All vertices in *v*'s subtree (including *v*), DFS order: the
-        ordering walk's pops, so damaged links fail closed here too."""
-        return np.array(self._reverse_preorder([int(v)])[::-1], dtype=np.int64)
+        """All vertices in *v*'s subtree (including *v*), in the ordering
+        DFS's pop order."""
+        return np.array(
+            dfs_preorder(*self._link_lists(), [int(v)]), dtype=np.int64
+        )
 
     def parents(self) -> np.ndarray:
-        """Reconstruct ``parent[u]`` (``NO_VERTEX`` for roots)."""
+        """Reconstruct ``parent[u]`` (``NO_VERTEX`` for roots) from every
+        vertex's chain (the chain walk)."""
+        owners, links = chain_walk(*self._link_lists(), range(self.num_vertices))
         parent = np.full(self.num_vertices, NO_VERTEX, dtype=np.int64)
-        for v in range(self.num_vertices):
-            c = int(self.child[v])
-            while c != NO_VERTEX:
-                parent[c] = v
-                c = int(self.sibling[c])
+        parent[links] = owners
         return parent
 
     def community_labels(self) -> np.ndarray:
@@ -110,16 +211,14 @@ class Dendrogram:
 
     def subtree_sizes(self) -> np.ndarray:
         """Size of each vertex's subtree (itself included)."""
-        parent = self.parents()
-        sizes = np.ones(self.num_vertices, dtype=np.int64)
-        # Accumulate bottom-up: process vertices in an order where children
-        # precede parents — a reverse DFS from the roots gives exactly that.
-        order = self.dfs_visit_order()
-        for v in order:  # post-order: children always appear before parents
+        parent = self.parents().tolist()
+        sizes = [1] * self.num_vertices
+        # The post-order visit puts children before their parents.
+        for v in self.dfs_visit_order().tolist():
             p = parent[v]
             if p != NO_VERTEX:
                 sizes[p] += sizes[v]
-        return sizes
+        return np.array(sizes, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def _link_lists(self) -> tuple[list[int], list[int]]:
@@ -128,46 +227,6 @@ class Dendrogram:
             cached = (self.child.tolist(), self.sibling.tolist())
             object.__setattr__(self, "_links_cache", cached)
         return cached
-
-    def _reverse_preorder(self, roots: list[int]) -> list[int]:
-        """Shared DFS core: the post-order visit, computed backwards.
-
-        ``reversed(postorder(v))`` is a *preorder* that visits children
-        first-merged-first, so one flat stack with a single push/pop per
-        vertex suffices — no (vertex, expanded) marker pairs, no per-node
-        chain lists.  Pushing roots in forest order and each child chain
-        in most-recent-first order makes the pops produce exactly that
-        reversed sequence; the caller reverses once at the end.
-
-        In a forest every push names a new vertex, so the walk stops
-        with :func:`dfs_error` before its pushes pass ``n`` or it reads
-        an id outside ``[0, n)``: damaged links fail closed instead of
-        looping.
-        """
-        child, sibling = self._link_lists()
-        n = len(child)
-        out: list[int] = []
-        stack = list(roots)
-        budget = n - len(stack)
-        if budget < 0:
-            raise dfs_error(n)
-        for r in stack:
-            if not 0 <= r < n:
-                raise dfs_error(n, r)
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            c = child[v]
-            while c != NO_VERTEX:
-                if not 0 <= c < n:
-                    raise dfs_error(n, c)
-                budget -= 1
-                if budget < 0:
-                    raise dfs_error(n)
-                stack.append(c)
-                c = sibling[c]
-        out.reverse()
-        return out
 
     def dfs_visit_order(self, toplevel_subset: np.ndarray | None = None) -> np.ndarray:
         """Post-order DFS visit order over the forest (old vertex ids in
@@ -178,10 +237,9 @@ class Dendrogram:
         order; invert it (``permutation_from_order``) to get π.
         """
         roots = self.toplevel if toplevel_subset is None else toplevel_subset
-        return np.array(
-            self._reverse_preorder([int(r) for r in np.asarray(roots)]),
-            dtype=np.int64,
-        )
+        pops = dfs_preorder(*self._link_lists(), np.asarray(roots).tolist())
+        pops.reverse()
+        return np.array(pops, dtype=np.int64)
 
     def ordering(self) -> np.ndarray:
         """Permutation π with ``π[old] = new`` (Algorithm 2's output)."""
@@ -189,52 +247,16 @@ class Dendrogram:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check forest well-formedness: every vertex reachable from
-        exactly one root, no cycles.
+        """Check forest well-formedness: the ordering DFS from the roots
+        must visit every vertex exactly once (:func:`require_partition`).
 
-        The traversal is bounded by the vertex count, so corrupted
+        The DFS is bounded by the vertex count, so corrupted
         ``child``/``sibling`` links (out-of-range ids, cycles) raise a
         :class:`GraphFormatError` instead of looping forever — this is
         what lets the fault-injection auditor run on arbitrarily damaged
         dendrograms.
         """
-        n = self.num_vertices
-        seen = np.zeros(n, dtype=np.int64)
-        for root in self.toplevel:
-            r = int(root)
-            if not 0 <= r < n:
-                raise GraphFormatError(
-                    f"dendrogram top-level id {r} out of range [0, {n})"
-                )
-            stack = [r]
-            while stack:
-                v = stack.pop()
-                seen[v] += 1
-                if seen[v] > 1:
-                    # Also catches child links pointing back at an
-                    # ancestor: the revisit fires before any infinite loop.
-                    raise GraphFormatError(
-                        f"dendrogram is not a forest partition: vertex {v} "
-                        f"appears {int(seen[v])} times across top-level "
-                        "subtrees"
-                    )
-                c = int(self.child[v])
-                while c != NO_VERTEX:
-                    if not 0 <= c < n:
-                        raise GraphFormatError(
-                            f"dendrogram child link {c} of vertex {v} out of "
-                            f"range [0, {n})"
-                        )
-                    stack.append(c)
-                    if len(stack) > n:
-                        raise GraphFormatError(
-                            "dendrogram sibling chain contains a cycle "
-                            f"(chain exceeded {n} links)"
-                        )
-                    c = int(self.sibling[c])
-        if np.any(seen != 1):
-            bad = int(np.flatnonzero(seen != 1)[0])
-            raise GraphFormatError(
-                f"dendrogram is not a forest partition: vertex {bad} appears "
-                f"{int(seen[bad])} times across top-level subtrees"
-            )
+        require_partition(
+            dfs_preorder(*self._link_lists(), self.toplevel.tolist()),
+            self.num_vertices,
+        )

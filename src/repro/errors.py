@@ -120,7 +120,14 @@ class ServeError(ReproError):
 class ProtocolError(ServeError):
     """A serve request or response line violates the newline-delimited
     JSON protocol (not JSON, not an object, unknown op, oversized line,
-    malformed graph payload)."""
+    malformed graph payload).  ``code`` and ``kind`` are the error
+    frame's: 400 ``"protocol"``, or 404 for an op or analysis the
+    daemon does not serve."""
+
+    def __init__(self, message: str, *, code: int = 400, kind: str = "protocol"):
+        super().__init__(message)
+        self.code = code
+        self.kind = kind
 
 
 class QuotaExceededError(ServeError):

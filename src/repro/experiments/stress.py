@@ -207,9 +207,6 @@ def _run_cell(
             outcome.crashes = c.crashes
         # Cross-checks beyond the auditor: the pipeline's end products.
         res.dendrogram.validate()
-        validate_permutation(
-            res.dendrogram.ordering(), graph.num_vertices
-        )
         if s.merges + s.toplevels != graph.num_vertices:
             raise ReproError(
                 f"counter mismatch: {s.merges} merges + {s.toplevels} "

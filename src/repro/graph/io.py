@@ -25,8 +25,10 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.graph.npz import load_npz
 
 __all__ = [
+    "read_graph",
     "read_edge_list",
     "write_edge_list",
     "read_metis",
@@ -165,6 +167,19 @@ def _open_write(path_or_file):
         # repro: ignore[bare-open-write] streaming writer (see above)
         return open(path_or_file, "w", encoding="utf-8"), True
     return path_or_file, False
+
+
+def read_graph(path: str | os.PathLike) -> CSRGraph:
+    """Read a graph file by its suffix: ``.npz`` binary, ``.graph``
+    METIS, ``.mtx`` MatrixMarket, anything else a whitespace edge list."""
+    suffix = Path(path).suffix.lower()
+    if suffix == ".npz":
+        return load_npz(path)
+    if suffix == ".graph":
+        return read_metis(path)
+    if suffix == ".mtx":
+        return read_matrix_market(path)
+    return read_edge_list(path)
 
 
 # ----------------------------------------------------------------------

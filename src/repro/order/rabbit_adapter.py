@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.community.dendrogram import NO_VERTEX, Dendrogram
 from repro.graph.csr import CSRGraph
+from repro.graph.perm import invert_permutation
 from repro.order.base import OrderingResult, OrderingStats
 from repro.rabbit import rabbit_order
 
@@ -29,21 +30,27 @@ def dendrogram_critical_path(
     dendrogram: Dendrogram, vertex_work: np.ndarray
 ) -> float:
     """Maximum root-to-leaf sum of *vertex_work* over the merge forest."""
+    return _critical_path(dendrogram, dendrogram.dfs_visit_order(), vertex_work)
+
+
+def _critical_path(
+    dendrogram: Dendrogram, order: np.ndarray, vertex_work: np.ndarray
+) -> float:
+    """:func:`dendrogram_critical_path`, given the forest's post-order
+    visit *order*."""
     if dendrogram.num_vertices == 0:
         return 0.0
-    parent = dendrogram.parents()
-    path = vertex_work.astype(np.float64).copy()
+    parent = dendrogram.parents().tolist()
+    path = vertex_work.astype(np.float64).tolist()
     # Children appear before parents in the post-order visit, so a single
     # forward pass over it propagates the heaviest child path upward.
-    best_child = np.zeros(dendrogram.num_vertices, dtype=np.float64)
-    order = dendrogram.dfs_visit_order()
-    for v in order:
+    best_child = [0.0] * len(parent)
+    for v in order.tolist():
         path[v] += best_child[v]
         p = parent[v]
         if p != NO_VERTEX and path[v] > best_child[p]:
             best_child[p] = path[v]
-    roots = dendrogram.toplevel
-    return float(path[roots].max(initial=0.0))
+    return float(np.asarray(path)[dendrogram.toplevel].max(initial=0.0))
 
 
 def rabbit_order_result(
@@ -81,14 +88,16 @@ def rabbit_order_result(
     vertex_work = res.stats.vertex_work
     if vertex_work is None:  # edgeless graphs skip aggregation entirely
         vertex_work = np.zeros(graph.num_vertices, dtype=np.int64)
-    span = dendrogram_critical_path(res.dendrogram, vertex_work)
+    # The permutation inverts to the forest's post-order visit.
+    order = invert_permutation(res.permutation)
+    span = _critical_path(res.dendrogram, order, vertex_work)
     stats.add("aggregate", work=work, span=span, barriers=1.0)
     n = graph.num_vertices
     # Ordering generation: parallel DFS per top-level; span is the largest
-    # single community's DFS.
-    sizes = res.dendrogram.subtree_sizes()
-    roots = res.dendrogram.toplevel
-    biggest = float(sizes[roots].max(initial=1.0)) if roots.size else 1.0
+    # single community's DFS.  Each community is one block of the visit,
+    # ending at its root, so its size is the gap between root positions.
+    sizes = np.diff(res.permutation[res.dendrogram.toplevel], prepend=-1)
+    biggest = float(sizes.max(initial=1.0))
     stats.add("ordering", work=float(n), span=biggest, barriers=1.0)
     extra = {
         "dendrogram": res.dendrogram,

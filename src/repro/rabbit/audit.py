@@ -8,8 +8,9 @@ a (possibly fault-injected) parallel detection run, :func:`audit_dendrogram`
 verifies:
 
 1. **forest** — ``child``/``sibling`` links form an acyclic forest whose
-   top-level subtrees partition the vertex set exactly (cycle-robust:
-   a corrupted link raises a violation instead of looping);
+   top-level subtrees partition the vertex set exactly
+   (:meth:`Dendrogram.validate`, the bounded ordering DFS: a corrupted
+   link is a violation, not a loop);
 2. **counts** — ``stats.merges + stats.toplevels == n`` and the recorded
    top-level count matches the dendrogram;
 3. **degree conservation** — each root's final atomic community degree
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.community.dendrogram import NO_VERTEX, Dendrogram
+from repro.community.dendrogram import Dendrogram
 from repro.community.modularity import modularity, newman_degrees
-from repro.errors import AuditError, PermutationError, ReproError
+from repro.errors import AuditError, GraphFormatError, PermutationError, ReproError
 from repro.graph.csr import CSRGraph
 from repro.graph.perm import validate_permutation
 from repro.parallel.atomics import INVALID_DEGREE
@@ -68,54 +69,6 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _check_forest(dendrogram: Dendrogram) -> tuple[bool, str | None]:
-    """Cycle-robust forest-partition check.
-
-    Unlike :meth:`Dendrogram.members`, every traversal here is bounded by
-    the vertex count, so corrupted ``child``/``sibling`` links (e.g. a
-    partial write surviving a crashed worker) produce a violation rather
-    than an infinite loop.
-    """
-    n = dendrogram.num_vertices
-    child = dendrogram.child
-    sibling = dendrogram.sibling
-    seen = np.zeros(n, dtype=np.int64)
-    pushes = 0
-    for root in dendrogram.toplevel:
-        r = int(root)
-        if not 0 <= r < n:
-            return False, f"top-level id {r} out of range [0, {n})"
-        stack = [r]
-        pushes += 1
-        while stack:
-            v = stack.pop()
-            seen[v] += 1
-            c = int(child[v])
-            while c != NO_VERTEX:
-                if not 0 <= c < n:
-                    return False, f"child link {c} of {v} out of range"
-                stack.append(c)
-                pushes += 1
-                if pushes > n:
-                    return False, (
-                        "child/sibling links contain a cycle (traversal "
-                        f"exceeded {n} visits)"
-                    )
-                c = int(sibling[c])
-    if np.any(seen != 1):
-        bad = int(np.flatnonzero(seen != 1)[0])
-        return False, (
-            f"vertex {bad} appears {int(seen[bad])} times across top-level "
-            "subtrees (not a partition)"
-        )
-    return True, None
-
-
-def _subtree_members(dendrogram: Dendrogram, root: int) -> np.ndarray:
-    # Safe only after _check_forest passed (acyclic, in-range links).
-    return dendrogram.members(root)
-
-
 def audit_dendrogram(
     graph: CSRGraph,
     dendrogram: Dendrogram,
@@ -144,11 +97,14 @@ def audit_dendrogram(
         )
         return report
 
-    forest_ok, why = _check_forest(dendrogram)
-    if forest_ok:
-        report.passed.append("forest")
+    try:
+        dendrogram.validate()
+    except GraphFormatError as exc:
+        forest_ok = False
+        report.violations.append(f"forest: {exc}")
     else:
-        report.violations.append(f"forest: {why}")
+        forest_ok = True
+        report.passed.append("forest")
 
     if stats is not None:
         if stats.merges + stats.toplevels != n:
@@ -175,7 +131,7 @@ def audit_dendrogram(
             if d == INVALID_DEGREE or not np.isfinite(d):
                 bad = f"root {r} left in the invalidated state"
                 break
-            expect = float(base[_subtree_members(dendrogram, r)].sum())
+            expect = float(base[dendrogram.members(r)].sum())
             if not np.isclose(d, expect, rtol=rtol, atol=atol):
                 bad = (
                     f"root {r} holds degree {d!r} but its members sum to "

@@ -13,8 +13,8 @@ import numpy as np
 
 from pathlib import Path
 
-from repro.community.dendrogram import Dendrogram
-from repro.errors import CheckpointError, GraphFormatError
+from repro.community.dendrogram import Dendrogram, require_partition
+from repro.errors import CheckpointError
 from repro.graph.csr import CSRGraph
 from repro.graph.perm import permutation_from_order
 from repro.obs.trace import span
@@ -73,15 +73,11 @@ def ordering_generation_seq(dendrogram: Dendrogram) -> np.ndarray:
     one DFS over the whole forest, returning π.  The DFS is compiled
     when the library loaded (:func:`~repro.rabbit.native.dfs_visit_order`);
     without it, :meth:`Dendrogram.dfs_visit_order` gives the same order.
-    A forest whose roots do not reach every vertex raises
+    A forest whose roots do not reach every vertex exactly once raises
+    :func:`~repro.community.dendrogram.require_partition`'s
     ``GraphFormatError``: π would not cover the graph."""
     order = native.dfs_visit_order(dendrogram)
-    n = dendrogram.num_vertices
-    if order.size != n:
-        raise GraphFormatError(
-            f"dendrogram is not a forest partition: the DFS reached "
-            f"{order.size} of {n} vertices"
-        )
+    require_partition(order, dendrogram.num_vertices)
     return permutation_from_order(order)
 
 

@@ -57,9 +57,14 @@ from collections import deque
 
 import numpy as np
 
-from repro.community.dendrogram import NO_VERTEX, Dendrogram
+from repro.community.dendrogram import (
+    NO_VERTEX,
+    Dendrogram,
+    chain_walk,
+    dfs_preorder,
+)
 from repro.community.modularity import newman_degrees
-from repro.errors import AuditError
+from repro.errors import AuditError, GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.graph.validate import require_symmetric
 from repro.obs.metrics import get_registry
@@ -222,26 +227,19 @@ def _subtree_degree(
 
     This is exactly the degree mass the CAS protocol accumulates into a
     community root, so it reconstructs the value a dead worker swapped
-    out and lost.  Traversal is bounded: corrupted links raise instead of
-    looping.
+    out and lost.  The subtree comes from the bounded ordering DFS, summed
+    in its pop order: corrupted links raise instead of looping.
     """
-    n = base_degrees.size
+    try:
+        members = dfs_preorder(child, sibling, [int(root)])
+    except GraphFormatError as exc:
+        raise AuditError(
+            "corrupted child/sibling links encountered while restoring "
+            f"the degree of vertex {root}: {exc}"
+        ) from exc
     total = 0.0
-    stack = [int(root)]
-    visits = 0
-    while stack:
-        v = stack.pop()
+    for v in members:
         total += float(base_degrees[v])
-        visits += 1
-        if visits > n or len(stack) > n:
-            raise AuditError(
-                "corrupted child/sibling links encountered while restoring "
-                f"the degree of vertex {root}"
-            )
-        c = int(child[v])
-        while c != NO_VERTEX:
-            stack.append(c)
-            c = int(sibling[c])
     return total
 
 
@@ -293,18 +291,12 @@ def _recover_from_faults(
         for u in sink:
             in_sink[u] = True
     # 1. Parents according to the authoritative CAS'd chains.
+    try:
+        owners, links = chain_walk(child.tolist(), sibling.tolist(), range(n))
+    except GraphFormatError as exc:
+        raise AuditError(f"cannot recover: {exc}") from exc
     parent = np.full(n, NO_VERTEX, dtype=np.int64)
-    links = 0
-    for v in range(n):
-        c = int(child[v])
-        while c != NO_VERTEX:
-            parent[c] = v
-            links += 1
-            if links > n:
-                raise AuditError(
-                    "child/sibling links contain a cycle; cannot recover"
-                )
-            c = int(sibling[c])
+    parent[links] = owners
     chained = parent != NO_VERTEX
     unmerged = dest == np.arange(n, dtype=np.int64)
     # 2. Complete merges whose dest write was lost in a crash.

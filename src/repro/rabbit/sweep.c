@@ -220,28 +220,29 @@ int64_t rabbit_counting_sort(const int64_t *keys, int64_t n, int64_t *count,
     return 0;
 }
 
-/* Algorithm 2's ORDERINGGENERATION: Dendrogram._reverse_preorder's walk
+/* Algorithm 2's ORDERINGGENERATION: dendrogram.dfs_preorder's walk
  * with the same flat stack and push order (roots in order, each child
  * chain most recent first), then reversed into the post-order visit.
  * Returns the number of vertices visited.  In a forest every push names
  * a new vertex, so the pushes, the stack and out stay within n (stack and
  * out hold n entries): a walk that would push more returns -1 (a cycle or
  * a vertex with two parents), and an id outside [0, n) returns -2 with
- * the id in *bad.  Ids are checked in the Python walk's order, so both
- * walks report the same error. */
+ * the id in *bad.  Ids are checked in the Python walk's order, the roots
+ * first, so both walks report the same error. */
 int64_t rabbit_dfs(const int64_t *child, const int64_t *sibling, int64_t n,
                    const int64_t *roots, int64_t nroots, int64_t *stack,
                    int64_t *out, int64_t *bad) {
     int64_t budget = n - nroots, sp = 0, len = 0;
-    if (budget < 0)
-        return -1;
     for (int64_t i = 0; i < nroots; i++) {
         if (roots[i] < 0 || roots[i] >= n) {
             *bad = roots[i];
             return -2;
         }
-        stack[sp++] = roots[i];
     }
+    if (budget < 0)
+        return -1;
+    for (int64_t i = 0; i < nroots; i++)
+        stack[sp++] = roots[i];
     while (sp > 0) {
         const int64_t v = stack[--sp];
         out[len++] = v;

@@ -281,37 +281,13 @@ class ReorderServer:
         self._active_requests += 1
         self._idle.clear()
         try:
+            message: dict[str, Any] = {}
             try:
                 message = protocol.decode_message(line)
-            except ProtocolError as exc:
-                return protocol.error_response(
-                    None, protocol.BAD_REQUEST, "protocol", str(exc)
-                )
-            raw_op = message.get("op")
-            if not isinstance(raw_op, str) or raw_op not in protocol.OPS:
-                return protocol.error_response(
-                    message.get("id"), protocol.NOT_FOUND, "unknown-op",
-                    f"unknown op {raw_op!r}; expected one of "
-                    f"{', '.join(protocol.OPS)}",
-                )
-            if raw_op == "analyze":
-                analysis = message.get("analysis")
-                if (
-                    not isinstance(analysis, str)
-                    or analysis not in protocol.ANALYSES
-                ):
-                    return protocol.error_response(
-                        message.get("id"), protocol.NOT_FOUND,
-                        "unknown-analysis",
-                        f"unknown analysis {analysis!r}; expected one of "
-                        f"{', '.join(protocol.ANALYSES)}",
-                    )
-            try:
                 request = protocol.parse_request(message)
             except ProtocolError as exc:
                 return protocol.error_response(
-                    message.get("id"), protocol.BAD_REQUEST, "protocol",
-                    str(exc),
+                    message.get("id"), exc.code, exc.kind, str(exc)
                 )
             op = request["op"]
             req_id = request.get("id")
@@ -319,7 +295,7 @@ class ReorderServer:
                 return await self._dispatch(op, request)
             except ProtocolError as exc:
                 return protocol.error_response(
-                    req_id, protocol.BAD_REQUEST, "protocol", str(exc)
+                    req_id, exc.code, exc.kind, str(exc)
                 )
             except QuotaExceededError as exc:
                 self._metrics.counter("serve.quota.rejected").inc()

@@ -125,27 +125,10 @@ def decode_message(line: bytes | str) -> dict[str, Any]:
     return message
 
 
-def load_graph_file(path: str):
-    """Read a graph by extension, the same dispatch the CLI uses:
-    ``.npz`` binary, ``.graph`` METIS, ``.mtx`` MatrixMarket, anything
-    else a whitespace edge list."""
-    from pathlib import Path
-
-    from repro.graph.io import read_edge_list, read_matrix_market, read_metis
-    from repro.graph.npz import load_npz
-
-    suffix = Path(path).suffix.lower()
-    if suffix == ".npz":
-        return load_npz(path)
-    if suffix == ".graph":
-        return read_metis(path)
-    if suffix == ".mtx":
-        return read_matrix_market(path)
-    return read_edge_list(path)
-
-
 def parse_request(message: dict[str, Any]) -> dict[str, Any]:
-    """Validate the request envelope (op, id, tenant); returns *message*.
+    """Validate the request envelope (op, analysis, id, tenant); returns
+    *message*.  An op or analysis the daemon does not serve raises a 404
+    :class:`~repro.errors.ProtocolError`, any other fault a 400.
 
     Field-level validation of graph payloads happens in
     :func:`build_graph` so the daemon can charge the quota *before*
@@ -154,21 +137,24 @@ def parse_request(message: dict[str, Any]) -> dict[str, Any]:
     op = message.get("op")
     if not isinstance(op, str) or op not in OPS:
         raise ProtocolError(
-            f"unknown or missing op {op!r}; expected one of {', '.join(OPS)}"
+            f"unknown or missing op: unknown op {op!r}; expected one of "
+            f"{', '.join(OPS)}",
+            code=NOT_FOUND, kind="unknown-op",
         )
+    if op == "analyze":
+        analysis = message.get("analysis")
+        if not isinstance(analysis, str) or analysis not in ANALYSES:
+            raise ProtocolError(
+                f"unknown or missing analysis {analysis!r}; expected one of "
+                f"{', '.join(ANALYSES)}",
+                code=NOT_FOUND, kind="unknown-analysis",
+            )
     req_id = message.get("id")
     if req_id is not None and not isinstance(req_id, (str, int)):
         raise ProtocolError(f"request id must be a string or int, got {req_id!r}")
     tenant = message.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError(f"tenant must be a non-empty string, got {tenant!r}")
-    if op == "analyze":
-        analysis = message.get("analysis")
-        if not isinstance(analysis, str) or analysis not in ANALYSES:
-            raise ProtocolError(
-                f"unknown or missing analysis {analysis!r}; expected one of "
-                f"{', '.join(ANALYSES)}"
-            )
     return message
 
 
@@ -193,9 +179,10 @@ def build_graph(message: dict[str, Any]):
         if not isinstance(path, str):
             raise ProtocolError(f"graph_path must be a string, got {path!r}")
         from repro.errors import GraphFormatError
+        from repro.graph.io import read_graph
 
         try:
-            return load_graph_file(path)
+            return read_graph(path)
         except (OSError, GraphFormatError) as exc:
             raise ProtocolError(f"cannot load graph_path {path!r}: {exc}") from exc
     if not isinstance(inline, dict):

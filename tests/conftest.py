@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -93,6 +94,28 @@ def zoo_graph(request) -> CSRGraph:
 )
 def nonempty_zoo_graph(request) -> CSRGraph:
     return GRAPH_ZOO[request.param]
+
+
+#: Seconds a test using the ``alarm`` fixture may run.
+ALARM_S = 10
+
+
+@pytest.fixture
+def alarm():
+    """Fail the test with ``TimeoutError`` after ``ALARM_S`` seconds
+    instead of letting a walk that never ends hang the suite (SIGALRM,
+    delivered to the main thread, where pytest runs tests)."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"test ran past its {ALARM_S} s alarm")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(ALARM_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def to_networkx(graph: CSRGraph):

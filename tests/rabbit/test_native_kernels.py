@@ -28,6 +28,7 @@ from repro.graph import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.rabbit import native, ordering_generation_seq, rabbit_order
 from tests.conftest import GRAPH_ZOO, make_paper_graph
+from tests.rabbit.not_forests import NOT_FORESTS
 
 pytestmark = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler on PATH"
@@ -117,50 +118,35 @@ class TestDFS:
         assert_walks_agree(res.dendrogram)
 
 
-def _bad(child, sibling, toplevel) -> Dendrogram:
-    return Dendrogram(
-        child=np.array(child, dtype=np.int64),
-        sibling=np.array(sibling, dtype=np.int64),
-        toplevel=np.array(toplevel, dtype=np.int64),
-    )
-
-
-#: Links that are not a forest, and the phrase both walks must raise.
-NOT_FORESTS = {
-    "two-cycle": (_bad([1, 0], [-1, -1], [0]), "not a forest"),
-    "two-parents": (_bad([2, 2, -1], [-1, -1, -1], [0, 1]), "not a forest"),
-    "child-out-of-range": (_bad([5, -1], [-1, -1], [0, 1]), "id 5 out of range"),
-    "negative-child": (_bad([-3, -1], [-1, -1], [0, 1]), "id -3 out of range"),
-    "sibling-cycle": (_bad([1, -1, -1], [-1, 2, 1], [0]), "not a forest"),
-    "root-out-of-range": (_bad([-1], [-1], [1]), "id 1 out of range"),
-    "repeated-root": (_bad([-1], [-1], [0, 0]), "not a forest"),
-}
-
-
+@pytest.mark.usefixtures("alarm")
 class TestFailClosed:
     @pytest.mark.parametrize("name", sorted(NOT_FORESTS))
     def test_both_walks_raise_the_same_error(self, name):
-        dendrogram, phrase = NOT_FORESTS[name]
-        with pytest.raises(GraphFormatError, match=phrase) as python:
-            dendrogram.dfs_visit_order()
-        with pytest.raises(GraphFormatError, match=phrase) as compiled:
-            native.dfs_visit_order(dendrogram)
+        case = NOT_FORESTS[name]
+        with pytest.raises(GraphFormatError, match=case.phrase) as python:
+            case.dendrogram.dfs_visit_order()
+        with pytest.raises(GraphFormatError, match=case.phrase) as compiled:
+            native.dfs_visit_order(case.dendrogram)
         assert str(python.value) == str(compiled.value)
 
     def test_rabbit_ordering_refuses_a_cycle(self):
         with pytest.raises(GraphFormatError, match="not a forest"):
-            ordering_generation_seq(NOT_FORESTS["two-cycle"][0])
+            ordering_generation_seq(NOT_FORESTS["two-cycle"].dendrogram)
 
     def test_rabbit_ordering_refuses_unreached_vertices(self):
         """Vertex 2 is neither a root nor anyone's child: the walk is a
         bijection on two ids, which must not pass for π of three."""
-        orphan = _bad([-1, -1, -1], [-1, -1, -1], [0, 1])
+        orphan = Dendrogram(
+            child=np.full(3, NO_VERTEX, dtype=np.int64),
+            sibling=np.full(3, NO_VERTEX, dtype=np.int64),
+            toplevel=np.array([0, 1], dtype=np.int64),
+        )
         with pytest.raises(GraphFormatError, match="reached 2 of 3"):
             ordering_generation_seq(orphan)
 
     def test_members_fails_closed(self):
         with pytest.raises(GraphFormatError, match="not a forest"):
-            NOT_FORESTS["two-cycle"][0].members(0)
+            NOT_FORESTS["two-cycle"].dendrogram.members(0)
 
 
 # ---------------------------------------------------------------------------
