@@ -39,7 +39,6 @@ from repro.community import Dendrogram, modularity
 from repro.errors import ReproError
 from repro.graph import (
     CSRGraph,
-    GraphBuilder,
     invert_permutation,
     random_permutation,
     validate_permutation,
@@ -52,7 +51,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "CSRGraph",
-    "GraphBuilder",
     "rabbit_order",
     "RabbitResult",
     "Dendrogram",

@@ -24,12 +24,6 @@ class ImportMap:
     #: dotted modules imported anywhere (including inside functions)
     all_imports: Dict[str, int] = field(default_factory=dict)
 
-    def resolves_to(self, node: ast.AST, dotted: str) -> bool:
-        """True when *node* is a name/attribute chain denoting *dotted*
-        (through any import alias)."""
-        resolved = self.resolve(node)
-        return resolved == dotted
-
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Resolve a Name/Attribute chain to its dotted origin.
 

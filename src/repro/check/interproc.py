@@ -41,12 +41,6 @@ class ProjectState:
     ctxs: List[FileContext]
     graph: CallGraph
 
-    def ctx_for(self, rel: str) -> Optional[FileContext]:
-        for ctx in self.ctxs:
-            if ctx.rel == rel:
-                return ctx
-        return None
-
     # -- forward traversal -----------------------------------------------
     def walk_paths(
         self,

@@ -59,7 +59,7 @@ class LockInLockfreePath(Rule):
                     node,
                     f"blocking primitive {resolved}() constructed on the "
                     "lock-free aggregation path; synchronise through "
-                    "AtomicPairArray/AtomicCounter instead",
+                    "AtomicPairArray instead",
                 )
 
 

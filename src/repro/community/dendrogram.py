@@ -111,13 +111,15 @@ def chain_walk(
     their direct children, most-recently merged first per head, and
     ``owners[i]`` is the head that ``links[i]`` hangs from.
 
-    A forest holds fewer than ``n`` links, so the walk stops with a
-    ``GraphFormatError`` past ``n`` links in all (a sibling chain that
-    never ends) or at an id outside ``[0, n)``, as :func:`dfs_preorder`
-    does.  It reads no roots: a child cycle, or a vertex reached from
-    two roots, is only seen by a walk from the roots.
+    In a forest a vertex hangs from one head at most, so the walk stops
+    with a ``GraphFormatError`` at a vertex linked twice (a sibling chain
+    that never ends, or a vertex under two of *heads*) or at an id
+    outside ``[0, n)``, as :func:`dfs_preorder` does.  It reads no roots:
+    a child cycle, or a root repeated or hanging from another root, is
+    only seen by a walk from the roots.
     """
     n = len(child)
+    linked = bytearray(n)
     owners: list[int] = []
     links: list[int] = []
     for v in heads:
@@ -125,11 +127,13 @@ def chain_walk(
         while c != NO_VERTEX:
             if not 0 <= c < n:
                 raise dfs_error(n, c)
-            if len(links) == n:
+            if linked[c]:
                 raise GraphFormatError(
-                    "dendrogram links are not a forest: the child/sibling "
-                    f"chains hold more than {n} links"
+                    f"dendrogram links are not a forest: vertex {c} is linked "
+                    "twice (a sibling chain that cycles, or a vertex with two "
+                    "parents)"
                 )
+            linked[c] = 1
             owners.append(v)
             links.append(c)
             c = sibling[c]
@@ -203,10 +207,16 @@ class Dendrogram:
 
     def community_labels(self) -> np.ndarray:
         """Label each vertex with the index of its top-level root (the
-        paper's extracted communities)."""
-        labels = np.full(self.num_vertices, -1, dtype=np.int64)
-        for i, root in enumerate(self.toplevel):
-            labels[self.members(int(root))] = i
+        paper's extracted communities).  The ordering DFS from every root
+        must visit each vertex once (:func:`require_partition`); it pops
+        one block per root, the last root's first, each led by its root."""
+        n = self.num_vertices
+        pops = dfs_preorder(*self._link_lists(), self.toplevel.tolist())
+        require_partition(pops, n)
+        is_root = np.zeros(n, dtype=bool)
+        is_root[self.toplevel] = True
+        labels = np.empty(n, dtype=np.int64)
+        labels[pops] = self.toplevel.size - np.cumsum(is_root[pops])
         return labels
 
     def subtree_sizes(self) -> np.ndarray:

@@ -1,6 +1,5 @@
-"""Graph substrate: CSR structure, permutations, builders, I/O, generators."""
+"""Graph substrate: CSR structure, permutations, I/O, generators."""
 
-from repro.graph.builder import GraphBuilder
 from repro.graph.fingerprint import fingerprint_key, graph_fingerprint
 from repro.graph.npz import load_npz, save_npz
 from repro.graph.ops import as_undirected, in_degrees, out_degrees, reorder_directed
@@ -22,7 +21,6 @@ from repro.graph.validate import (
 
 __all__ = [
     "CSRGraph",
-    "GraphBuilder",
     "graph_fingerprint",
     "fingerprint_key",
     "save_npz",

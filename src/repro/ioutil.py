@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -41,7 +42,7 @@ import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator
-from zipfile import BadZipFile
+from zipfile import ZIP_STORED, BadZipFile, ZipFile
 
 import numpy as np
 
@@ -140,6 +141,34 @@ def write_sealed(
     return dest
 
 
+def _require_stored_npy(payload: bytes) -> None:
+    """Refuse an npz member that ``np.load`` would allocate past its
+    bytes: it allocates the declared shape before it reads a byte.  Each
+    member must be stored uncompressed inside the payload (as
+    ``np.savez`` writes it), with an npy header that declares no more
+    elements or bytes than the member holds.  Reads the headers only."""
+    with ZipFile(io.BytesIO(payload)) as archive:
+        for info in archive.infolist():
+            name = info.filename
+            if info.compress_type != ZIP_STORED or info.file_size > len(payload):
+                raise ValueError(f"member {name!r} is not stored in the payload")
+            with archive.open(info) as member:
+                version = np.lib.format.read_magic(member)
+                if version not in ((1, 0), (2, 0)):
+                    raise ValueError(f"member {name!r} has npy version {version}")
+                read_header = np.lib.format.read_array_header_1_0
+                if version == (2, 0):
+                    read_header = np.lib.format.read_array_header_2_0
+                shape, _, dtype = read_header(member)
+                held = info.file_size - member.tell()
+            size = math.prod(shape) * max(dtype.itemsize, 1)
+            if min(shape, default=0) < 0 or size > held:
+                raise ValueError(
+                    f"member {name!r} declares shape {shape} of {dtype}, "
+                    f"more than its {held} bytes"
+                )
+
+
 def read_sealed(
     path: str | Path,
     magic: bytes,
@@ -153,9 +182,10 @@ def read_sealed(
 
     Returns ``(meta, arrays)``, each ``(name, dtype)`` of *fields* cast
     to its dtype.  Any failure — unreadable, truncated, wrong magic or
-    version, CRC mismatch, a payload that is not the expected npz, meta
-    that is not a JSON object — raises *error*, with *kind* naming the
-    file in the message.
+    version, CRC mismatch, a payload that is not the expected npz, a
+    compressed member or one whose header declares more than it holds,
+    meta that is not a JSON object — raises *error*, with *kind* naming
+    the file in the message.
     """
     path = Path(path)
     try:
@@ -187,6 +217,7 @@ def read_sealed(
         # parsed as a bare array or refused as a pickle.
         if not payload.startswith(b"PK\x03\x04"):
             raise ValueError("payload is not an npz archive")
+        _require_stored_npy(payload)
         with np.load(io.BytesIO(payload), allow_pickle=False) as data:
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
             arrays = {name: np.asarray(data[name], dtype=dt) for name, dt in fields}

@@ -1,4 +1,4 @@
-"""Observability subsystem: span tracing, metrics, profiling, benchmarks.
+"""Observability subsystem: span tracing, metrics, benchmarks.
 
 Rabbit Order's claim is *end-to-end economics* — reordering pays for
 itself only when its cost is measured next to the analysis it
@@ -11,8 +11,6 @@ comparison a first-class, machine-readable artifact:
 * :mod:`repro.obs.metrics` — process-wide registry of counters, gauges
   and histograms; absorbs the pipeline's ad-hoc ``RabbitStats`` /
   ``OpCounter`` / fault-injection tallies under stable dotted names.
-* :mod:`repro.obs.profile` — memory probes (peak RSS, ``tracemalloc``
-  allocation deltas, live-ndarray sweeps) attachable to any span.
 * :mod:`repro.obs.bench` — benchmark runner + suite registry emitting
   schema-versioned ``BENCH_*.json`` baselines, with tolerance-based
   regression comparison (``repro bench --compare``).
@@ -31,7 +29,6 @@ from repro.obs.metrics import (
     counter_delta,
     get_registry,
 )
-from repro.obs.profile import MemoryProbe, memory_probe, peak_rss_kb
 from repro.obs.trace import (
     Span,
     TraceCapture,
@@ -58,9 +55,6 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "counter_delta",
-    "MemoryProbe",
-    "memory_probe",
-    "peak_rss_kb",
     "bench",
     "schema",
 ]

@@ -32,10 +32,6 @@ Usage::
             ...
     print(cap.format())                   # indented tree with timings
     cap.phase_totals()                    # {"rabbit.detect": seconds, ...}
-
-Profiling hooks (:mod:`repro.obs.profile`) attach via
-:meth:`Tracer.add_hooks` and run at span start/finish, annotating
-``span.attrs`` with memory readings.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 __all__ = [
     "Span",
@@ -61,8 +57,6 @@ __all__ = [
     "format_spans",
     "iter_spans",
 ]
-
-SpanHook = Callable[["Span"], None]
 
 
 class _NullSpan:
@@ -112,11 +106,8 @@ class Span:
 
     # -- context manager ------------------------------------------------
     def __enter__(self) -> "Span":
-        tracer = self._tracer
         self.thread = threading.current_thread().name
-        tracer._stack().append(self)
-        for hook in tracer._start_hooks:
-            hook(self)
+        self._tracer._stack().append(self)
         self.start = time.perf_counter()
         return self
 
@@ -127,8 +118,6 @@ class Span:
         # Pop self; tolerate (and repair) mispaired exits defensively.
         while stack and stack.pop() is not self:  # pragma: no cover
             pass
-        for hook in tracer._finish_hooks:
-            hook(self)
         if stack:
             stack[-1].children.append(self)
         else:
@@ -180,8 +169,6 @@ class Tracer:
         self._tls = threading.local()
         self._lock = threading.Lock()
         self._roots: list[Span] = []
-        self._start_hooks: list[SpanHook] = []
-        self._finish_hooks: list[SpanHook] = []
 
     # -- the hot call ---------------------------------------------------
     def span(self, name: str, **attrs: Any):
@@ -208,27 +195,6 @@ class Tracer:
         """Finished top-level spans, in completion order."""
         with self._lock:
             return list(self._roots)
-
-    def add_hooks(
-        self,
-        on_start: SpanHook | None = None,
-        on_finish: SpanHook | None = None,
-    ) -> None:
-        """Register profiling hooks run at every span start/finish."""
-        if on_start is not None:
-            self._start_hooks.append(on_start)
-        if on_finish is not None:
-            self._finish_hooks.append(on_finish)
-
-    def remove_hooks(
-        self,
-        on_start: SpanHook | None = None,
-        on_finish: SpanHook | None = None,
-    ) -> None:
-        if on_start is not None and on_start in self._start_hooks:
-            self._start_hooks.remove(on_start)
-        if on_finish is not None and on_finish in self._finish_hooks:
-            self._finish_hooks.remove(on_finish)
 
     @contextmanager
     def capture(self) -> Iterator["TraceCapture"]:

@@ -3,7 +3,6 @@ cost model."""
 
 from repro.parallel.atomics import (
     INVALID_DEGREE,
-    AtomicCounter,
     AtomicPairArray,
     OpCounter,
 )
@@ -22,7 +21,6 @@ from repro.parallel.scheduler import InterleavingScheduler, drive
 
 __all__ = [
     "INVALID_DEGREE",
-    "AtomicCounter",
     "AtomicPairArray",
     "OpCounter",
     "FaultCounters",

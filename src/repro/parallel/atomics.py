@@ -41,7 +41,6 @@ __all__ = [
     "DEGREE_EXACT_LIMIT",
     "OpCounter",
     "AtomicPairArray",
-    "AtomicCounter",
 ]
 
 #: Sentinel marking an invalidated vertex (paper: UINT64_MAX degree).
@@ -202,23 +201,3 @@ class AtomicPairArray:
     def children_view(self) -> np.ndarray:
         return self._child
 
-
-class AtomicCounter:
-    """A lock-protected integer counter (fetch-and-add)."""
-
-    def __init__(self, initial: int = 0):
-        self._value = initial
-        # repro: ignore[lock-in-lockfree-path]  the fetch-and-add
-        # primitive's own implementation lock (atomic layer).
-        self._lock = threading.Lock()
-
-    def fetch_add(self, delta: int = 1) -> int:
-        with self._lock:
-            old = self._value
-            self._value += delta
-            return old
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value

@@ -33,8 +33,8 @@ class TestLockInLockfreePath:
 
     def test_clean_on_atomic_layer_usage(self, tmp_path):
         src = (
-            "from repro.parallel.atomics import AtomicCounter\n"
-            "c = AtomicCounter()\n"
+            "from repro.parallel.atomics import AtomicPairArray\n"
+            "a = AtomicPairArray([1.0, 2.0])\n"
         )
         assert findings(tmp_path, src, self.RULE) == []
 

@@ -10,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import zipfile
 import zlib
 from pathlib import Path
 
@@ -167,4 +168,39 @@ def reseal_meta(path: Path, meta) -> None:
     blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     buf = io.BytesIO()
     np.savez(buf, **arrays, meta_json=blob)
+    reseal(path, buf.getvalue())
+
+
+#: A shape no host can allocate as int64 (256 TiB, past a 47-bit user
+#: address space): a reader that trusts an npy header fails at once
+#: rather than mapping the array lazily.
+UNALLOCATABLE = (2**45,)
+
+
+def reseal_members(path: Path, *, claim=None, compress: bool = False) -> None:
+    """Rewrite the sealed file at *path* with its members' data kept.
+
+    ``claim=(name, shape)`` gives member *name* an npy header declaring
+    *shape* over its original bytes; ``compress`` deflates every member.
+    """
+    payload = path.read_bytes()[SEAL_HEADER.size :]
+    buf = io.BytesIO()
+    compression = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
+    with np.load(io.BytesIO(payload)) as data, zipfile.ZipFile(
+        buf, "w", compression
+    ) as out:
+        for name in data.files:
+            array = data[name]
+            npy = io.BytesIO()
+            if claim is not None and name == claim[0]:
+                header = {
+                    "descr": np.lib.format.dtype_to_descr(array.dtype),
+                    "fortran_order": False,
+                    "shape": claim[1],
+                }
+                np.lib.format.write_array_header_1_0(npy, header)
+                npy.write(array.tobytes())
+            else:
+                np.save(npy, array)
+            out.writestr(f"{name}.npy", npy.getvalue())
     reseal(path, buf.getvalue())

@@ -138,19 +138,3 @@ class TestExporters:
         assert doc[0]["children"][0]["name"] == "inner"
         assert doc[0]["duration_s"] >= 0.0
 
-
-class TestHooks:
-    def test_start_finish_hooks_fire_and_detach(self, tracer):
-        seen = []
-        on_start = lambda s: seen.append(("start", s.name))  # noqa: E731
-        on_finish = lambda s: seen.append(("finish", s.name))  # noqa: E731
-        tracer.add_hooks(on_start=on_start, on_finish=on_finish)
-        with tracer.capture():
-            with trace.span("phase"):
-                pass
-        assert seen == [("start", "phase"), ("finish", "phase")]
-        tracer.remove_hooks(on_start=on_start, on_finish=on_finish)
-        with tracer.capture():
-            with trace.span("phase"):
-                pass
-        assert len(seen) == 2  # no further firings

@@ -7,7 +7,6 @@ import pytest
 
 from repro.parallel.atomics import (
     INVALID_DEGREE,
-    AtomicCounter,
     AtomicPairArray,
     OpCounter,
 )
@@ -114,24 +113,3 @@ class TestOpCounter:
         snap = OpCounter().snapshot()
         assert set(snap) == {"loads", "swaps", "cas_success", "cas_failure"}
 
-
-class TestAtomicCounter:
-    def test_fetch_add(self):
-        c = AtomicCounter()
-        assert c.fetch_add() == 0
-        assert c.fetch_add(5) == 1
-        assert c.value == 6
-
-    def test_concurrent_increments(self):
-        c = AtomicCounter()
-
-        def bump():
-            for _ in range(500):
-                c.fetch_add()
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert c.value == 2000

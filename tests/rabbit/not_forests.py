@@ -4,13 +4,15 @@ walk over them.
 Each case gives the phrase of the ``GraphFormatError`` that every walk
 meeting its damage raises, and says which walks meet it:
 
-* a walk from all the roots (the ordering DFS, ``validate``) meets
-  every case;
+* a walk from all the roots (the ordering DFS, ``validate``,
+  ``community_labels``) meets every case;
 * a walk from one root at a time (``members``) misses damage that is
   only a vertex reached from two roots (``between_roots``);
 * the chain walk (``children``, ``parents``, crash recovery's parent
   scan) reads no roots, so it meets only a chain that leaves
-  ``[0, n)`` or never ends (``in_chains``).
+  ``[0, n)`` or never ends (``in_chains``), and, when it follows the
+  chains of every vertex at once (``parents``, recovery), a vertex
+  linked from two heads (``linked_twice``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ class NotForest(NamedTuple):
     phrase: str
     in_chains: bool = False
     between_roots: bool = False
+    linked_twice: bool = False
 
 
 def _bad(child, sibling, toplevel, phrase, **where) -> NotForest:
@@ -41,7 +44,8 @@ def _bad(child, sibling, toplevel, phrase, **where) -> NotForest:
 NOT_FORESTS = {
     "two-cycle": _bad([1, 0], [-1, -1], [0], "not a forest"),
     "two-parents": _bad(
-        [2, 2, -1], [-1, -1, -1], [0, 1], "not a forest", between_roots=True
+        [2, 2, -1], [-1, -1, -1], [0, 1], "not a forest",
+        between_roots=True, linked_twice=True,
     ),
     "child-out-of-range": _bad(
         [5, -1], [-1, -1], [0, 1], "id 5 out of range", in_chains=True

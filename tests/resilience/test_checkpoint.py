@@ -19,7 +19,13 @@ from repro.resilience.checkpoint import (
     require_fingerprint_match,
     save_checkpoint,
 )
-from tests.conftest import SEAL_HEADER, reseal, reseal_meta
+from tests.conftest import (
+    SEAL_HEADER,
+    UNALLOCATABLE,
+    reseal,
+    reseal_members,
+    reseal_meta,
+)
 
 
 @pytest.fixture
@@ -39,11 +45,13 @@ def snapshots_of(graph, directory, *, every=10, keep=1000):
 LINK_DAMAGE = ("sibling-self-link", "two-parents", "sibling-cycle")
 
 #: Damage past the header and CRC checks: a payload that claims to be a
-#: zip archive but is not, meta fields the resume paths cannot use, and
-#: links that are no forest.
+#: zip archive but is not, members ``np.load`` would allocate past their
+#: bytes (an npy header claiming an unallocatable shape, deflated
+#: members), meta fields the resume paths cannot use, and links that
+#: are no forest.
 MALFORMED = [
-    "zip-magic", "no-progress", "bad-progress", "no-engine", "bad-stats",
-    *LINK_DAMAGE,
+    "zip-magic", "huge-claim", "deflated", "no-progress", "bad-progress",
+    "no-engine", "bad-stats", *LINK_DAMAGE,
 ]
 
 
@@ -76,6 +84,12 @@ def damage(path, how):
     a malformed payload."""
     if how == "zip-magic":
         reseal(path, b"PK\x03\x04" + b"not a zip archive" * 4)
+        return
+    if how == "huge-claim":
+        reseal_members(path, claim=("order", UNALLOCATABLE))
+        return
+    if how == "deflated":
+        reseal_members(path, compress=True)
         return
     if how in LINK_DAMAGE:
         relink(path, how)

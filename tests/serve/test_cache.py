@@ -20,7 +20,7 @@ from repro.serve.cache import (
     load_entry,
     save_entry,
 )
-from tests.conftest import reseal, reseal_meta
+from tests.conftest import UNALLOCATABLE, reseal, reseal_members, reseal_meta
 
 
 @pytest.fixture
@@ -214,6 +214,10 @@ class TestCorruptionIsAMiss:
             reseal(path, b"PK\x03\x04" + b"\0" * 64)
         elif how == "meta-array":
             reseal_meta(path, ["k", fingerprint])
+        elif how == "huge-claim":
+            reseal_members(path, claim=("permutation", UNALLOCATABLE))
+        elif how == "deflated":
+            reseal_members(path, compress=True)
         elif how in NOT_PERMUTATIONS:
             save_entry(path, "k", fingerprint, NOT_PERMUTATIONS[how])
         return path
@@ -221,7 +225,7 @@ class TestCorruptionIsAMiss:
     @pytest.mark.parametrize(
         "how",
         ["truncate", "bitflip", "wrong-key", "zip-magic", "meta-array",
-         *sorted(NOT_PERMUTATIONS)],
+         "huge-claim", "deflated", *sorted(NOT_PERMUTATIONS)],
     )
     def test_corrupt_entry_is_skipped_and_unlinked(
         self, tmp_path, fingerprint, how
