@@ -9,13 +9,12 @@ arrays are stored verbatim, so save→load is exact.
 from __future__ import annotations
 
 from pathlib import Path
-from zipfile import BadZipFile
 
 import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
-from repro.ioutil import atomic_numpy_save
+from repro.ioutil import MALFORMED_NPZ, atomic_numpy_save, require_npz_fits
 
 __all__ = ["save_npz", "load_npz"]
 
@@ -45,25 +44,32 @@ def load_npz(path) -> CSRGraph:
     """Load a graph previously written by :func:`save_npz`.
 
     Anything else — unreadable, not a zip archive, a member missing or
-    malformed — raises :class:`~repro.errors.GraphFormatError`.
+    malformed, or one whose npy header declares more than its bytes can
+    hold — raises :class:`~repro.errors.GraphFormatError`.  The headers
+    are checked before ``np.load`` allocates what they declare.  A
+    deflated member may still declare up to ``DEFLATE_MAX_RATIO`` times
+    its stored bytes; when that allocation fails, the ``MemoryError`` is
+    a ``GraphFormatError`` too.
     """
     try:
-        with np.load(Path(path)) as data:
-            if "format_version" not in data:
-                raise GraphFormatError(f"{path}: not a repro graph archive")
-            version = int(data["format_version"][0])
-            if version != _FORMAT_VERSION:
-                raise GraphFormatError(
-                    f"{path}: unsupported format version {version}"
+        with open(path, "rb") as fh:
+            require_npz_fits(fh, deflated=True)
+            fh.seek(0)
+            with np.load(fh) as data:
+                if "format_version" not in data:
+                    raise GraphFormatError(f"{path}: not a repro graph archive")
+                version = int(data["format_version"][0])
+                if version != _FORMAT_VERSION:
+                    raise GraphFormatError(
+                        f"{path}: unsupported format version {version}"
+                    )
+                return CSRGraph(
+                    indptr=data["indptr"],
+                    indices=data["indices"],
+                    weights=data["weights"] if "weights" in data else None,
                 )
-            return CSRGraph(
-                indptr=data["indptr"],
-                indices=data["indices"],
-                weights=data["weights"] if "weights" in data else None,
-            )
-    except (OSError, BadZipFile, ValueError, KeyError, IndexError, TypeError) as exc:
-        # np.load raises BadZipFile or ValueError depending on how the
-        # file is corrupt, and returns a bare array (no context manager:
-        # TypeError) for an .npy file; a missing member raises KeyError
-        # and an empty format_version IndexError.
+    except (IndexError, MemoryError, *MALFORMED_NPZ) as exc:
+        # A missing member raises KeyError, an empty format_version
+        # IndexError, a forged size np.load cannot allocate MemoryError;
+        # the rest is what a damaged archive raises.
         raise GraphFormatError(f"cannot read graph archive {path}: {exc}") from exc

@@ -42,7 +42,7 @@ import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator
-from zipfile import ZIP_STORED, BadZipFile, ZipFile
+from zipfile import ZIP_DEFLATED, ZIP_STORED, BadZipFile, ZipFile
 
 import numpy as np
 
@@ -53,14 +53,16 @@ __all__ = [
     "atomic_numpy_save",
     "write_sealed",
     "read_sealed",
+    "require_npz_fits",
+    "MALFORMED_NPZ",
 ]
 
 _SEAL = struct.Struct("<8sIIQ")
 
-#: What parsing an npz payload can raise: zipfile (bad archive, missing
+#: What parsing an npz archive can raise: zipfile (bad archive, missing
 #: or truncated member; RuntimeError covers encrypted members and unknown
 #: compression), the npy header parser, JSON decoding and dtype casts.
-_MALFORMED = (
+MALFORMED_NPZ = (
     BadZipFile, EOFError, KeyError, OSError, RuntimeError, TypeError,
     ValueError, zlib.error,
 )
@@ -141,18 +143,38 @@ def write_sealed(
     return dest
 
 
-def _require_stored_npy(payload: bytes) -> None:
-    """Refuse an npz member that ``np.load`` would allocate past its
-    bytes: it allocates the declared shape before it reads a byte.  Each
-    member must be stored uncompressed inside the payload (as
-    ``np.savez`` writes it), with an npy header that declares no more
-    elements or bytes than the member holds.  Reads the headers only."""
-    with ZipFile(io.BytesIO(payload)) as archive:
-        for info in archive.infolist():
+#: Deflate's largest expansion: one 258-byte match per two bits of
+#: compressed stream, about 1032:1.
+DEFLATE_MAX_RATIO = 1032
+
+
+def require_npz_fits(archive: IO[bytes], *, deflated: bool = False) -> None:
+    """Refuse an npz archive that ``np.load`` would allocate past its
+    bytes: it allocates a member's declared shape before it reads a
+    byte.  Each member must be stored uncompressed (as ``np.savez``
+    writes it) or, when *deflated*, deflated (as ``np.savez_compressed``
+    does); hold no more bytes than its compressed bytes in the archive
+    expand to; and carry an npy header that declares no more elements or
+    bytes than the member holds.  Reads the headers only, and raises
+    ``ValueError`` or what ``zipfile`` raises on a damaged archive."""
+    size = archive.seek(0, os.SEEK_END)
+    archive.seek(0)
+    methods = (ZIP_STORED, ZIP_DEFLATED) if deflated else (ZIP_STORED,)
+    with ZipFile(archive) as zf:
+        for info in zf.infolist():
             name = info.filename
-            if info.compress_type != ZIP_STORED or info.file_size > len(payload):
-                raise ValueError(f"member {name!r} is not stored in the payload")
-            with archive.open(info) as member:
+            if info.compress_type not in methods:
+                raise ValueError(
+                    f"member {name!r} is compressed (zip method "
+                    f"{info.compress_type})"
+                )
+            ratio = 1 if info.compress_type == ZIP_STORED else DEFLATE_MAX_RATIO
+            if info.compress_size > size or info.file_size > info.compress_size * ratio:
+                raise ValueError(
+                    f"member {name!r} claims {info.file_size} bytes from "
+                    f"{info.compress_size} in a {size}-byte archive"
+                )
+            with zf.open(info) as member:
                 version = np.lib.format.read_magic(member)
                 if version not in ((1, 0), (2, 0)):
                     raise ValueError(f"member {name!r} has npy version {version}")
@@ -161,8 +183,8 @@ def _require_stored_npy(payload: bytes) -> None:
                     read_header = np.lib.format.read_array_header_2_0
                 shape, _, dtype = read_header(member)
                 held = info.file_size - member.tell()
-            size = math.prod(shape) * max(dtype.itemsize, 1)
-            if min(shape, default=0) < 0 or size > held:
+            declared = math.prod(shape) * max(dtype.itemsize, 1)
+            if min(shape, default=0) < 0 or declared > held:
                 raise ValueError(
                     f"member {name!r} declares shape {shape} of {dtype}, "
                     f"more than its {held} bytes"
@@ -217,12 +239,12 @@ def read_sealed(
         # parsed as a bare array or refused as a pickle.
         if not payload.startswith(b"PK\x03\x04"):
             raise ValueError("payload is not an npz archive")
-        _require_stored_npy(payload)
+        require_npz_fits(io.BytesIO(payload))
         with np.load(io.BytesIO(payload), allow_pickle=False) as data:
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
             arrays = {name: np.asarray(data[name], dtype=dt) for name, dt in fields}
         if not isinstance(meta, dict):
             raise ValueError(f"meta is a JSON {type(meta).__name__}, not an object")
-    except _MALFORMED as exc:
+    except MALFORMED_NPZ as exc:
         raise error(f"{path}: malformed {kind} payload: {exc}") from exc
     return meta, arrays

@@ -52,14 +52,15 @@ def _workload_graph(seed: int) -> CSRGraph:
     return rmat_graph(LOADGEN_SCALE, LOADGEN_EDGE_FACTOR, rng=seed)
 
 
-def _inline_edges(graph: CSRGraph) -> list[list[int]]:
+def _inline_edges(graph: CSRGraph) -> np.ndarray:
+    """The ``(m, 2)`` int64 edges a client sends, packed, for *graph*."""
     src, dst, _ = graph.edge_array()
     mask = src <= dst  # one entry per undirected edge; from_edges symmetrises
-    return [[int(u), int(v)] for u, v in zip(src[mask], dst[mask])]
+    return np.stack([src[mask], dst[mask]], axis=1)
 
 
 def _request_once(
-    unix_path: str, edges: list[list[int]], num_vertices: int
+    unix_path: str, edges: np.ndarray, num_vertices: int
 ) -> tuple[float, list[int]]:
     """One connect→reorder→close round trip; returns (latency_s, perm)."""
     t0 = time.perf_counter()

@@ -177,16 +177,15 @@ def reseal_meta(path: Path, meta) -> None:
 UNALLOCATABLE = (2**45,)
 
 
-def reseal_members(path: Path, *, claim=None, compress: bool = False) -> None:
-    """Rewrite the sealed file at *path* with its members' data kept.
+def rewrite_npz(archive: bytes, *, claim=None, compress: bool = False) -> bytes:
+    """The npz *archive* rewritten with its members' data kept.
 
     ``claim=(name, shape)`` gives member *name* an npy header declaring
     *shape* over its original bytes; ``compress`` deflates every member.
     """
-    payload = path.read_bytes()[SEAL_HEADER.size :]
     buf = io.BytesIO()
     compression = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
-    with np.load(io.BytesIO(payload)) as data, zipfile.ZipFile(
+    with np.load(io.BytesIO(archive)) as data, zipfile.ZipFile(
         buf, "w", compression
     ) as out:
         for name in data.files:
@@ -203,4 +202,20 @@ def reseal_members(path: Path, *, claim=None, compress: bool = False) -> None:
             else:
                 np.save(npy, array)
             out.writestr(f"{name}.npy", npy.getvalue())
-    reseal(path, buf.getvalue())
+    return buf.getvalue()
+
+
+def reseal_members(path: Path, *, claim=None, compress: bool = False) -> None:
+    """Rewrite the sealed file at *path* with its members' data kept
+    (:func:`rewrite_npz` says what *claim* and *compress* do)."""
+    payload = path.read_bytes()[SEAL_HEADER.size :]
+    reseal(path, rewrite_npz(payload, claim=claim, compress=compress))
+
+
+def forge_graph_npz(path: Path) -> None:
+    """Rewrite the :func:`~repro.graph.npz.save_npz` archive at *path*,
+    deflated as it writes it, with a ``format_version`` member whose npy
+    header declares :data:`UNALLOCATABLE`."""
+    path.write_bytes(rewrite_npz(
+        path.read_bytes(), claim=("format_version", UNALLOCATABLE), compress=True
+    ))

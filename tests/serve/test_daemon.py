@@ -14,15 +14,19 @@ over a unix socket, so ``serve.*`` counters land in this process's
 metrics registry and every assertion can use exact counter deltas.
 """
 
+import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import QuotaExceededError, ServeError
 from repro.obs.metrics import counter_delta, get_registry
+from repro.serve import protocol
 from repro.serve.cache import entry_path
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServerConfig, ServerThread
+from tests.conftest import forge_graph_npz
 
 EDGES = [
     [0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 5], [5, 3],
@@ -51,6 +55,22 @@ def _delta(before):
 @pytest.fixture
 def sock(tmp_path):
     return str(tmp_path / "daemon.sock")
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """Every request frame encoded in this process, decoded again."""
+    frames = []
+    encode = protocol.encode_message
+
+    def recording(message):
+        data = encode(message)
+        if "op" in message:
+            frames.append(json.loads(data))
+        return data
+
+    monkeypatch.setattr(protocol, "encode_message", recording)
+    return frames
 
 
 class TestReorder:
@@ -151,6 +171,101 @@ class TestReorder:
             )
             assert a["key"] != b["key"]
             assert b["cache"] == "computed"
+
+
+class TestWireForms:
+    """The client packs integer pairs and sends anything else as the
+    JSON list; both forms of one graph share its cache entry."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: EDGES,
+        lambda: [tuple(e) for e in EDGES],
+        lambda: tuple(tuple(e) for e in EDGES),
+        lambda: (e for e in EDGES),
+        lambda: np.array(EDGES, dtype=np.int32),
+        lambda: np.array(EDGES, dtype=np.int64),
+        lambda: np.array(EDGES, dtype=np.uint64),
+    ], ids=["lists", "tuples", "tuple-of-tuples", "generator", "int32", "int64",
+            "uint64"])
+    def test_integer_pairs_travel_packed(self, sock, sent, make):
+        with ServerThread(ServerConfig(unix_path=sock)), ServeClient(
+            unix_path=sock
+        ) as client:
+            perm = client.reorder(edges=make(), num_vertices=8)
+        assert sent[-1]["graph"] == {
+            "edges_b64": protocol.pack_edges(EDGES), "num_vertices": 8,
+        }
+        assert perm == direct_permutation()
+
+    def test_weighted_edges_travel_as_the_list(self, sock, sent):
+        weighted = [[u, v, 2.0] for u, v in EDGES]
+        with ServerThread(ServerConfig(unix_path=sock)), ServeClient(
+            unix_path=sock
+        ) as client:
+            response = client.reorder(edges=weighted, full_response=True)
+        assert sent[-1]["graph"] == {"edges": weighted}
+        assert response["cache"] == "computed"
+
+    def test_malformed_edges_keep_the_per_edge_error(self, sock, sent):
+        with ServerThread(ServerConfig(unix_path=sock)), ServeClient(
+            unix_path=sock
+        ) as client:
+            with pytest.raises(ServeError, match=r"edges\[1\]: endpoints"):
+                client.reorder(edges=[[0, 1], [1, -2]])
+        assert sent[-1]["graph"] == {"edges": [[0, 1], [1, -2]]}
+
+    def test_ids_past_int64_travel_as_the_list(self, sock, sent):
+        """A uint64 id that int64 cannot hold is sent as it was given,
+        and refused as over the vertex bound, not wrapped negative."""
+        edges = np.array([[0, 1], [1, 2**63]], dtype=np.uint64)
+        with ServerThread(ServerConfig(unix_path=sock)), ServeClient(
+            unix_path=sock
+        ) as client:
+            with pytest.raises(ServeError, match="vertex bound"):
+                client.reorder(edges=edges)
+        assert sent[-1]["graph"] == {"edges": [[0, 1], [1, 2**63]]}
+
+    def test_packed_then_list_frame_share_one_entry(self, sock):
+        with ServerThread(ServerConfig(unix_path=sock)), ServeClient(
+            unix_path=sock
+        ) as client:
+            first = client.reorder(edges=EDGES, full_response=True)
+            second = client.request("reorder", graph={"edges": EDGES})
+        assert first["cache"] == "computed"
+        assert second["ok"] is True
+        assert second["cache"] == "memory"
+        assert second["key"] == first["key"]
+        assert second["permutation"] == first["permutation"] == direct_permutation()
+
+    def test_loadgen_edges_are_one_int64_array(self):
+        from repro.serve.loadgen import _inline_edges, _workload_graph
+
+        graph = _workload_graph(3)
+        edges = _inline_edges(graph)
+        assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+        rebuilt = protocol.build_graph({"graph": {
+            "edges_b64": protocol.pack_edges(edges),
+            "num_vertices": graph.num_vertices,
+        }})
+        assert rebuilt.indptr.tobytes() == graph.indptr.tobytes()
+        assert rebuilt.indices.tobytes() == graph.indices.tobytes()
+
+    def test_list_form_when_only_it_fits_the_line_ceiling(
+        self, sock, sent, monkeypatch
+    ):
+        envelope = {"op": "reorder", "id": 1, "tenant": "default"}
+        listed = protocol.encode_message({**envelope, "graph": {"edges": EDGES}})
+        packed = protocol.encode_message(
+            {**envelope, "graph": {"edges_b64": protocol.pack_edges(EDGES)}}
+        )
+        ceiling = (len(listed) + len(packed)) // 2
+        with ServerThread(ServerConfig(unix_path=sock)), ServeClient(
+            unix_path=sock
+        ) as client:
+            monkeypatch.setattr(protocol, "MAX_LINE_BYTES", ceiling)
+            response = client.reorder(edges=EDGES, full_response=True)
+        assert sent[-1]["graph"] == {"edges": EDGES}
+        assert response["permutation"] == direct_permutation()
 
 
 class TestAnalyzeAndStatus:
@@ -274,6 +389,43 @@ class TestRejections:
             assert response["error"]["kind"] == "protocol"
             assert "graph_path" in response["error"]["message"]
             # The connection survives and serves the next request.
+            assert client.reorder(edges=EDGES) == direct_permutation()
+
+    def test_forged_graph_path_header_is_400(self, tmp_path, sock):
+        """An archive member whose npy header declares 2**45 elements
+        gets the 400 frame, and the connection serves the next request."""
+        from repro.graph.csr import CSRGraph
+        from repro.graph.npz import save_npz
+
+        gpath = tmp_path / "forged.npz"
+        save_npz(CSRGraph.from_edges([0, 1], [1, 2]), gpath)
+        forge_graph_npz(gpath)
+        with ServerThread(ServerConfig(unix_path=sock)), ServeClient(
+            unix_path=sock
+        ) as client:
+            response = client.request("reorder", graph_path=str(gpath))
+            assert response["ok"] is False
+            assert response["error"]["code"] == 400
+            assert "declares shape" in response["error"]["message"]
+            assert client.reorder(edges=EDGES) == direct_permutation()
+
+    @pytest.mark.parametrize("op, fields", [
+        ("reorder", {}),
+        ("reorder", {"include_permutation": False}),
+        ("analyze", {"analysis": "pagerank"}),
+        ("analyze", {"analysis": "components", "include_permutation": True}),
+    ], ids=["reorder", "reorder-no-permutation", "analyze", "analyze-permutation"])
+    def test_over_bound_inline_graph_is_400(self, sock, op, fields):
+        """The vertex bound holds whether or not the reply would carry
+        the permutation."""
+        with ServerThread(ServerConfig(unix_path=sock)), ServeClient(
+            unix_path=sock
+        ) as client:
+            response = client.request(
+                op, graph={"edges": [[0, 1]], "num_vertices": 20_000_000}, **fields
+            )
+            assert response["error"]["code"] == 400
+            assert "vertex bound" in response["error"]["message"]
             assert client.reorder(edges=EDGES) == direct_permutation()
 
     def test_oversized_response_is_413_not_a_dropped_connection(

@@ -1,6 +1,9 @@
 """Wire-protocol framing, request validation, and graph materialisation."""
 
+import base64
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +128,89 @@ class TestBuildGraph:
     def test_graph_path_must_be_string(self):
         with pytest.raises(ProtocolError, match="graph_path"):
             protocol.build_graph({"graph_path": 42})
+
+
+class TestPackedEdges:
+    def test_pack_edges_is_little_endian_int64_base64(self):
+        text = protocol.pack_edges(np.array([[1, 2]], dtype=np.int32))
+        assert base64.b64decode(text) == struct.pack("<qq", 1, 2)
+        assert len(protocol.pack_edges(np.zeros((3, 2), dtype=np.int64))) == 64
+
+    @pytest.mark.parametrize("pairs", [
+        [[0, 1, 2]], [0, 1], np.array([[0.0, 1.0]]), [["a", "b"]],
+        np.array([[0, 2**63]], dtype=np.uint64),
+    ])
+    def test_pack_edges_needs_integer_pairs(self, pairs):
+        with pytest.raises(ProtocolError, match="pack_edges"):
+            protocol.pack_edges(pairs)
+
+    def test_packed_graph_equals_list_graph(self):
+        edges = [[0, 1], [1, 2], [2, 2], [1, 0]]
+        listed = protocol.build_graph(
+            {"graph": {"edges": edges, "num_vertices": 5}}
+        )
+        packed = protocol.build_graph(
+            {"graph": {"edges_b64": protocol.pack_edges(edges), "num_vertices": 5}}
+        )
+        assert packed.indptr.tobytes() == listed.indptr.tobytes()
+        assert packed.indices.tobytes() == listed.indices.tobytes()
+        assert packed.weights is None
+
+    @pytest.mark.parametrize("graph, match", [
+        ({"edges_b64": 7}, "base64 string"),
+        ({"edges_b64": "AAA"}, "not base64"),
+        ({"edges_b64": "AA AA"}, "not base64"),
+        ({"edges_b64": "A" * 64 + "="}, "excess"),
+        ({"edges_b64": "A" * 22 + "==="}, "not base64"),
+        ({"edges_b64": "AAAA"}, "whole number"),
+        ({"edges_b64": "AAAA", "edges": []}, "both"),
+    ])
+    def test_malformed_packed_edges(self, graph, match):
+        with pytest.raises(ProtocolError, match=match) as excinfo:
+            protocol.build_graph({"graph": graph})
+        assert excinfo.value.code == protocol.BAD_REQUEST
+
+    def test_negative_packed_id(self):
+        text = protocol.pack_edges([[0, -3]])
+        with pytest.raises(ProtocolError, match="non-negative"):
+            protocol.build_graph({"graph": {"edges_b64": text}})
+
+
+class TestInlineVertexBound:
+    """An inline graph's vertex count is bounded before anything of its
+    size is allocated, whichever encoding carries it."""
+
+    BIG = 20_000_000
+
+    @pytest.mark.parametrize("graph", [
+        {"edges": [[0, 1]], "num_vertices": BIG},
+        {"edges": [[0, BIG]]},
+        {"edges_b64": protocol.pack_edges([[0, 1]]), "num_vertices": BIG},
+        {"edges_b64": protocol.pack_edges([[BIG, 1]])},
+        {"edges_b64": protocol.pack_edges([[0, 2**62]])},
+        {"edges": [[1, 2**63]]},
+        {"edges": [[2**70, 1]]},
+    ], ids=["list-n", "list-id", "packed-n", "packed-id", "packed-huge-id",
+            "list-id-uint64", "list-id-past-uint64"])
+    def test_over_bound_frame_refused_without_allocating(self, graph):
+        line = protocol.encode_message({"op": "reorder", "id": 1, "graph": graph})
+        assert len(line) < 200
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError, match="vertex bound") as excinfo:
+                protocol.build_graph(protocol.decode_message(line))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.code == protocol.BAD_REQUEST
+        assert peak < 1 << 20
+
+    def test_bound_follows_the_line_ceiling(self):
+        assert protocol.MAX_INLINE_VERTICES == protocol.MAX_LINE_BYTES // 8
+        n = protocol.MAX_INLINE_VERTICES + 1
+        for graph in ({"edges": [], "num_vertices": n}, {"edges": [[0, n - 1]]}):
+            with pytest.raises(ProtocolError, match="vertex bound"):
+                protocol.build_graph({"graph": graph})
 
 
 class TestResponses:

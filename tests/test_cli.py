@@ -1,11 +1,14 @@
 """Command-line interface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.graph import load_npz, save_npz, validate_permutation
 from repro.graph.generators import hierarchical_community_graph
+from tests.conftest import forge_graph_npz
 
 
 @pytest.fixture
@@ -93,6 +96,16 @@ class TestStats:
         assert main(["stats", path, "--spy", "8"]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) > 10
+
+    def test_forged_archive_header_is_an_error_not_a_crash(self, graph_file, capsys):
+        """A member whose npy header declares 2**45 elements is refused
+        before anything of that size is allocated."""
+        path, _ = graph_file
+        forge_graph_npz(Path(path))
+        assert main(["stats", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read graph archive")
+        assert "declares shape" in err
 
 
 class TestGenerate:
