@@ -1,8 +1,9 @@
 """Connected components of a symmetric graph.
 
-Label-propagation-free implementation: repeated vectorised BFS sweeps from
-unvisited seeds.  Doubles as the independent oracle for the SCC tests on
-undirected inputs.
+Label-propagation-free implementation: the labels come from one BFS
+forest (:func:`~repro.analysis.traversal.bfs_forest`, one compiled walk
+over shared state, O(n + m)).  Doubles as the independent oracle for the
+SCC tests on undirected inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.traversal import bfs
+from repro.analysis.traversal import bfs_forest
 from repro.graph.csr import CSRGraph
 from repro.graph.validate import require_symmetric
 from repro.obs.trace import span
@@ -29,17 +30,19 @@ class ComponentsResult:
 
 
 def connected_components(graph: CSRGraph) -> ComponentsResult:
-    """Label the connected components of a symmetric graph."""
+    """Label the connected components of a symmetric graph, numbered in
+    the order of their smallest vertex id."""
     require_symmetric(graph, "connected components")
     n = graph.num_vertices
-    labels = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    with span("analysis.components", n=n):
-        for s in range(n):
-            if labels[s] != -1:
-                continue
-            labels[bfs(graph, s).order] = comp
-            comp += 1
+    with span("analysis.components", n=n) as sp:
+        forest = bfs_forest(graph)
+        # The forest walks from each unvisited id in ascending order, so
+        # every walk's seed (its only level-0 vertex) is its smallest id.
+        roots = forest.level[forest.order] == 0
+        labels = np.empty(n, dtype=np.int64)
+        labels[forest.order] = np.cumsum(roots) - 1
+        comp = int(np.count_nonzero(roots))
+        sp.set(components=comp)
     return ComponentsResult(labels=labels, num_components=comp)
 
 

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.traversal import bfs
+from repro.analysis.traversal import UNREACHED, _check_source, _unreached, _walk
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.obs.trace import span
 
 __all__ = ["PseudoDiameterResult", "pseudo_diameter", "pseudo_peripheral_vertex"]
+
+_MAX_SWEEPS = 16
 
 
 @dataclass(frozen=True)
@@ -29,31 +31,50 @@ class PseudoDiameterResult:
 
 
 def pseudo_diameter(
-    graph: CSRGraph, *, source: int | None = None, max_sweeps: int = 16
+    graph: CSRGraph, *, source: int | None = None, max_sweeps: int = _MAX_SWEEPS
 ) -> PseudoDiameterResult:
     """Double-sweep pseudo-diameter of *source*'s component (component of
     vertex 0 by default)."""
     n = graph.num_vertices
     if n == 0:
         raise GraphFormatError("pseudo-diameter of an empty graph is undefined")
-    current = 0 if source is None else int(source)
+    current = _check_source(graph, 0 if source is None else source)
+    level, parent = _unreached(n)
+    with span("analysis.diameter", n=n):
+        return _double_sweep(graph, current, level, parent, max_sweeps)
+
+
+def _double_sweep(
+    graph: CSRGraph,
+    current: int,
+    level: np.ndarray,
+    parent: np.ndarray,
+    max_sweeps: int = _MAX_SWEEPS,
+) -> PseudoDiameterResult:
+    """:func:`pseudo_diameter`'s sweeps on a caller-owned ``level`` /
+    ``parent`` pair, all ``UNREACHED`` on entry and again on return: each
+    sweep resets what it reached, so a caller walking many components
+    pays for each component, not for the whole graph."""
     best = -1
     start = current
     sweeps = 0
-    with span("analysis.diameter", n=n):
-        while sweeps < max_sweeps:
-            r = bfs(graph, current)
-            sweeps += 1
-            ecc = r.eccentricity
-            # Farthest vertex; break ties toward the smallest degree (a common
-            # pseudo-peripheral refinement: low-degree extremes are "pointier").
-            far = r.order[r.level[r.order] == ecc]
-            deg = graph.degrees()[far]
-            nxt = int(far[np.argmin(deg)])
-            if ecc <= best:
-                break
-            best = ecc
-            start, current = current, nxt
+    degrees = graph.degrees()
+    while sweeps < max_sweeps:
+        order, levels, _ = _walk(
+            graph, np.array([current], dtype=np.int64), level, parent
+        )
+        sweeps += 1
+        ecc = levels - 1
+        # Farthest vertex; break ties toward the smallest degree (a common
+        # pseudo-peripheral refinement: low-degree extremes are "pointier").
+        far = order[level[order] == ecc]
+        nxt = int(far[np.argmin(degrees[far])])
+        level[order] = UNREACHED
+        parent[order] = UNREACHED
+        if ecc <= best:
+            break
+        best = ecc
+        start, current = current, nxt
     return PseudoDiameterResult(
         diameter=best, endpoints=(start, current), num_sweeps=sweeps
     )

@@ -171,7 +171,9 @@ class CSRGraph:
         Slots are ordered by one sort of the slot key ``src * n + dst``
         (stable when weights ride along), so ``n`` must satisfy
         ``n² < 2⁶³``; larger graphs raise before anything of size ``n``
-        is allocated.
+        is allocated.  A row index of ``n`` that cannot be allocated (``n``
+        is the largest id + 1 unless given) is a ``GraphFormatError`` too,
+        not a ``MemoryError``.
         """
         src = _as_index_array(np.asarray(src), "src")
         dst = _as_index_array(np.asarray(dst), "dst")
@@ -200,10 +202,16 @@ class CSRGraph:
                 weights = np.concatenate([weights, weights[nonloop]])
         key, weights = _sorted_slots(key, weights, coalesce)
         rows = key // n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         dst = key - rows * n
-        return cls(indptr=indptr, indices=dst, weights=weights)
+        try:
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+            return cls(indptr=indptr, indices=dst, weights=weights)
+        except MemoryError as exc:
+            # n is the largest id + 1, which an input of a few bytes sets
+            raise GraphFormatError(
+                f"cannot allocate the row index of {n} vertices: {exc}"
+            ) from exc
 
     @classmethod
     def empty(cls, num_vertices: int) -> "CSRGraph":

@@ -1,8 +1,8 @@
 """BFS ordering and (Reverse) Cuthill–McKee (paper references [23], [33], [7]).
 
-* **BFS ordering** — the visit order of a level-synchronous BFS forest
-  (Karantasis et al.'s "unordered parallel BFS": within a level the visit
-  order is discovery order, not globally sorted).
+* **BFS ordering** — the visit order of a level-synchronous BFS forest;
+  within a level the vertices come in ascending id (the contract of
+  :func:`~repro.analysis.traversal.bfs`).
 * **Cuthill–McKee** — BFS from a pseudo-peripheral vertex with each
   level's vertices taken in increasing-degree order; **RCM** reverses the
   visit order, the variant known to produce better results (paper §V).
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.diameter import pseudo_diameter
-from repro.analysis.traversal import bfs, bfs_forest
+from repro.analysis.diameter import _double_sweep
+from repro.analysis.traversal import UNREACHED, _unreached, _walk, bfs_forest
 from repro.graph.csr import CSRGraph
 from repro.graph.perm import permutation_from_order
 from repro.order.base import OrderingResult, OrderingStats
@@ -48,25 +48,40 @@ def bfs_order(
 
 
 def _cm_visit_order(graph: CSRGraph, stats: OrderingStats) -> np.ndarray:
-    """Cuthill–McKee visit order over all components."""
+    """Cuthill–McKee visit order over all components.
+
+    Every walk (the double sweep's and the degree-sorted one) runs on one
+    ``level``/``parent`` pair and resets what it reached, so each
+    component costs O(its size), not O(n)."""
     n = graph.num_vertices
-    visited = np.zeros(n, dtype=bool)
-    chunks: list[np.ndarray] = []
     degrees = graph.degrees()
-    total_levels = 0
+    seeds = np.argsort(degrees, kind="stable")
+    # A vertex without slots is its own component: both sweeps and the
+    # walk reach only it.  These come first in degree order.
+    isolated = int(np.count_nonzero(degrees == 0))
+    chunks: list[np.ndarray] = [seeds[:isolated]]
+    if isolated:
+        stats.add("peripheral", work=2.0 * isolated, span=2.0 * isolated,
+                  barriers=2.0 * isolated)
+        stats.add("bfs", work=float(isolated), span=float(isolated),
+                  barriers=float(isolated))
+    visited = np.zeros(n, dtype=bool)
+    level, parent = _unreached(n)
     # Seed components from their minimum-degree vertex, then refine the
     # seed to a pseudo-peripheral vertex by double sweep.
-    for s in np.argsort(degrees, kind="stable"):
+    for s in seeds[isolated:].tolist():
         if visited[s]:
             continue
-        pd = pseudo_diameter(graph, source=int(s))
-        start = pd.endpoints[1]
-        r = bfs(graph, start, sorted_neighbors=True)
-        visited[r.order] = True
-        chunks.append(r.order)
-        levels = r.eccentricity + 1
-        total_levels += levels
-        comp_work = float(degrees[r.order].sum() + r.order.size)
+        pd = _double_sweep(graph, s, level, parent)
+        order, levels, _ = _walk(
+            graph, np.array([pd.endpoints[1]], dtype=np.int64), level, parent,
+            sorted_neighbors=True,
+        )
+        level[order] = UNREACHED
+        parent[order] = UNREACHED
+        visited[order] = True
+        chunks.append(order)
+        comp_work = float(degrees[order].sum() + order.size)
         stats.add(
             "peripheral",
             work=float(pd.num_sweeps) * comp_work,
@@ -74,7 +89,7 @@ def _cm_visit_order(graph: CSRGraph, stats: OrderingStats) -> np.ndarray:
             barriers=float(pd.num_sweeps) * levels,
         )
         stats.add("bfs", work=comp_work, span=float(levels), barriers=float(levels))
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return np.concatenate(chunks)
 
 
 def cuthill_mckee_order(

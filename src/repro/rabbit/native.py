@@ -10,7 +10,9 @@ verdict, the Newman degrees and the self-loop weight
 (:func:`counting_argsort`).  So is ordering generation
 (:func:`dfs_visit_order`), which ``rabbit_order`` runs after every
 detection path.  Python keeps the chunking and the state, all of it
-numpy arrays the C reads and writes in place.
+numpy arrays the C reads and writes in place.  The same library holds
+the level-synchronous BFS of :mod:`repro.analysis.traversal`
+(:func:`bfs_walk`).
 
 Chunks
 ------
@@ -76,6 +78,7 @@ __all__ = [
     "setup_pass",
     "counting_argsort",
     "dfs_visit_order",
+    "bfs_walk",
 ]
 
 SOURCE = Path(__file__).with_name("sweep.c")
@@ -97,6 +100,7 @@ _SIGNATURES = {
     "rabbit_setup": (_I64, [_P, _P, _P, _I64, _P, _P, _P]),
     "rabbit_counting_sort": (_I64, [_P, _I64, _P, _I64, _P]),
     "rabbit_dfs": (_I64, [_P, _P, _I64, _P, _I64, _P, _P, _P]),
+    "rabbit_bfs": (_I64, [_P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P]),
 }
 
 # repro: ignore[lock-in-lockfree-path]  guards the one-time library load
@@ -306,6 +310,40 @@ def dfs_visit_order(dendrogram: Dendrogram) -> np.ndarray:
     if size < 0:
         raise dfs_error(n, int(bad[0]) if size == -2 else None)
     return out[:size]
+
+
+def bfs_walk(
+    graph: CSRGraph,
+    seeds: np.ndarray,
+    level: np.ndarray,
+    parent: np.ndarray,
+    sorted_neighbors: bool,
+) -> tuple[np.ndarray, int]:
+    """The compiled level-synchronous BFS: one walk from each seed whose
+    ``level`` is still ``-1``, writing ``level`` and ``parent`` (int64,
+    C-contiguous, n entries, owned by the caller) in place.  Returns the
+    visit order and the number of non-empty levels summed over the walks.
+    The contract is :func:`repro.analysis.traversal.bfs`'s."""
+    lib = _require_library()
+    n = graph.num_vertices
+    indptr = np.ascontiguousarray(graph.indptr)
+    indices = np.ascontiguousarray(graph.indices)
+    seeds = np.ascontiguousarray(seeds, dtype=np.int64)
+    # The C indexes with every seed and writes n entries of each array.
+    if seeds.size and (seeds.min() < 0 or seeds.max() >= n):
+        raise ValueError(f"BFS seeds must lie in [0, {n})")
+    for arr in (level, parent):
+        if arr.dtype != np.int64 or arr.shape != (n,) or not arr.flags.c_contiguous:
+            raise ValueError("level and parent must be C-contiguous int64 of n")
+    order = np.empty(n, dtype=np.int64)
+    buf = np.empty(n, dtype=np.int64)
+    levels = np.zeros(1, dtype=np.int64)
+    size = lib.rabbit_bfs(
+        indptr.ctypes.data, indices.ctypes.data, seeds.ctypes.data, seeds.size,
+        int(sorted_neighbors), level.ctypes.data, parent.ctypes.data,
+        order.ctypes.data, buf.ctypes.data, levels.ctypes.data,
+    )
+    return order[:size], int(levels[0])
 
 
 def _pool_capacity(graph: CSRGraph) -> int:

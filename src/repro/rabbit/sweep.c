@@ -1,7 +1,8 @@
 /* Compiled kernels of sequential Rabbit Order: the aggregation sweep
  * (Algorithm 2 lines 3-8 with Algorithm 4's lazy aggregation), its setup
  * pass and degree visit order, and ordering generation (the dendrogram
- * DFS), at the end of the file.
+ * DFS); at the end of the file, the level-synchronous BFS the analyses
+ * and the BFS/RCM orderings run.
  *
  * Per vertex the sweep performs the dict engine's operations in the dict
  * engine's order (repro/rabbit/common.py, repro/rabbit/seq.py), so the
@@ -20,6 +21,7 @@
  * All state is caller-owned (numpy arrays); nothing here is global, so
  * concurrent calls on disjoint state are safe. */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 static inline double delta_q(double w, double deg, double inv_2m,
@@ -261,5 +263,117 @@ int64_t rabbit_dfs(const int64_t *child, const int64_t *sibling, int64_t n,
         out[i] = out[j];
         out[j] = t;
     }
+    return len;
+}
+
+/* Level-synchronous BFS (repro.analysis.traversal): one walk from each
+ * seed whose level is still -1, in seed order, over caller-owned level
+ * and parent arrays, where level != -1 means visited.  A seed gets level
+ * 0 and parent -1.  Level d + 1 is every unvisited out-neighbour of level
+ * d, found in frontier order and then slot order, so parent[v] is the
+ * first frontier vertex that reaches v; the level is then sorted by id,
+ * or by (row length, id) when by_degree.  order (n entries) receives the
+ * visits in walk order, buf (n entries) is scratch.  Returns the number
+ * of vertices visited and stores the number of non-empty levels, summed
+ * over the walks, in *levels.  Seeds and indices must lie in [0, n).
+ * Each level is sorted by an LSD radix sort (8-bit digits) or, under
+ * SMALL_LEVEL vertices, by insertion: with qsort a road-bfs query took
+ * 1.5-2x as long (docs/PERF.md, "Compiled traversal"). */
+#define SMALL_LEVEL 33
+
+static inline int64_t row_length(const int64_t *indptr, int64_t v) {
+    return indptr[v + 1] - indptr[v];
+}
+
+/* Stable: by row length when indptr is given, else by id. */
+static void radix_sort(int64_t *a, int64_t *buf, int64_t len,
+                       const int64_t *indptr) {
+    uint64_t bits = 0;
+    for (int64_t i = 0; i < len; i++)
+        bits |= (uint64_t)(indptr ? row_length(indptr, a[i]) : a[i]);
+    int64_t *src = a, *dst = buf;
+    for (int shift = 0; shift < 64 && bits >> shift; shift += 8) {
+        int64_t count[256] = {0};
+        for (int64_t i = 0; i < len; i++) {
+            const int64_t k = indptr ? row_length(indptr, src[i]) : src[i];
+            count[(k >> shift) & 255]++;
+        }
+        for (int64_t d = 0, start = 0; d < 256; d++) {
+            const int64_t c = count[d];
+            count[d] = start;
+            start += c;
+        }
+        for (int64_t i = 0; i < len; i++) {
+            const int64_t k = indptr ? row_length(indptr, src[i]) : src[i];
+            dst[count[(k >> shift) & 255]++] = src[i];
+        }
+        int64_t *t = src;
+        src = dst;
+        dst = t;
+    }
+    if (src != a)
+        for (int64_t i = 0; i < len; i++)
+            a[i] = src[i];
+}
+
+static inline int precedes(const int64_t *indptr, int64_t a, int64_t b) {
+    if (indptr && row_length(indptr, a) != row_length(indptr, b))
+        return row_length(indptr, a) < row_length(indptr, b);
+    return a < b;
+}
+
+static void sort_level(int64_t *a, int64_t *buf, int64_t len,
+                       const int64_t *indptr) {
+    if (len < SMALL_LEVEL) {
+        for (int64_t i = 1; i < len; i++) {
+            const int64_t v = a[i];
+            int64_t j = i;
+            for (; j > 0 && precedes(indptr, v, a[j - 1]); j--)
+                a[j] = a[j - 1];
+            a[j] = v;
+        }
+        return;
+    }
+    radix_sort(a, buf, len, NULL);
+    if (indptr)
+        radix_sort(a, buf, len, indptr);
+}
+
+int64_t rabbit_bfs(const int64_t *indptr, const int64_t *indices,
+                   const int64_t *seeds, int64_t nseeds, int64_t by_degree,
+                   int64_t *level, int64_t *parent, int64_t *order,
+                   int64_t *buf, int64_t *levels) {
+    const int64_t *key = by_degree ? indptr : NULL;
+    int64_t len = 0, nlevels = 0;
+    for (int64_t i = 0; i < nseeds; i++) {
+        const int64_t s = seeds[i];
+        if (level[s] != -1)
+            continue;
+        level[s] = 0;
+        parent[s] = -1;
+        int64_t lo = len;
+        order[len++] = s;
+        nlevels++;
+        for (int64_t depth = 1; lo < len; depth++) {
+            const int64_t hi = len;
+            for (int64_t f = lo; f < hi; f++) {
+                const int64_t u = order[f];
+                for (int64_t k = indptr[u]; k < indptr[u + 1]; k++) {
+                    const int64_t t = indices[k];
+                    if (level[t] == -1) {
+                        level[t] = depth;
+                        parent[t] = u;
+                        order[len++] = t;
+                    }
+                }
+            }
+            if (len > hi) {
+                sort_level(order + hi, buf, len - hi, key);
+                nlevels++;
+            }
+            lo = hi;
+        }
+    }
+    *levels = nlevels;
     return len;
 }

@@ -119,6 +119,25 @@ def alarm():
         signal.signal(signal.SIGALRM, previous)
 
 
+#: An edge list whose largest id asks ``CSRGraph.from_edges`` for a
+#: 3,000,000,002-entry (22.4 GiB) row index.
+HUGE_ID_EDGE_LIST = "0 3000000000\n"
+
+
+@pytest.fixture
+def refuse_huge_arrays(monkeypatch):
+    """``np.zeros`` of more than 2**31 elements raises ``MemoryError``,
+    as numpy does when the allocation fails, and never attempts it."""
+    real = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if np.prod(shape, dtype=np.float64) > 2**31:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+
+
 def to_networkx(graph: CSRGraph):
     """Convert to networkx for oracle comparisons (tests only)."""
     import networkx as nx

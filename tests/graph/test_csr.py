@@ -418,6 +418,12 @@ class TestSortFreeOracle:
         with pytest.raises(GraphFormatError, match="overflow"):
             _require_keyable(3_037_000_500)
 
+    def test_unallocatable_row_index_is_a_format_error(self, refuse_huge_arrays):
+        """Two ids set n; a row index that cannot be allocated is the
+        caller's typed error naming n, not a ``MemoryError``."""
+        with pytest.raises(GraphFormatError, match="3000000001 vertices"):
+            CSRGraph.from_edges([0], [3_000_000_000])
+
 
 def _paper_edges():
     from tests.conftest import PAPER_EDGES

@@ -60,16 +60,41 @@ class TestSpanCensus:
     def test_analysis_kernels_emit_one_span_each(self):
         from repro.analysis.pagerank import pagerank
         from repro.analysis.rwr import random_walk_with_restart
-        from repro.analysis.traversal import bfs
+        from repro.analysis.traversal import bfs, bfs_forest
 
         g = hierarchical_community_graph(300, rng=2).graph
         with trace.capture() as cap:
             pr = pagerank(g)
             rwr = random_walk_with_restart(g, 0)
             bfs(g, 0)
+            bfs_forest(g)
         totals = cap.phase_totals()
-        assert set(totals) == {"analysis.pagerank", "analysis.rwr", "analysis.bfs"}
+        assert set(totals) == {
+            "analysis.pagerank", "analysis.rwr", "analysis.bfs",
+            "analysis.bfs_forest",
+        }
         for name in totals:
             assert len(cap.find(name)) == 1
         assert cap.find("analysis.pagerank")[0].attrs["iterations"] == pr.iterations
         assert cap.find("analysis.rwr")[0].attrs["iterations"] == rwr.iterations
+        assert {"engine", "levels"} <= set(cap.find("analysis.bfs")[0].attrs)
+
+    def test_forest_spans_do_not_grow_with_components(self):
+        """One span per call, not one per component: the components
+        span holds the one forest span its labels come from."""
+        from repro.analysis.components import connected_components
+        from repro.analysis.traversal import bfs_forest
+        from repro.graph.csr import CSRGraph
+
+        g = CSRGraph.empty(500)  # 500 components
+        with trace.capture() as cap:
+            bfs_forest(g)
+        assert [s.name for s in cap.walk()] == ["analysis.bfs_forest"]
+        with trace.capture() as cap:
+            result = connected_components(g)
+        (root,) = cap.roots
+        assert root.name == "analysis.components"
+        assert root.attrs["components"] == result.num_components == 500
+        assert [s.name for s in cap.walk()] == [
+            "analysis.components", "analysis.bfs_forest",
+        ]

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.analysis.diameter import pseudo_diameter
+from repro.analysis.traversal import bfs
 from repro.graph import CSRGraph, invert_permutation, random_permutation
-from repro.graph.generators import road_lattice_graph
+from repro.graph.generators import rmat_graph, road_lattice_graph
+from repro.graph.perm import permutation_from_order
 from repro.metrics import bandwidth
 from repro.order import bfs_order, cuthill_mckee_order, rcm_order
+from repro.order.base import OrderingStats
+from tests.conftest import GRAPH_ZOO
 
 
 class TestBFSOrder:
@@ -58,3 +63,46 @@ class TestRCM:
         star = CSRGraph.from_edges(np.zeros(n - 1, dtype=int), np.arange(1, n))
         # A path has ~n BFS levels; a star has 2: spans must reflect it.
         assert rcm_order(path).stats.span > rcm_order(star).stats.span
+
+
+
+def _reference_cm(graph):
+    """Cuthill–McKee one component at a time through the public
+    ``pseudo_diameter`` and ``bfs``, each on fresh arrays: the reference
+    for the shared-state forest and its isolated-vertex shortcut."""
+    stats = OrderingStats()
+    visited = np.zeros(graph.num_vertices, dtype=bool)
+    degrees = graph.degrees()
+    chunks = [np.empty(0, dtype=np.int64)]
+    for s in np.argsort(degrees, kind="stable"):
+        if visited[s]:
+            continue
+        pd = pseudo_diameter(graph, source=int(s))
+        r = bfs(graph, pd.endpoints[1], sorted_neighbors=True)
+        visited[r.order] = True
+        chunks.append(r.order)
+        levels = r.eccentricity + 1
+        work = float(degrees[r.order].sum() + r.order.size)
+        sweeps = float(pd.num_sweeps)
+        stats.add("peripheral", work=sweeps * work, span=sweeps * levels,
+                  barriers=sweeps * levels)
+        stats.add("bfs", work=work, span=float(levels), barriers=float(levels))
+    return np.concatenate(chunks), stats
+
+
+CM_GRAPHS = {
+    **GRAPH_ZOO,
+    "rmat-isolated": rmat_graph(8, edge_factor=2, rng=1),
+    "loops-and-isolated": CSRGraph.from_edges([0, 3, 3], [1, 4, 3], num_vertices=8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CM_GRAPHS))
+def test_cm_matches_the_per_component_reference(name):
+    g = CM_GRAPHS[name]
+    order, stats = _reference_cm(g)
+    cm = cuthill_mckee_order(g)
+    assert np.array_equal(cm.permutation, permutation_from_order(order))
+    assert (cm.stats.work, cm.stats.span, cm.stats.barriers) == (
+        stats.work, stats.span, stats.barriers)
+    assert cm.stats.phases == stats.phases

@@ -26,7 +26,7 @@ from repro.serve import protocol
 from repro.serve.cache import entry_path
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServerConfig, ServerThread
-from tests.conftest import forge_graph_npz
+from tests.conftest import HUGE_ID_EDGE_LIST, forge_graph_npz
 
 EDGES = [
     [0, 1], [1, 2], [2, 0], [2, 3], [3, 4], [4, 5], [5, 3],
@@ -279,6 +279,19 @@ class TestAnalyzeAndStatus:
             comp = client.analyze("components", edges=EDGES)
             assert comp["result"]["num_components"] == 1
 
+    def test_components_cost_grows_with_the_graph_not_its_square(
+        self, sock, alarm
+    ):
+        """One edge among 2**17 vertices is 131,071 components: one BFS
+        forest answers within the alarm, where an n-sized allocation per
+        component would be quadratic."""
+        n = 1 << 17
+        with ServerThread(ServerConfig(unix_path=sock)), ServeClient(
+            unix_path=sock
+        ) as client:
+            comp = client.analyze("components", edges=[[0, 1]], num_vertices=n)
+            assert comp["result"] == {"num_components": n - 1, "largest": 2}
+
     def test_analyze_can_include_permutation(self, sock):
         config = ServerConfig(unix_path=sock)
         with ServerThread(config), ServeClient(unix_path=sock) as client:
@@ -407,6 +420,22 @@ class TestRejections:
             assert response["ok"] is False
             assert response["error"]["code"] == 400
             assert "declares shape" in response["error"]["message"]
+            assert client.reorder(edges=EDGES) == direct_permutation()
+
+    def test_unallocatable_graph_path_is_400(
+        self, tmp_path, sock, refuse_huge_arrays
+    ):
+        """A two-id edge list whose row index cannot be allocated gets
+        the 400 frame, and the connection serves the next request."""
+        gpath = tmp_path / "huge_id.txt"
+        gpath.write_text(HUGE_ID_EDGE_LIST)
+        with ServerThread(ServerConfig(unix_path=sock)), ServeClient(
+            unix_path=sock
+        ) as client:
+            response = client.request("reorder", graph_path=str(gpath))
+            assert response["ok"] is False
+            assert response["error"]["code"] == 400
+            assert "3000000001 vertices" in response["error"]["message"]
             assert client.reorder(edges=EDGES) == direct_permutation()
 
     @pytest.mark.parametrize("op, fields", [

@@ -8,7 +8,7 @@ import pytest
 from repro.cli import main
 from repro.graph import load_npz, save_npz, validate_permutation
 from repro.graph.generators import hierarchical_community_graph
-from tests.conftest import forge_graph_npz
+from tests.conftest import HUGE_ID_EDGE_LIST, forge_graph_npz
 
 
 @pytest.fixture
@@ -106,6 +106,16 @@ class TestStats:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read graph archive")
         assert "declares shape" in err
+
+    def test_unallocatable_vertex_count_is_an_error_not_a_crash(
+        self, tmp_path, capsys, refuse_huge_arrays
+    ):
+        path = tmp_path / "huge_id.txt"
+        path.write_text(HUGE_ID_EDGE_LIST)
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot allocate the row index")
+        assert "3000000001 vertices" in err
 
 
 class TestGenerate:
