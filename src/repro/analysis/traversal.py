@@ -11,6 +11,7 @@ in :mod:`repro.order.bfs_rcm`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,24 +192,28 @@ def bfs_forest(graph: CSRGraph, *, sorted_neighbors: bool = False) -> BFSResult:
     return BFSResult(order=order, level=level, parent=parent)
 
 
-def dfs(graph: CSRGraph, source: int) -> DFSResult:
-    """Iterative depth-first search from *source* with timestamps.
-
-    Neighbours are explored in CSR (ascending id) order, matching the
-    recursive definition."""
-    source = _check_source(graph, source)
-    n = graph.num_vertices
-    discovered = np.full(n, UNREACHED, dtype=np.int64)
-    finished = np.full(n, UNREACHED, dtype=np.int64)
+def _dfs_walk(
+    graph: CSRGraph,
+    seeds: Iterable[int],
+    discovered: np.ndarray,
+    finished: np.ndarray,
+) -> np.ndarray:
+    """One explicit-stack DFS from each seed whose ``discovered`` is still
+    ``UNREACHED``, in seed order, over the caller's ``discovered`` /
+    ``finished`` (int64, n entries), on one clock across the walks, so a
+    walk never re-enters a vertex an earlier one visited.  Neighbours are
+    explored in CSR slot order.  Returns the discovery order."""
+    indptr, indices = graph.indptr, graph.indices
     order: list[int] = []
     clock = 0
-    indptr, indices = graph.indptr, graph.indices
-    # Stack of (vertex, next-slot-cursor).
-    stack: list[list[int]] = [[source, int(indptr[source])]]
-    discovered[source] = clock
-    clock += 1
-    order.append(source)
-    with span("analysis.dfs", n=n, source=source):
+    for s in seeds:
+        if discovered[s] != UNREACHED:
+            continue
+        discovered[s] = clock
+        clock += 1
+        order.append(s)
+        # Stack of (vertex, next-slot-cursor).
+        stack: list[list[int]] = [[s, int(indptr[s])]]
         while stack:
             frame = stack[-1]
             v, cursor = frame
@@ -229,32 +234,30 @@ def dfs(graph: CSRGraph, source: int) -> DFSResult:
                 finished[v] = clock
                 clock += 1
                 stack.pop()
-    return DFSResult(
-        order=np.array(order, dtype=np.int64),
-        discovered=discovered,
-        finished=finished,
-    )
+    return np.array(order, dtype=np.int64)
+
+
+def dfs(graph: CSRGraph, source: int) -> DFSResult:
+    """Iterative depth-first search from *source* with timestamps.
+
+    Neighbours are explored in CSR (ascending id) order, matching the
+    recursive definition."""
+    source = _check_source(graph, source)
+    n = graph.num_vertices
+    discovered, finished = _unreached(n)
+    with span("analysis.dfs", n=n, source=source):
+        order = _dfs_walk(graph, [source], discovered, finished)
+    return DFSResult(order=order, discovered=discovered, finished=finished)
 
 
 def dfs_forest(graph: CSRGraph) -> DFSResult:
-    """DFS covering every component (restarts at the smallest unreached
-    id); timestamps are global across restarts."""
+    """DFS covering every vertex: walks from each vertex in id order that
+    no earlier walk reached, on one shared ``discovered``/``finished``
+    pair and one clock, so timestamps are global and each vertex appears
+    once (on a directed graph too).  O(n + m), under one
+    ``analysis.dfs_forest`` span."""
     n = graph.num_vertices
-    discovered = np.full(n, UNREACHED, dtype=np.int64)
-    finished = np.full(n, UNREACHED, dtype=np.int64)
-    order: list[np.ndarray] = []
-    shift = 0
-    for s in range(n):
-        if discovered[s] != UNREACHED:
-            continue
-        r = dfs(graph, s)
-        reached = r.order
-        discovered[reached] = r.discovered[reached] + shift
-        finished[reached] = r.finished[reached] + shift
-        shift += 2 * reached.size
-        order.append(reached)
-    return DFSResult(
-        order=np.concatenate(order) if order else np.empty(0, dtype=np.int64),
-        discovered=discovered,
-        finished=finished,
-    )
+    discovered, finished = _unreached(n)
+    with span("analysis.dfs_forest", n=n):
+        order = _dfs_walk(graph, range(n), discovered, finished)
+    return DFSResult(order=order, discovered=discovered, finished=finished)

@@ -12,7 +12,7 @@ Driven by the declared facts table
 
 * a **foreign access**: any read, write or method call of a protected
   attribute (``atoms._degree[i]``, ``cache._memory``,
-  ``atoms._lock_for(i)``) in a module under ``repro/`` outside the
+  ``atoms._child.copy()``) in a module under ``repro/`` outside the
   attribute's owner set, module level included, and
 * an **escaped mutator**: a function inside the owner module that
   writes the attribute, is *not* a declared protocol entry point, and

@@ -14,9 +14,9 @@ Two tables:
   test (``CallGraph.unbound_facts``) — facts must not rot.
 
 * :data:`OWNERSHIP_FACTS` — the shared-state ownership table: each
-  protected attribute (the atomic record's arrays and shard locks, the
-  serve cache's LRU dict, the daemon's coalescing table) maps to its
-  owning module(s) and the *protocol entry points* through which other
+  protected attribute (the atomic record's two arrays, the serve
+  cache's LRU dict, the daemon's coalescing table) maps to its owning
+  module(s) and the *protocol entry points* through which other
   modules are sanctioned to reach it.  The ``state-ownership`` analyzer
   flags any access to a protected attribute from outside its owners, and
   any write reachable from outside an owner context without passing
@@ -71,18 +71,6 @@ OWNERSHIP_FACTS: Tuple[OwnershipFact, ...] = (
             "repro.parallel.atomics.AtomicPairArray.cas",
         ),
         note="the CAS record's child half",
-    ),
-    OwnershipFact(
-        attr="_locks",
-        owner_modules=("repro.parallel.atomics", "repro.parallel.faults"),
-        entry_points=("repro.parallel.atomics.AtomicPairArray.__init__",),
-        note="the shard locks that stand in for hardware CAS",
-    ),
-    OwnershipFact(
-        attr="_lock_for",
-        owner_modules=("repro.parallel.atomics", "repro.parallel.faults"),
-        entry_points=(),
-        note="the record-to-shard-lock lookup",
     ),
     OwnershipFact(
         attr="_memory",

@@ -12,10 +12,9 @@ classic happens-before race detector over vector clocks:
   clock into the worker's clock); a ``swap`` / ``store`` / successful
   ``cas`` acquires **and releases** it (read-modify-write semantics:
   the worker's clock is published into the record's sync clock).  These
-  are the only happens-before edges credited to the protocol — the
-  sharded locks that *implement* the atomics on CPython are deliberately
-  not modelled, so a report of zero races certifies the CAS protocol
-  itself, exactly as it would run on hardware 16-byte CAS.
+  are the only happens-before edges credited to the protocol, so a
+  report of zero races certifies the CAS protocol itself, exactly as it
+  would run on hardware 16-byte CAS.
 * Plain accesses to the shared ``sibling`` / ``child`` / ``adj`` state
   are **PLAIN**: any conflicting pair (same location, at least one
   write, different workers) must be happens-before ordered or it is a
@@ -32,8 +31,8 @@ Event collection is cooperative: :func:`tag_worker` wraps each worker
 generator so a thread-local carries the logical worker id across every
 resumption by the interleaving scheduler (or any OS thread that drives
 the generator), the atomic array calls :meth:`EventLog.atomic_*` hooks from
-inside its per-record critical sections (so the log order of sync events
-matches their true linearisation), and thin :class:`TracingArray` /
+inside each operation (so the log order of sync events matches their true
+linearisation), and thin :class:`TracingArray` /
 :class:`TracingList` proxies record the plain accesses.  Accesses made
 with no tagged worker (setup, crash recovery, auditing) are not events.
 """
@@ -127,10 +126,8 @@ def tag_worker(gen: Iterator[object], worker: int) -> Iterator[object]:
 class EventLog:
     """Append-only access log shared by every tracing hook of one run.
 
-    Appends are lock-free under CPython (``list.append`` is atomic); the
-    atomic hooks are invoked from inside the atomic array's per-record
-    critical section, so sync events appear in their true linearisation
-    order.  ``capacity`` bounds memory: past it, events are counted as
+    The atomic hooks are invoked from inside each atomic operation, so
+    sync events appear in their true linearisation order.  ``capacity`` bounds memory: past it, events are counted as
     dropped and the report is marked truncated (a truncated clean run is
     *not* a certification).
     """
@@ -161,7 +158,7 @@ class EventLog:
     def write(self, name: str, index: int, klass: str = PLAIN) -> None:
         self.emit(_WRITE, (name, index), klass)
 
-    # -- atomic-layer hooks (called inside the record's critical section)
+    # -- atomic-layer hooks (called inside each atomic operation)
     def atomic_load(self, i: int, *, degree_only: bool = False) -> None:
         """A pure atomic read of record *i*: acquire + sync field reads."""
         self.emit(_ACQUIRE, ("atom", i), SYNC)
@@ -339,8 +336,8 @@ def analyze_log(log: EventLog) -> RaceReport:
     reported iff no chain of program order and record acquire/release
     edges orders it.  Order within the log is only assumed per worker
     (program order) and per atomic record (the hooks run inside the
-    record's critical section), which is exactly what the interleaving
-    scheduler provides.
+    atomic operation), which is exactly what the interleaving scheduler
+    provides.
     """
     report = RaceReport(dropped_events=log.dropped)
     clocks: Dict[int, VectorClock] = {}

@@ -11,8 +11,10 @@ invalidate reordering evaluations.  Three rules guard the usual leaks:
   (Dict iteration is insertion-ordered in CPython and is relied on
   deliberately — it is *not* flagged.)
 * ``unseeded-rng`` — no module-global RNG (``np.random.*``, stdlib
-  ``random.*``) and no zero-argument ``default_rng()``; randomness must
-  come from an explicitly seeded generator.
+  ``random.*``) and no ``default_rng`` that can see ``None``: no
+  argument, a literal ``None``, or a parameter that defaults to ``None``
+  (directly, or through a call in the same module); randomness must come
+  from an explicitly seeded generator.
 * ``wall-clock-in-result-path`` — result-producing packages must not
   read wall clocks; timing belongs to the ``obs`` layer.
 """
@@ -20,7 +22,8 @@ invalidate reordering evaluations.  Three rules guard the usual leaks:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from itertools import takewhile
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.check.astutil import collect_imports, dotted_name
 from repro.check.engine import FileContext, Finding, Rule, register_rule
@@ -106,6 +109,105 @@ class UnsortedSetIteration(Rule):
                 )
 
 
+_Function = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_none(node: Optional[ast.AST]) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _calls_in(tree: ast.AST) -> List[Tuple[Optional[ast.AST], ast.Call]]:
+    """Every call in *tree* with its innermost enclosing function
+    (``None`` at module level)."""
+    calls: List[Tuple[Optional[ast.AST], ast.Call]] = []
+
+    def visit(node: ast.AST, func: Optional[ast.AST]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                calls.append((func, child))
+            visit(child, child if isinstance(child, _Function) else func)
+
+    visit(tree, None)
+    return calls
+
+
+def _none_default_params(func) -> Set[str]:
+    args = func.args
+    positional = [*args.posonlyargs, *args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    return {
+        arg.arg
+        for arg, default in [
+            *zip(defaulted, args.defaults),
+            *zip(args.kwonlyargs, args.kw_defaults),
+        ]
+        if _is_none(default)
+    }
+
+
+def _rebound_before(func, name: str, line: int) -> bool:
+    return any(
+        isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Store)
+        and node.id == name
+        and node.lineno < line
+        for node in ast.walk(func)
+    )
+
+
+class _MaybeNone:
+    """Which parameters of a module's functions can hold ``None``: those
+    defaulting to ``None``, and, to a fixpoint, those a call in the same
+    module (to a module-level function, by name) passes a literal
+    ``None`` or such a parameter.  A parameter rebound before the use is
+    no longer the parameter."""
+
+    def __init__(self, tree: ast.AST, calls) -> None:
+        self.params: Dict[int, Set[str]] = {
+            id(node): _none_default_params(node)
+            for node in ast.walk(tree)
+            if isinstance(node, _Function)
+        }
+        module_funcs = {
+            node.name: node
+            for node in getattr(tree, "body", [])
+            if isinstance(node, _Function)
+        }
+        changed = True
+        while changed:
+            changed = False
+            for caller, call in calls:
+                if not isinstance(call.func, ast.Name):
+                    continue
+                callee = module_funcs.get(call.func.id)
+                if callee is None:
+                    continue
+                args = callee.args
+                positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+                passed = [
+                    *zip(positional, takewhile(
+                        lambda v: not isinstance(v, ast.Starred), call.args
+                    )),
+                    *((kw.arg, kw.value) for kw in call.keywords if kw.arg),
+                ]
+                held = self.params[id(callee)]
+                for name, value in passed:
+                    if name not in held and self.holds(value, caller):
+                        held.add(name)
+                        changed = True
+
+    def holds(self, node: ast.AST, func: Optional[ast.AST]) -> bool:
+        """Whether *node*, evaluated in *func*, can be ``None``."""
+        if _is_none(node):
+            return True
+        return (
+            func is not None
+            and isinstance(node, ast.Name)
+            and node.id in self.params[id(func)]
+            and not _rebound_before(func, node.id, node.lineno)
+        )
+
+
 class UnseededRng(Rule):
     id = "unseeded-rng"
     rationale = (
@@ -116,19 +218,33 @@ class UnseededRng(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         imports = collect_imports(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        calls = _calls_in(ctx.tree)
+        maybe_none = _MaybeNone(ctx.tree, calls)
+        for func, node in calls:
             resolved = imports.resolve(node.func)
             if resolved is None:
                 continue
             message: Optional[str] = None
             if resolved.startswith("numpy.random."):
                 tail = resolved.rsplit(".", 1)[1]
+                seed = node.args[0] if node.args else next(
+                    (kw.value for kw in node.keywords if kw.arg == "seed"),
+                    None,
+                )
                 if tail == "default_rng" and not node.args and not node.keywords:
                     message = (
                         "default_rng() without a seed is entropy-seeded; "
                         "thread an explicit seed through"
+                    )
+                elif (
+                    tail == "default_rng"
+                    and seed is not None
+                    and maybe_none.holds(seed, func)
+                ):
+                    message = (
+                        f"default_rng({ast.unparse(seed)}) can receive None, "
+                        "which seeds from OS entropy; default the seed to a "
+                        "fixed value (e.g. 0)"
                     )
                 elif tail not in _NP_RANDOM_OK:
                     message = (

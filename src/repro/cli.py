@@ -94,16 +94,16 @@ def _resilience_flags(args) -> bool:
     return any(
         getattr(args, name, None) is not None
         for name in ("checkpoint_dir", "resume", "time_budget",
-                     "mem_budget", "ladder")
+                     "mem_budget")
     )
 
 
 def _reorder_resilient(args, graph):
     """Handle ``reorder`` when any resilience flag is present.
 
-    With budgets or a ladder: run under the :class:`RunSupervisor` (the
-    checkpoint directory, when given, carries progress across degraded
-    rungs).  With only checkpoint/resume flags: plain
+    With budgets: run under the :class:`RunSupervisor` on the default
+    ladder (the checkpoint directory, when given, carries progress across
+    degraded rungs).  With only checkpoint/resume flags: plain
     :func:`~repro.rabbit.order.rabbit_order` with snapshotting.
     Returns the :class:`~repro.rabbit.order.RabbitResult`.
     """
@@ -112,32 +112,32 @@ def _reorder_resilient(args, graph):
         Budgets,
         CheckpointConfig,
         SupervisorPolicy,
-        default_ladder,
-        parse_ladder,
         supervised_rabbit_order,
     )
 
-    engine = args.engine or "fast"
     checkpoint = None
     if args.checkpoint_dir is not None:
         checkpoint = CheckpointConfig(
             directory=args.checkpoint_dir, every=args.checkpoint_every
         )
-    supervised = any(
-        v is not None for v in (args.time_budget, args.mem_budget, args.ladder)
-    )
-    if not supervised:
+    if args.time_budget is None and args.mem_budget is None:
         return rabbit_order(
             graph,
-            engine=engine,
+            engine=args.engine or "fast",
             checkpoint=checkpoint,
             resume=args.resume,
+        )
+    if args.engine is not None:
+        raise ReproError(
+            "--engine does not combine with --time-budget/--mem-budget: "
+            "supervised runs take their engines from the ladder "
+            "(fastseq, then dict)"
         )
     if args.resume is not None:
         raise ReproError(
             "--resume combines with --checkpoint-dir only; supervised runs "
-            "(--time-budget/--mem-budget/--ladder) resume from the "
-            "checkpoint directory automatically"
+            "(--time-budget/--mem-budget) resume from the checkpoint "
+            "directory automatically"
         )
     budgets = Budgets(
         time_s=args.time_budget,
@@ -146,15 +146,7 @@ def _reorder_resilient(args, graph):
             else int(args.mem_budget * 2**20)
         ),
     )
-    policy = SupervisorPolicy(
-        budgets=budgets,
-        ladder=(
-            default_ladder() if args.ladder is None
-            else parse_ladder(args.ladder)
-        ),
-        checkpoint=checkpoint,
-        seed=args.seed,
-    )
+    policy = SupervisorPolicy(budgets=budgets, checkpoint=checkpoint)
     result, report = supervised_rabbit_order(graph, policy=policy)
     print(report.summary())
     return result
@@ -481,7 +473,6 @@ def _cmd_serve(args) -> int:
         cache_memory_entries=args.cache_memory,
         cache_disk_entries=args.cache_disk,
         quotas=quotas,
-        ladder_spec=args.ladder,
         time_budget_s=args.time_budget,
         merge_threshold=args.merge_threshold,
         compute_workers=args.workers,
@@ -553,9 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "budget per attempt")
     p.add_argument("--mem-budget", type=float, metavar="MIB",
                    help="run under the supervisor with this RSS budget")
-    p.add_argument("--ladder", metavar="SPEC",
-                   help="supervisor degradation ladder, comma-separated "
-                        "rung names (default: fastseq,dict)")
     p.add_argument("--verbose", "-v", action="store_true",
                    help="print the per-phase span breakdown")
     p.set_defaults(fn=_cmd_reorder)
@@ -656,8 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tenant quota spec file "
                         '({"default": {"rate": R, "burst": B}, '
                         '"tenants": {...}})')
-    p.add_argument("--ladder", default="fastseq,dict",
-                   help="degradation ladder for cache-miss computations")
     p.add_argument("--time-budget", type=float, metavar="SECONDS",
                    help="per-attempt wall-clock budget for computations")
     p.add_argument("--merge-threshold", type=float, default=0.0,

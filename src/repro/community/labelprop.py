@@ -56,7 +56,7 @@ def label_propagation(
     chunks: int = 8,
     min_change_fraction: float = 0.001,
     init_labels: np.ndarray | None = None,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | None = 0,
 ) -> LabelPropResult:
     """Run chunked-asynchronous APM label propagation.
 

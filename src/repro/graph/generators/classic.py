@@ -33,7 +33,7 @@ def erdos_renyi_graph(
     num_vertices: int,
     p: float,
     *,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | None = 0,
 ) -> CSRGraph:
     """G(n, p) via binomial edge-count + uniform pair sampling (duplicates
     coalesced, so the realised density is marginally below *p* for dense
@@ -58,7 +58,7 @@ def barabasi_albert_graph(
     num_vertices: int,
     attach: int,
     *,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | None = 0,
 ) -> CSRGraph:
     """Preferential attachment: each new vertex attaches to *attach*
     existing vertices chosen proportionally to degree.
@@ -105,7 +105,7 @@ def watts_strogatz_graph(
     k: int,
     rewire_p: float,
     *,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | None = 0,
 ) -> CSRGraph:
     """Ring lattice with *k* nearest neighbours (k even), each edge rewired
     with probability *rewire_p*."""
@@ -134,7 +134,7 @@ def road_lattice_graph(
     *,
     diagonal_p: float = 0.05,
     drop_p: float = 0.05,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | None = 0,
     shuffle: bool = True,
 ) -> CSRGraph:
     """Perturbed 2-D lattice standing in for a road network.

@@ -49,7 +49,7 @@ def hierarchical_community_graph(
     levels: int = 3,
     p_in: float = 0.3,
     decay: float = 0.12,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | None = 0,
     shuffle: bool = True,
 ) -> HierarchicalGraph:
     """Generate a graph with ``branching**levels`` leaf communities.

@@ -25,7 +25,7 @@ def rmat_graph(
     b: float = 0.19,
     c: float = 0.19,
     *,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | None = 0,
     undirected: bool = True,
     drop_self_loops: bool = True,
 ) -> CSRGraph:

@@ -84,7 +84,7 @@ def identity_permutation(n: int) -> np.ndarray:
     return np.arange(int(n), dtype=np.int64)
 
 
-def random_permutation(n: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
+def random_permutation(n: int, rng: np.random.Generator | int | None = 0) -> np.ndarray:
     """Uniformly random permutation (the paper's baseline ordering)."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)

@@ -30,7 +30,7 @@ class CoarseLevel:
 
 
 def heavy_edge_matching(
-    graph: CSRGraph, rng: np.random.Generator | int | None = None
+    graph: CSRGraph, rng: np.random.Generator | int | None = 0
 ) -> np.ndarray:
     """Greedy heavy-edge matching.
 
@@ -68,7 +68,7 @@ def heavy_edge_matching(
 
 
 def coarsen(
-    graph: CSRGraph, rng: np.random.Generator | int | None = None
+    graph: CSRGraph, rng: np.random.Generator | int | None = 0
 ) -> CoarseLevel:
     """Contract a heavy-edge matching into a coarse graph.
 
@@ -104,7 +104,7 @@ def multilevel_bisect(
     max_levels: int = 12,
     refine_passes: int = 2,
     imbalance: float = 0.05,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | None = 0,
 ) -> BisectionResult:
     """METIS-style multilevel bisection.
 

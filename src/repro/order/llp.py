@@ -35,7 +35,7 @@ def llp_order(
     *,
     gammas: tuple[float, ...] = DEFAULT_GAMMAS,
     max_iterations: int = 10,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | None = 0,
 ) -> OrderingResult:
     """Layered Label Propagation ordering (Table III's 'LLP')."""
     if not isinstance(rng, np.random.Generator):

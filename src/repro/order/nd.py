@@ -46,7 +46,7 @@ def nd_order(
     leaf_size: int = 64,
     max_depth: int | None = None,
     multilevel: bool = True,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | None = 0,
 ) -> OrderingResult:
     """Nested Dissection permutation of *graph*.
 

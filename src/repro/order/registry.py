@@ -2,7 +2,9 @@
 
 Names match the paper's labels exactly ("Rabbit", "Slash", "BFS", "RCM",
 "ND", "LLP", "Shingle", "Degree", "Random").  Each entry is a callable
-``f(graph, *, rng=None, **params) -> OrderingResult``.
+``f(graph, *, rng=0, **params) -> OrderingResult``: every entry that
+draws random numbers defaults to seed 0, so each result is a function of
+(graph, seed).
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ def _min_hash(graph: CSRGraph, a: int, b: int) -> np.ndarray:
 
 
 def shingle_order(
-    graph: CSRGraph, *, rng: np.random.Generator | int | None = None
+    graph: CSRGraph, *, rng: np.random.Generator | int | None = 0
 ) -> OrderingResult:
     """Double-shingle ordering: sort by (shingle₁, shingle₂, degree)."""
     if not isinstance(rng, np.random.Generator):

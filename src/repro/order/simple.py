@@ -17,7 +17,7 @@ __all__ = ["random_order", "degree_order"]
 
 
 def random_order(
-    graph: CSRGraph, *, rng: np.random.Generator | int | None = None
+    graph: CSRGraph, *, rng: np.random.Generator | int | None = 0
 ) -> OrderingResult:
     """Uniformly random permutation (baseline)."""
     n = graph.num_vertices

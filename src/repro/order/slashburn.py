@@ -29,6 +29,25 @@ from repro.order.base import OrderingResult, OrderingStats
 __all__ = ["slashburn_order"]
 
 
+def _spoke_order(
+    labels: np.ndarray, sizes: np.ndarray, gcc: int, degrees: np.ndarray
+) -> np.ndarray:
+    """Every vertex outside component *gcc*, in back-segment order.
+
+    Spokes go in increasing size toward the absolute back (of equal
+    sizes, the lower label further back); within a spoke, hubs first
+    (decreasing degree, then id) per the K-hub ordering.  One sort
+    places every spoke: its key is the spoke's rank from the front of
+    the back segment, then -degree, then id.
+    """
+    by_size = np.argsort(sizes, kind="stable")
+    by_size = by_size[by_size != gcc]
+    rank = np.empty(sizes.size, dtype=np.int64)
+    rank[by_size] = np.arange(by_size.size - 1, -1, -1, dtype=np.int64)
+    spokes = np.flatnonzero(labels != gcc)
+    return spokes[np.lexsort((spokes, -degrees[spokes], rank[labels[spokes]]))]
+
+
 def slashburn_order(
     graph: CSRGraph,
     *,
@@ -75,16 +94,9 @@ def slashburn_order(
             break
         sizes = comp.component_sizes()
         gcc = int(np.argmax(sizes))
-        spoke_deg = burned.degrees()
-        # Spokes in increasing size toward the absolute back; within a
-        # spoke, hubs first (decreasing degree) per the K-hub ordering.
-        spoke_labels = [c for c in range(comp.num_components) if c != gcc]
-        spoke_labels.sort(key=lambda c: int(sizes[c]))
-        for c in spoke_labels:
-            members = np.flatnonzero(comp.labels == c)
-            members = members[np.argsort(-spoke_deg[members], kind="stable")]
-            back -= members.size
-            visit[back : back + members.size] = burned_old[members]
+        spokes = _spoke_order(comp.labels, sizes, gcc, burned.degrees())
+        back -= spokes.size
+        visit[back : back + spokes.size] = burned_old[spokes]
         gcc_local = np.flatnonzero(comp.labels == gcc)
         alive_graph, ids2 = burned.subgraph(gcc_local)
         alive_ids = burned_old[ids2]

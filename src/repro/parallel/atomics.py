@@ -3,17 +3,13 @@
 The paper's parallel community detection (Algorithm 3) relies on a single
 16-byte compare-and-swap over a packed record ``(degree: u64, child: u32)``
 per vertex.  CPython cannot issue hardware CAS, so this module provides the
-same *semantics* in two grades:
-
-* :class:`AtomicPairArray` — an array of ``(degree, child)`` records whose
-  ``load`` / ``swap`` / ``cas`` operations are made atomic with sharded
-  locks, so they stay atomic if driven from several OS threads; the
-  sharding keeps the lock-per-operation cost pattern close to
-  cache-line-granular hardware CAS (no global serialisation point).
-* The same class used under the deterministic interleaving scheduler,
-  where operations are trivially atomic (single OS thread) but the
-  scheduler controls *where* tasks interleave, so every CAS-failure /
-  rollback path of Algorithm 3 can be exercised deterministically.
+same *semantics*: :class:`AtomicPairArray` is an array of
+``(degree, child)`` records with ``load`` / ``swap`` / ``cas`` operations.
+It runs on one OS thread under the deterministic interleaving scheduler
+(:mod:`repro.parallel.scheduler`), where every operation is atomic by
+construction: tasks yield only *between* operations, and the scheduler
+controls where they interleave, so every CAS-failure / rollback path of
+Algorithm 3 can be exercised deterministically.
 
 ``INVALID_DEGREE`` plays the role of the paper's ``UINT64_MAX`` marker: a
 vertex whose ``degree`` equals it is *invalidated* (currently being
@@ -25,8 +21,7 @@ feeds the scalability cost model.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,20 +53,12 @@ DEGREE_EXACT_LIMIT: float = float(2**53)
 
 @dataclass
 class OpCounter:
-    """Tally of atomic-operation outcomes (merged across workers)."""
+    """Tally of atomic-operation outcomes."""
 
     loads: int = 0
     swaps: int = 0
     cas_success: int = 0
     cas_failure: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def merge(self, other: "OpCounter") -> None:
-        with self._lock:
-            self.loads += other.loads
-            self.swaps += other.swaps
-            self.cas_success += other.cas_success
-            self.cas_failure += other.cas_failure
 
     @property
     def cas_attempts(self) -> int:
@@ -94,8 +81,6 @@ class AtomicPairArray:
     float64 here is exact for all degrees below 2**53) and ``child`` as
     int64 with ``-1`` for the paper's ``UINT32_MAX`` null link.
     """
-
-    NUM_SHARDS = 64
 
     def __init__(self, degrees: np.ndarray, counter: OpCounter | None = None):
         n = degrees.size
@@ -122,52 +107,41 @@ class AtomicPairArray:
                 )
         self._child = np.full(n, -1, dtype=np.int64)
         #: optional :class:`~repro.check.races.EventLog`; hooks fire inside
-        #: the per-record critical section so sync events are linearised.
+        #: the operation, so sync events are linearised with it.
         self.tracer: "EventLog | None" = None
-        # repro: ignore[lock-in-lockfree-path]  sharded locks ARE the
-        # CPython stand-in for hardware CAS: this class is the atomic
-        # layer itself, not a consumer of it.
-        self._locks = [threading.Lock() for _ in range(min(self.NUM_SHARDS, max(n, 1)))]
         self.counter = counter if counter is not None else OpCounter()
 
     def __len__(self) -> int:
         return self._degree.size
 
-    def _lock_for(self, i: int) -> threading.Lock:
-        return self._locks[i % len(self._locks)]
-
     # -- primitive operations -------------------------------------------
     def load(self, i: int) -> tuple[float, int]:
         """Atomically read ``(degree, child)`` of record *i*."""
-        with self._lock_for(i):
-            self.counter.loads += 1
-            if self.tracer is not None:
-                self.tracer.atomic_load(i)
-            return float(self._degree[i]), int(self._child[i])
+        self.counter.loads += 1
+        if self.tracer is not None:
+            self.tracer.atomic_load(i)
+        return float(self._degree[i]), int(self._child[i])
 
     def load_degree(self, i: int) -> float:
-        with self._lock_for(i):
-            self.counter.loads += 1
-            if self.tracer is not None:
-                self.tracer.atomic_load(i, degree_only=True)
-            return float(self._degree[i])
+        self.counter.loads += 1
+        if self.tracer is not None:
+            self.tracer.atomic_load(i, degree_only=True)
+        return float(self._degree[i])
 
     def swap_degree(self, i: int, value: float) -> float:
         """Atomically exchange record *i*'s degree, returning the old value
         (paper line 9: ATOMICSWAP used to invalidate a vertex)."""
-        with self._lock_for(i):
-            self.counter.swaps += 1
-            if self.tracer is not None:
-                self.tracer.atomic_swap_degree(i)
-            old = float(self._degree[i])
-            self._degree[i] = value
-            return old
+        self.counter.swaps += 1
+        if self.tracer is not None:
+            self.tracer.atomic_swap_degree(i)
+        old = float(self._degree[i])
+        self._degree[i] = value
+        return old
 
     def store_degree(self, i: int, value: float) -> None:
-        with self._lock_for(i):
-            if self.tracer is not None:
-                self.tracer.atomic_store_degree(i)
-            self._degree[i] = value
+        if self.tracer is not None:
+            self.tracer.atomic_store_degree(i)
+        self._degree[i] = value
 
     def cas(
         self,
@@ -181,18 +155,17 @@ class AtomicPairArray:
         *expected* exactly.
         """
         exp_d, exp_c = expected
-        with self._lock_for(i):
-            if self._degree[i] == exp_d and self._child[i] == exp_c:
-                self._degree[i] = desired[0]
-                self._child[i] = desired[1]
-                self.counter.cas_success += 1
-                if self.tracer is not None:
-                    self.tracer.atomic_cas(i, True)
-                return True
-            self.counter.cas_failure += 1
+        if self._degree[i] == exp_d and self._child[i] == exp_c:
+            self._degree[i] = desired[0]
+            self._child[i] = desired[1]
+            self.counter.cas_success += 1
             if self.tracer is not None:
-                self.tracer.atomic_cas(i, False)
-            return False
+                self.tracer.atomic_cas(i, True)
+            return True
+        self.counter.cas_failure += 1
+        if self.tracer is not None:
+            self.tracer.atomic_cas(i, False)
+        return False
 
     # -- bulk, non-atomic views (safe after workers have quiesced) ------
     def degrees_view(self) -> np.ndarray:

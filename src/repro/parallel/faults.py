@@ -27,7 +27,6 @@ pays one ``None`` test per scheduling step for this machinery.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,33 +126,26 @@ class FaultCounters:
 class FaultInjector:
     """Runtime state of a :class:`FaultPlan`: RNG, windows, counters.
 
-    Thread-safe (one lock around every decision).  ``disable()`` turns
-    every hook benign — crash recovery uses it to guarantee the
-    sequential fallback pass runs fault-free.
+    ``disable()`` turns every hook benign — crash recovery uses it to
+    guarantee the sequential fallback pass runs fault-free.
     """
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.counters = FaultCounters()
         self._rng = np.random.default_rng(plan.seed)
-        # repro: ignore[lock-in-lockfree-path]  guards the injector's own
-        # RNG/counters, not algorithm state; workers never block on it
-        # at an algorithmically meaningful point.
-        self._lock = threading.Lock()
         self._windows: dict[int, int] = {}  # vertex -> remaining invalid reads
         self._enabled = True
 
     def disable(self) -> None:
         """Stop injecting (recovery/fallback runs with truthful atomics)."""
-        with self._lock:
-            self._enabled = False
-            self._windows.clear()
+        self._enabled = False
+        self._windows.clear()
 
     def enable(self) -> None:
         """Resume injecting after a :meth:`disable`: checkpointed runs
         recover after every round, then inject again in the next."""
-        with self._lock:
-            self._enabled = True
+        self._enabled = True
 
     def reseed(self, seed: int) -> None:
         """Restart the decision RNG from *seed*.
@@ -166,8 +158,7 @@ class FaultInjector:
         ``max_stalls``/``max_crashes`` caps stay cumulative across rounds
         (and are restored from checkpoint meta on resume).
         """
-        with self._lock:
-            self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
 
     @property
     def enabled(self) -> bool:
@@ -177,60 +168,53 @@ class FaultInjector:
     def force_cas_failure(self) -> bool:
         """Decide whether the next CAS must fail regardless of the record."""
         plan = self.plan
-        if plan.cas_failure_rate <= 0.0:
+        if plan.cas_failure_rate <= 0.0 or not self._enabled:
             return False
-        with self._lock:
-            if not self._enabled:
-                return False
-            if (plan.cas_failure_rate >= 1.0
-                    or self._rng.random() < plan.cas_failure_rate):
-                self.counters.forced_cas_failures += 1
-                return True
-            return False
+        if (plan.cas_failure_rate >= 1.0
+                or self._rng.random() < plan.cas_failure_rate):
+            self.counters.forced_cas_failures += 1
+            return True
+        return False
 
     def spurious_invalid(self, vertex: int) -> bool:
         """Decide whether a degree read of *vertex* reports invalid."""
         plan = self.plan
-        if plan.spurious_invalid_rate <= 0.0:
+        if plan.spurious_invalid_rate <= 0.0 or not self._enabled:
             return False
-        with self._lock:
-            if not self._enabled:
-                return False
-            remaining = self._windows.get(vertex, 0)
-            if remaining > 0:
-                if remaining == 1:
-                    del self._windows[vertex]
-                else:
-                    self._windows[vertex] = remaining - 1
-                self.counters.spurious_invalid_reads += 1
-                return True
-            if self._rng.random() < plan.spurious_invalid_rate:
-                if plan.spurious_window > 1:
-                    self._windows[vertex] = plan.spurious_window - 1
-                self.counters.spurious_invalid_reads += 1
-                return True
-            return False
+        remaining = self._windows.get(vertex, 0)
+        if remaining > 0:
+            if remaining == 1:
+                del self._windows[vertex]
+            else:
+                self._windows[vertex] = remaining - 1
+            self.counters.spurious_invalid_reads += 1
+            return True
+        if self._rng.random() < plan.spurious_invalid_rate:
+            if plan.spurious_window > 1:
+                self._windows[vertex] = plan.spurious_window - 1
+            self.counters.spurious_invalid_reads += 1
+            return True
+        return False
 
     # -- scheduler hooks ------------------------------------------------
     def schedule_action(self) -> str:
         """Decide the fate of a live task at a scheduling point."""
         plan = self.plan
-        if plan.crash_rate <= 0.0 and plan.stall_rate <= 0.0:
+        if not self._enabled or (
+            plan.crash_rate <= 0.0 and plan.stall_rate <= 0.0
+        ):
             return CONTINUE
-        with self._lock:
-            if not self._enabled:
-                return CONTINUE
-            if (plan.crash_rate > 0.0
-                    and self.counters.crashes < plan.max_crashes
-                    and self._rng.random() < plan.crash_rate):
-                self.counters.crashes += 1
-                return CRASH
-            if (plan.stall_rate > 0.0
-                    and self.counters.stalls < plan.max_stalls
-                    and self._rng.random() < plan.stall_rate):
-                self.counters.stalls += 1
-                return STALL
-            return CONTINUE
+        if (plan.crash_rate > 0.0
+                and self.counters.crashes < plan.max_crashes
+                and self._rng.random() < plan.crash_rate):
+            self.counters.crashes += 1
+            return CRASH
+        if (plan.stall_rate > 0.0
+                and self.counters.stalls < plan.max_stalls
+                and self._rng.random() < plan.stall_rate):
+            self.counters.stalls += 1
+            return STALL
+        return CONTINUE
 
 
 class FaultyAtomicPairArray(AtomicPairArray):
@@ -272,10 +256,6 @@ class FaultyAtomicPairArray(AtomicPairArray):
         desired: tuple[float, int],
     ) -> bool:
         if self.injector.force_cas_failure():
-            # This subclass is part of the atomic layer: the forced failure
-            # must be tallied under the same shard lock a genuine CAS would
-            # hold.
-            with self._lock_for(i):
-                self.counter.cas_failure += 1
+            self.counter.cas_failure += 1
             return False
         return super().cas(i, expected, desired)

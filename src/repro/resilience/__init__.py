@@ -11,8 +11,8 @@ memory budgets.  This package provides the three pieces:
 * :mod:`repro.resilience.supervisor` — a :class:`RunSupervisor` wrapping
   an entry point with budgets, a progress watchdog, and a degradation
   ladder ``fastseq → dict``;
-* :mod:`repro.resilience.policy` — the declarative budget/ladder/backoff
-  policy the supervisor executes.
+* :mod:`repro.resilience.policy` — the declarative budget/ladder policy the
+  supervisor executes.
 
 See ``docs/RESILIENCE.md`` for the checkpoint format and the policy
 semantics.
@@ -36,7 +36,6 @@ from repro.resilience.policy import (
     Budgets,
     LadderRung,
     SupervisorPolicy,
-    backoff_delays,
     default_ladder,
     derive_seed,
     parse_ladder,
@@ -64,7 +63,6 @@ __all__ = [
     "Budgets",
     "LadderRung",
     "SupervisorPolicy",
-    "backoff_delays",
     "default_ladder",
     "derive_seed",
     "parse_ladder",

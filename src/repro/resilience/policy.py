@@ -1,4 +1,4 @@
-"""Declarative supervision policy: budgets, ladder, backoff, seeds.
+"""Declarative supervision policy: budgets, ladder, seeds.
 
 A :class:`SupervisorPolicy` is pure data — everything the
 :class:`~repro.resilience.supervisor.RunSupervisor` does is derived from
@@ -8,14 +8,11 @@ same engine outcomes) make the same decisions in the same order:
 * :class:`Budgets` — per-attempt wall-clock / RSS ceilings and the stall
   window the progress watchdog enforces;
 * the **ladder** — an ordered tuple of :class:`LadderRung`\\ s, each one
-  sequential engine, tried in order (default ``fastseq → dict``: the
-  production engine, then the reference oracle);
-* :func:`backoff_delays` — capped exponential backoff between attempts
-  with *seeded* jitter, so retry timing is replayable instead of
-  thundering or flaky;
+  sequential engine, tried once in order (default ``fastseq → dict``:
+  the production engine, then the reference oracle);
 * :func:`derive_seed` — the one way any resilience component derives a
-  sub-seed (per-round scheduler seeds, per-attempt jitter) from a base
-  seed plus integer context, via :class:`numpy.random.SeedSequence`.
+  sub-seed (per-round scheduler and fault seeds) from a base seed plus
+  integer context, via :class:`numpy.random.SeedSequence`.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ __all__ = [
     "Budgets",
     "LadderRung",
     "SupervisorPolicy",
-    "backoff_delays",
     "default_ladder",
     "derive_seed",
     "parse_ladder",
@@ -41,7 +37,7 @@ __all__ = [
 
 def derive_seed(base: int, *context: int) -> int:
     """Deterministically derive a sub-seed from *base* and integer
-    *context* (round index, attempt number, ...).
+    *context* (round index, ...).
 
     Uses :class:`numpy.random.SeedSequence` spawning semantics so derived
     streams are statistically independent — reusing ``base`` directly for
@@ -90,17 +86,11 @@ class LadderRung:
     #: detection engine: "fast" (the compiled sweep) | "dict"
     #: (the reference per-vertex dicts); both give the same permutation
     engine: str = "fast"
-    #: attempts on this rung before degrading to the next
-    max_attempts: int = 1
 
     def __post_init__(self) -> None:
         if self.engine not in ("fast", "dict"):
             raise ReproError(
                 f"rung engine must be 'fast' or 'dict', got {self.engine!r}"
-            )
-        if self.max_attempts < 1:
-            raise ReproError(
-                f"rung max_attempts must be >= 1, got {self.max_attempts}"
             )
 
 
@@ -119,17 +109,18 @@ def default_ladder() -> tuple[LadderRung, ...]:
     )
 
 
-#: Canonical rung names accepted by :func:`parse_ladder` (CLI ``--ladder``).
+#: Canonical rung names accepted by :func:`parse_ladder`.
 RUNG_NAMES: tuple[str, ...] = tuple(r.name for r in default_ladder())
 
 
 def parse_ladder(spec: str) -> tuple[LadderRung, ...]:
-    """Parse a comma-separated ``--ladder`` spec into rungs.
+    """Parse a comma-separated ladder spec (``ServerConfig.ladder_spec``)
+    into rungs.
 
     Example: ``"fastseq,dict"``.  Unknown names raise
     :class:`~repro.errors.ReproError` listing the canonical rungs;
-    duplicate names are rejected (retrying a rung is ``max_attempts``'s
-    job, and a repeated rung would silently skew the backoff schedule).
+    duplicate names are rejected: each rung runs once, and a rung that
+    failed would fail again on the same input.
     """
     by_name = {r.name: r for r in default_ladder()}
     rungs = []
@@ -146,7 +137,7 @@ def parse_ladder(spec: str) -> tuple[LadderRung, ...]:
         if name in seen:
             raise ReproError(
                 f"duplicate ladder rung {name!r} in spec {spec!r}; each "
-                "rung may appear once (use max_attempts to retry a rung)"
+                "rung may appear once"
             )
         seen.add(name)
         rungs.append(by_name[name])
@@ -155,56 +146,24 @@ def parse_ladder(spec: str) -> tuple[LadderRung, ...]:
     return tuple(rungs)
 
 
-def backoff_delays(
-    count: int,
-    *,
-    base_s: float = 0.05,
-    cap_s: float = 2.0,
-    seed: int = 0,
-) -> list[float]:
-    """Capped exponential backoff with deterministic seeded jitter.
-
-    Delay *i* is ``min(cap_s, base_s * 2**i)`` scaled by a jitter factor
-    in ``[0.5, 1.0)`` drawn from a generator seeded by
-    ``derive_seed(seed, i)`` — replayable, and decorrelated across
-    attempts so concurrent supervised runs sharing a seed base do not
-    retry in lockstep.
-    """
-    delays = []
-    for i in range(count):
-        raw = min(cap_s, base_s * (2.0**i))
-        jitter = np.random.default_rng(derive_seed(seed, i)).random()
-        delays.append(raw * (0.5 + 0.5 * jitter))
-    return delays
-
-
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """Everything a :class:`~repro.resilience.supervisor.RunSupervisor`
     needs, as pure data.
 
-    ``final_rung_unbudgeted`` (default True) makes the very last attempt
-    of the last rung run with no budgets and no watchdog: the ladder then
-    *guarantees* a valid result — a run whose budget is exhausted
-    degrades all the way down and still completes (the acceptance
-    property of this subsystem).  Set it False to let the ladder fail
-    with the final attempt's abort error instead.
+    ``final_rung_unbudgeted`` (default True) makes the last rung run with
+    no budgets and no watchdog: the ladder then *guarantees* a valid
+    result — a run whose budget is exhausted degrades all the way down
+    and still completes (the acceptance property of this subsystem).
+    Set it False to let the ladder fail with the last rung's abort error
+    instead.
     """
 
     budgets: Budgets = field(default_factory=Budgets)
     ladder: tuple[LadderRung, ...] = field(default_factory=default_ladder)
     checkpoint: CheckpointConfig | None = None
-    seed: int = 0
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
     final_rung_unbudgeted: bool = True
 
     def __post_init__(self) -> None:
         if not self.ladder:
             raise ReproError("supervisor ladder must have at least one rung")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ReproError("backoff base/cap must be non-negative")
-
-    @property
-    def total_attempts(self) -> int:
-        return sum(r.max_attempts for r in self.ladder)

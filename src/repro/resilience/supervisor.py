@@ -16,14 +16,13 @@ thread polls three signals every ``poll_interval_s``:
 A tripped budget cancels the attempt *cooperatively*: the watchdog can
 only deliver the abort at the engine's next heartbeat.
 
-Failed attempts degrade down the ladder (default ``fastseq → dict``)
-with capped exponential backoff and deterministic seeded jitter between
-attempts.  When the policy carries a checkpoint directory, every attempt
-resumes from the newest loadable checkpoint — work done by an aborted
-rung is *kept*, because the snapshot schema is engine-agnostic.  With
-``final_rung_unbudgeted`` (the default) the very last attempt runs
-without budgets, so the ladder guarantees a valid result even under an
-exhausted time budget.
+Each rung runs once; a failed attempt degrades at once to the next rung
+of the ladder (default ``fastseq → dict``).  When the policy carries a
+checkpoint directory, every attempt resumes from the newest loadable
+checkpoint — work done by an aborted rung is *kept*, because the
+snapshot schema is engine-agnostic.  With ``final_rung_unbudgeted`` (the
+default) the last rung runs without budgets, so the ladder guarantees a
+valid result even under an exhausted time budget.
 
 The outcome is a structured :class:`RunReport`, also exported through
 :mod:`repro.obs.trace` as a ``resilience.run`` span with one
@@ -46,12 +45,7 @@ from repro.errors import (
 )
 from repro.obs.trace import span
 from repro.resilience.checkpoint import latest_checkpoint
-from repro.resilience.policy import (
-    Budgets,
-    LadderRung,
-    SupervisorPolicy,
-    backoff_delays,
-)
+from repro.resilience.policy import Budgets, LadderRung, SupervisorPolicy
 from repro.resilience.runtime import RunControl
 
 __all__ = [
@@ -162,7 +156,7 @@ class _Watchdog:
 
 @dataclass
 class RunAttempt:
-    """One attempt of one ladder rung, as recorded by the supervisor."""
+    """The attempt of one ladder rung, as recorded by the supervisor."""
 
     index: int
     rung: str
@@ -173,8 +167,6 @@ class RunAttempt:
     #: watchdog budget that tripped ("time" | "rss" | "stall"), if any
     trigger: str | None = None
     rss_peak_bytes: int | None = None
-    #: backoff slept *after* this attempt (0 for the last / successful)
-    backoff_s: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -186,7 +178,6 @@ class RunAttempt:
             "error": self.error,
             "trigger": self.trigger,
             "rss_peak_bytes": self.rss_peak_bytes,
-            "backoff_s": self.backoff_s,
         }
 
 
@@ -237,7 +228,7 @@ class RunSupervisor:
     """Execute ``attempt_fn`` through the policy's ladder (see module
     docstring).
 
-    ``attempt_fn(rung)`` is called once per attempt with the active
+    ``attempt_fn(rung)`` is called once per rung with the active
     :class:`~repro.resilience.policy.LadderRung`, under an installed
     :class:`~repro.resilience.runtime.RunControl` and (when budgeted) a
     live watchdog.  It should raise
@@ -258,87 +249,71 @@ class RunSupervisor:
         report attached as ``exc.run_report``.
         """
         policy = self.policy
-        delays = backoff_delays(
-            max(0, policy.total_attempts - 1),
-            base_s=policy.backoff_base_s,
-            cap_s=policy.backoff_cap_s,
-            seed=policy.seed,
-        )
         attempts: list[RunAttempt] = []
         last_error: Exception | None = None
-        index = 0
         run_start = time.monotonic()
         ladder = policy.ladder
         with span("resilience.run", rungs=len(ladder)) as run_span:
-            for rung_i, rung in enumerate(ladder):
-                for attempt_i in range(rung.max_attempts):
-                    final = (
-                        rung_i == len(ladder) - 1
-                        and attempt_i == rung.max_attempts - 1
-                    )
-                    budgets = (
-                        Budgets()
-                        if final and policy.final_rung_unbudgeted
-                        else policy.budgets
-                    )
-                    control = RunControl()
-                    watchdog = (
-                        None if budgets.unlimited else _Watchdog(control, budgets)
-                    )
-                    attempt_start = time.monotonic()
-                    outcome, error, result = "ok", None, None
-                    try:
-                        with control.installed():
-                            if watchdog is not None:
-                                watchdog.start()
-                            with span(
-                                "resilience.attempt",
-                                rung=rung.name,
-                                index=index,
-                                budgeted=not budgets.unlimited,
-                            ):
-                                result = attempt_fn(rung)
-                    except AttemptAbortedError as exc:
-                        outcome, error, last_error = "aborted", exc, exc
-                    except ReproError as exc:
-                        outcome, error, last_error = "error", exc, exc
-                    finally:
+            for index, rung in enumerate(ladder):
+                final = index == len(ladder) - 1
+                budgets = (
+                    Budgets()
+                    if final and policy.final_rung_unbudgeted
+                    else policy.budgets
+                )
+                control = RunControl()
+                watchdog = (
+                    None if budgets.unlimited else _Watchdog(control, budgets)
+                )
+                attempt_start = time.monotonic()
+                outcome, error, result = "ok", None, None
+                try:
+                    with control.installed():
                         if watchdog is not None:
-                            watchdog.stop()
-                    record = RunAttempt(
-                        index=index,
-                        rung=rung.name,
-                        outcome=outcome,
-                        duration_s=time.monotonic() - attempt_start,
-                        progress_units=float(control.progress),
-                        error=None if error is None else str(error),
-                        trigger=None if watchdog is None else watchdog.trigger,
-                        rss_peak_bytes=(
-                            None
-                            if watchdog is None or not watchdog.rss_peak
-                            else watchdog.rss_peak
-                        ),
+                            watchdog.start()
+                        with span(
+                            "resilience.attempt",
+                            rung=rung.name,
+                            index=index,
+                            budgeted=not budgets.unlimited,
+                        ):
+                            result = attempt_fn(rung)
+                except AttemptAbortedError as exc:
+                    outcome, error, last_error = "aborted", exc, exc
+                except ReproError as exc:
+                    outcome, error, last_error = "error", exc, exc
+                finally:
+                    if watchdog is not None:
+                        watchdog.stop()
+                attempts.append(RunAttempt(
+                    index=index,
+                    rung=rung.name,
+                    outcome=outcome,
+                    duration_s=time.monotonic() - attempt_start,
+                    progress_units=float(control.progress),
+                    error=None if error is None else str(error),
+                    trigger=None if watchdog is None else watchdog.trigger,
+                    rss_peak_bytes=(
+                        None
+                        if watchdog is None or not watchdog.rss_peak
+                        else watchdog.rss_peak
+                    ),
+                ))
+                if outcome == "ok":
+                    report = RunReport(
+                        attempts=tuple(attempts),
+                        success=True,
+                        final_rung=rung.name,
+                        duration_s=time.monotonic() - run_start,
+                        result=result,
                     )
-                    attempts.append(record)
-                    if outcome == "ok":
-                        report = RunReport(
-                            attempts=tuple(attempts),
-                            success=True,
-                            final_rung=rung.name,
-                            duration_s=time.monotonic() - run_start,
-                            result=result,
-                        )
-                        run_span.set(
-                            success=True,
-                            final_rung=rung.name,
-                            attempts=len(attempts),
-                            degradations=report.degradations,
-                        )
-                        return report
-                    if index < policy.total_attempts - 1:
-                        record.backoff_s = delays[index]
-                        time.sleep(delays[index])
-                    index += 1
+                    run_span.set(
+                        success=True,
+                        final_rung=rung.name,
+                        attempts=len(attempts),
+                        degradations=report.degradations,
+                    )
+                    return report
             report = RunReport(
                 attempts=tuple(attempts),
                 success=False,

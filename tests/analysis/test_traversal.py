@@ -300,3 +300,50 @@ class TestDFS:
     def test_invalid_source(self):
         with pytest.raises(GraphFormatError):
             dfs(CSRGraph.empty(1), -1)
+
+    def test_directed_forest_visits_each_vertex_once(self):
+        """On 1 -> 0 <- 2 every vertex is its own walk's seed, and the
+        walks share one clock."""
+        g = CSRGraph.from_edges([1, 2], [0, 0], symmetrize=False)
+        r = dfs_forest(g)
+        assert r.order.tolist() == [0, 1, 2]
+        assert r.discovered.tolist() == [0, 2, 4]
+        assert r.finished.tolist() == [1, 3, 5]
+
+    def test_edgeless_forest_is_linear(self, alarm):
+        """65,536 components, one walk each on shared state, under one
+        span: O(n) in all, where two n-sized arrays per walk would take
+        minutes."""
+        n = 1 << 16
+        with trace.capture() as cap:
+            r = dfs_forest(CSRGraph.empty(n))
+        assert [s.name for s in cap.walk()] == ["analysis.dfs_forest"]
+        assert np.array_equal(r.order, np.arange(n))
+        assert np.array_equal(r.discovered, 2 * np.arange(n))
+        assert np.array_equal(r.finished, 2 * np.arange(n) + 1)
+
+    @pytest.mark.parametrize("g", [
+        rmat_graph(7, edge_factor=2, rng=3),
+        erdos_renyi_graph(200, 0.004, rng=4),
+        road_lattice_graph(9, 11, rng=5),
+        CSRGraph.from_edges([0, 2, 4], [1, 3, 5], num_vertices=9),
+    ], ids=["rmat", "er", "road", "isolated"])
+    def test_forest_matches_per_component_walks(self, g):
+        """On a symmetric graph the shared walk equals one dfs() per
+        component with its timestamps shifted past the earlier ones."""
+        n = g.num_vertices
+        discovered = np.full(n, UNREACHED, dtype=np.int64)
+        finished = np.full(n, UNREACHED, dtype=np.int64)
+        chunks, shift = [], 0
+        for s in range(n):
+            if discovered[s] != UNREACHED:
+                continue
+            r = dfs(g, s)
+            discovered[r.order] = r.discovered[r.order] + shift
+            finished[r.order] = r.finished[r.order] + shift
+            shift += 2 * r.order.size
+            chunks.append(r.order)
+        forest = dfs_forest(g)
+        assert np.array_equal(forest.order, np.concatenate(chunks))
+        assert np.array_equal(forest.discovered, discovered)
+        assert np.array_equal(forest.finished, finished)

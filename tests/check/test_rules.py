@@ -31,6 +31,20 @@ class TestLockInLockfreePath:
         src = "from threading import RLock, Semaphore\na = RLock()\nb = Semaphore(2)\n"
         assert len(findings(tmp_path, src, self.RULE)) == 2
 
+    def test_flags_references_that_are_not_calls(self, tmp_path):
+        src = (
+            "import threading\n"
+            "from dataclasses import dataclass, field\n"
+            "@dataclass\n"
+            "class Tally:\n"
+            "    lock: object = field(default_factory=threading.Lock)\n"
+            "make = threading.Condition\n"
+        )
+        found = findings(tmp_path, src, self.RULE, name="repro/parallel/x.py")
+        assert [f.line for f in found] == [5, 6]
+        assert "threading.Lock referenced" in found[0].message
+        assert "threading.Condition referenced" in found[1].message
+
     def test_clean_on_atomic_layer_usage(self, tmp_path):
         src = (
             "from repro.parallel.atomics import AtomicPairArray\n"
@@ -55,10 +69,6 @@ class TestPrivateAtomicState:
         found = findings(tmp_path, src, self.RULE, name="repro/parallel/x.py")
         assert [f.line for f in found] == [2]
         assert "._degree" in found[0].message
-
-    def test_flags_lock_for(self, tmp_path):
-        src = "def grab(atoms, i):\n    return atoms._lock_for(i)\n"
-        assert [f.line for f in findings(tmp_path, src, self.RULE)] == [2]
 
     def test_clean_on_public_api(self, tmp_path):
         src = (
@@ -142,6 +152,37 @@ class TestUnseededRng:
     def test_flags_zero_arg_default_rng(self, tmp_path):
         src = "import numpy as np\nrng = np.random.default_rng()\n"
         assert len(findings(tmp_path, src, self.RULE)) == 1
+
+    def test_flags_none_reaching_default_rng(self, tmp_path):
+        src = (
+            "import numpy as np\n"
+            "def _gen(rng):\n"
+            "    return np.random.default_rng(rng)\n"
+            "def graph(n, *, rng=None):\n"
+            "    return _gen(rng).random(n)\n"
+            "def order(n, seed=None):\n"
+            "    return np.random.default_rng(seed=seed).permutation(n)\n"
+            "noise = np.random.default_rng(None)\n"
+        )
+        found = findings(tmp_path, src, self.RULE)
+        assert [f.line for f in found] == [3, 7, 8]
+        assert "can receive None" in found[0].message
+
+    def test_clean_when_no_none_reaches_default_rng(self, tmp_path):
+        src = (
+            "import numpy as np\n"
+            "def _gen(rng):\n"
+            "    return np.random.default_rng(rng)\n"
+            "def graph(n, *, rng=0):\n"
+            "    return _gen(rng).random(n)\n"
+            "def order(n, seed=None):\n"
+            "    if seed is None:\n"
+            "        seed = 0\n"
+            "    return np.random.default_rng(seed).permutation(n)\n"
+            "def reseed(seed):\n"
+            "    return np.random.default_rng(seed)\n"
+        )
+        assert findings(tmp_path, src, self.RULE) == []
 
     def test_flags_stdlib_global_random(self, tmp_path):
         src = "import random\nx = random.shuffle([1, 2])\n"

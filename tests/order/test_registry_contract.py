@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import DatasetError
 from repro.graph import validate_permutation
+from repro.graph.generators import rmat_graph
 from repro.order import ALGORITHMS, TABLE3_ORDER, get_algorithm, list_algorithms, reorder
 
 
@@ -68,3 +69,14 @@ class TestContract:
         a = ALGORITHMS[algorithm](paper_graph, rng=17)
         b = ALGORITHMS[algorithm](paper_graph, rng=17)
         assert np.array_equal(a.permutation, b.permutation)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_unseeded_call_replays(name):
+    """Every registry entry called without a seed is a function of the
+    graph: ND, LLP, Shingle and Random default to seed 0 instead of OS
+    entropy."""
+    graph = rmat_graph(9, edge_factor=3, rng=0)
+    first = get_algorithm(name)(graph)
+    second = get_algorithm(name)(graph)
+    assert np.array_equal(first.permutation, second.permutation)

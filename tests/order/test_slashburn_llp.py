@@ -1,15 +1,21 @@
 """SlashBurn and Layered Label Propagation."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, invert_permutation, random_permutation
 from repro.graph.generators import (
     barabasi_albert_graph,
     hierarchical_community_graph,
+    rmat_graph,
 )
 from repro.metrics import average_neighbor_gap
 from repro.order import llp_order, slashburn_order
+from repro.order.slashburn import _spoke_order
 
 
 class TestSlashBurn:
@@ -64,6 +70,56 @@ class TestSlashBurn:
         t2 = sorted(pos[v] for v in (4, 5, 6))
         assert t1[-1] - t1[0] == 2
         assert t2[-1] - t2[0] == 2
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_spoke_order_matches_per_spoke_loop(self, labels, seed):
+        """One sort places the spokes exactly where the per-spoke loop it
+        replaced did: smaller spokes further back, of equal sizes the
+        lower label further back, decreasing degree then id within."""
+        labels = np.asarray(labels, dtype=np.int64)
+        sizes = np.bincount(labels)
+        gcc = int(np.argmax(sizes))
+        degrees = np.random.default_rng(seed).integers(0, 4, labels.size)
+        expected = np.empty(np.count_nonzero(labels != gcc), dtype=np.int64)
+        back = expected.size
+        spoke_labels = [c for c in range(sizes.size) if c != gcc]
+        spoke_labels.sort(key=lambda c: int(sizes[c]))
+        for c in spoke_labels:
+            members = np.flatnonzero(labels == c)
+            members = members[np.argsort(-degrees[members], kind="stable")]
+            back -= members.size
+            expected[back : back + members.size] = members
+        got = _spoke_order(labels, sizes, gcc, degrees)
+        assert got.tolist() == expected.tolist()
+
+    #: sha256 prefixes of (permutation, stats.work, iterations, k), from
+    #: the per-spoke placement loop that one sort over all spokes
+    #: replaced: the sort must reproduce it bit for bit.
+    PINNED = {
+        "rmat-s8": "e92bbf4a2f3565fd",
+        "rmat-s10": "f064c6a66d40a96b",
+        "rmat-s12": "15e62c7747ec692e",
+        "hier-768": "ba6d77d507bdf41b",
+        "ba-300": "c256308ef480cf81",
+    }
+    GRAPHS = {
+        "rmat-s8": lambda: rmat_graph(8, edge_factor=8, rng=7),
+        "rmat-s10": lambda: rmat_graph(10, edge_factor=8, rng=7),
+        "rmat-s12": lambda: rmat_graph(12, edge_factor=8, rng=7),
+        "hier-768": lambda: hierarchical_community_graph(768, rng=11).graph,
+        "ba-300": lambda: barabasi_albert_graph(300, 3, rng=0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_matches_pinned_output(self, name):
+        res = slashburn_order(self.GRAPHS[name]())
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(res.permutation, dtype=np.int64).tobytes())
+        h.update(repr((res.stats.work, res.extra["iterations"],
+                       res.extra["k"])).encode())
+        assert h.hexdigest()[:16] == self.PINNED[name]
 
 
 class TestLLP:

@@ -20,7 +20,6 @@ from repro.resilience import (
     LadderRung,
     RunSupervisor,
     SupervisorPolicy,
-    backoff_delays,
     default_ladder,
     heartbeat,
     parse_ladder,
@@ -108,8 +107,6 @@ class TestLadder:
                 LadderRung(name="b"),
                 LadderRung(name="c"),
             ),
-            backoff_base_s=0.001,
-            backoff_cap_s=0.002,
         )
         calls = []
 
@@ -124,26 +121,6 @@ class TestLadder:
         assert report.success and report.result == "done"
         assert report.final_rung == "c"
         assert report.degradations == 2
-        assert report.attempts[0].backoff_s > 0
-        assert report.attempts[-1].backoff_s == 0
-
-    def test_max_attempts_retries_same_rung(self):
-        policy = SupervisorPolicy(
-            ladder=(LadderRung(name="r", max_attempts=3),),
-            backoff_base_s=0.001,
-            backoff_cap_s=0.002,
-        )
-        calls = []
-
-        def attempt(rung):
-            calls.append(rung.name)
-            if len(calls) < 3:
-                raise AttemptAbortedError("again")
-            return 42
-
-        report = RunSupervisor(policy).run(attempt)
-        assert calls == ["r", "r", "r"]
-        assert report.degradations == 0
 
     def test_repro_errors_degrade_other_exceptions_propagate(self):
         policy = SupervisorPolicy(
@@ -151,8 +128,6 @@ class TestLadder:
                 LadderRung(name="x"),
                 LadderRung(name="y"),
             ),
-            backoff_base_s=0.001,
-            backoff_cap_s=0.002,
         )
 
         def repro_fail(rung):
@@ -177,8 +152,6 @@ class TestLadder:
                 LadderRung(name="first"),
                 LadderRung(name="last"),
             ),
-            backoff_base_s=0.001,
-            backoff_cap_s=0.002,
         )
 
         def attempt(rung):
@@ -200,14 +173,6 @@ class TestLadder:
 
 
 class TestPolicyHelpers:
-    def test_backoff_delays_deterministic_capped(self):
-        a = backoff_delays(6, base_s=0.05, cap_s=0.4, seed=9)
-        b = backoff_delays(6, base_s=0.05, cap_s=0.4, seed=9)
-        assert a == b
-        assert all(d <= 0.4 for d in a)
-        assert all(d > 0 for d in a)
-        assert backoff_delays(6, base_s=0.05, cap_s=0.4, seed=10) != a
-
     def test_parse_ladder_roundtrip(self):
         rungs = parse_ladder("dict,fastseq")
         assert [r.name for r in rungs] == ["dict", "fastseq"]
@@ -261,8 +226,6 @@ class TestSupervisedRabbitOrder:
         policy = SupervisorPolicy(
             budgets=Budgets(time_s=0.02, poll_interval_s=0.005),
             checkpoint=CheckpointConfig(directory=tmp_path / "ck", every=40),
-            backoff_base_s=0.001,
-            backoff_cap_s=0.002,
         )
         result, report = supervised_rabbit_order(graph, policy=policy)
         assert report.success
@@ -302,7 +265,7 @@ class TestSupervisedRabbitOrder:
         monkeypatch.setattr(
             native_mod, "community_detection_fastseq", broken
         )
-        policy = SupervisorPolicy(backoff_base_s=0.001, backoff_cap_s=0.002)
+        policy = SupervisorPolicy()
         result, report = supervised_rabbit_order(graph, policy=policy)
         assert [a.rung for a in report.attempts] == ["fastseq", "dict"]
         assert report.attempts[0].outcome == "error"

@@ -321,7 +321,7 @@ class TestReorderResilience:
         perm_out = str(tmp_path / "perm.npy")
         rc = main(
             ["reorder", path, "-a", "Rabbit", "--perm-out", perm_out,
-             "--ladder", "fastseq,dict", "--time-budget", "60"]
+             "--time-budget", "60"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -363,6 +363,31 @@ class TestReorderResilience:
         )
         assert rc == 2
         assert "--resume" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", [["--time-budget", "60"],
+                                        ["--mem-budget", "8192"]])
+    def test_engine_combined_with_budget_rejected(
+        self, graph_file, tmp_path, capsys, budget
+    ):
+        path, _ = graph_file
+        perm_out = tmp_path / "perm.npy"
+        rc = main(
+            ["reorder", path, "-a", "Rabbit", "--engine", "dict",
+             "--perm-out", str(perm_out), *budget]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --engine does not combine")
+        assert not perm_out.exists()
+
+    def test_ladder_flags_are_gone(self, graph_file, capsys):
+        path, _ = graph_file
+        for argv in (["reorder", path, "--ladder", "fastseq,dict"],
+                     ["serve", "--ladder", "fastseq,dict"]):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 2
+            assert "--ladder" in capsys.readouterr().err
 
     def test_resume_verb_missing_checkpoint_fails_cleanly(
         self, graph_file, tmp_path, capsys
