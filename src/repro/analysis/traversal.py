@@ -1,7 +1,7 @@
 """Graph traversals: BFS and DFS (paper §IV-E workloads).
 
 BFS is level-synchronous and runs in the compiled library
-(``rabbit_bfs`` in ``repro/rabbit/sweep.c``) over caller-owned
+(``rabbit_bfs`` in ``repro/graph/kernels.c``) over caller-owned
 ``level``/``parent`` arrays; :func:`_numpy_walk` is the same walk in
 numpy, kept as the no-compiler fallback and as the test oracle.  DFS is
 an iterative explicit-stack implementation with discovery/finish times.
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GraphFormatError
+from repro.graph import native
 from repro.graph.csr import CSRGraph
 from repro.obs.trace import span
 
@@ -135,10 +136,6 @@ def _walk(
     (int64, n entries; any other level means visited).  Returns the visit
     order, the non-empty levels summed over the walks, and the engine
     (``"native"``, or ``"numpy"`` without the compiled library)."""
-    # A function-level import keeps repro.analysis free of a module-level
-    # dependency on repro.rabbit, which holds the compiled library.
-    from repro.rabbit import native
-
     if native.library() is None:
         return (*_numpy_walk(graph, seeds, level, parent, sorted_neighbors), "numpy")
     return (*native.bfs_walk(graph, seeds, level, parent, sorted_neighbors), "native")

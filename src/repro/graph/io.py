@@ -5,12 +5,20 @@ DIMACS) commonly ship.  Parsers are strict and raise
 :class:`~repro.errors.GraphFormatError` with line numbers on malformed
 input; writers produce files the parsers round-trip exactly.
 
-The readers tokenise a whole file at once: the fixed-column formats (edge
-lists, MatrixMarket entries) are one ``np.loadtxt`` call, METIS adjacency
-lists one numpy pass over the body's bytes.  No Python code runs per line
-or per token unless the input is malformed; then the offending physical
-line is looked up.  The token grammar is numpy's (``docs/API.md``).  Each
-read is one ``graph.read`` span with ``graph.tokenize`` and
+Unweighted edge lists with a one-byte comment string, and unweighted
+METIS files, are read by the compiled library (:mod:`repro.graph.native`)
+when it loaded: it tokenises the bytes, and for METIS writes each
+adjacency line straight into the CSR, then sorts and deduplicates the
+rows.  It takes a small ASCII subset of each grammar and declines
+anything else.  The numpy readers run on a decline, without the library,
+and for every other input: the fixed-column formats (edge lists,
+MatrixMarket entries) are one ``np.loadtxt`` call, METIS adjacency
+lists one numpy pass over the body's bytes.  Either way no Python code
+runs per line or per token unless the input is malformed; then the
+numpy reader looks the offending physical line up, so every error is
+the numpy reader's.  The token grammar is numpy's (``docs/API.md``).
+Each read is one ``graph.read`` span, recording the ``engine``
+(``native`` or ``numpy``), with ``graph.tokenize`` and
 ``graph.csr_build`` children.
 """
 
@@ -24,7 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
+from repro.graph import native
+from repro.graph.csr import MAX_KEYABLE_VERTICES, CSRGraph
+from repro.graph.native import _span
 from repro.graph.npz import load_npz
 
 __all__ = [
@@ -46,16 +56,16 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _DIGITS = 18
 #: Suffixes ``np.loadtxt`` would decompress when given a path.
 _COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
-
-
-def _span(name: str, **attrs):
-    # repro: ignore[layering]  a read's spans are the one place a load
-    # can be split into tokenising and CSR build; the tracer is stdlib
-    # only and imported lazily, so repro.graph stays import-time free
-    # of higher layers (as in ops.reorder_directed).
-    from repro.obs.trace import span
-
-    return span(name, **attrs)
+#: Comment bytes the compiled edge-list reader takes: printable ASCII,
+#: not a digit.
+_NATIVE_COMMENTS = frozenset(chr(c) for c in range(0x21, 0x7F)) - set("0123456789")
+#: The blank and comment lines before a METIS header, and the header as
+#: the compiled reader takes it: unweighted (fmt ``0``/``00``), counts of
+#: at most ``_DIGITS`` digits, spaces and tabs, printable comments.
+_METIS_HEADER = re.compile(
+    rb"(?:[ \t]*(?:%[\t\x20-\x7e]*)?\n)*"
+    rb"[ \t]*(?P<n>[0-9]{1,18})[ \t]+(?P<m>[0-9]{1,18})(?:[ \t]+00?)?[ \t]*(?:\n|\Z)"
+)
 
 
 def _open_read(path_or_file):
@@ -83,6 +93,32 @@ def _read_text(path_or_file) -> str:
 
 def _text_bytes(text: str) -> int:
     return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+def _read_input(path_or_file, parse=None):
+    """Read the input once: ``(parsed, text, nbytes)``.
+
+    *parse* is a compiled reader: it takes the input's bytes and returns
+    its arrays, or ``None`` to decline.  It runs when the library loaded,
+    on a path's bytes (unless its suffix is a compressed one) or on a
+    stream's text if that is ASCII.  Otherwise, and on a decline,
+    ``parsed`` is ``None`` and ``text`` is the input as the numpy readers
+    take it (:func:`_read_text`).  ``nbytes`` is the input's size in
+    UTF-8 either way.
+    """
+    if parse is not None and native.library() is not None:
+        if not isinstance(path_or_file, (str, Path)):
+            text = _read_text(path_or_file)
+            parsed = parse(text.encode("ascii")) if text.isascii() else None
+            return parsed, text, _text_bytes(text)
+        if not str(path_or_file).endswith(_COMPRESSED):
+            with open(path_or_file, "rb") as fh:
+                data = fh.read()
+            parsed = parse(data)
+            if parsed is not None:
+                return parsed, None, len(data)
+    text = _read_text(path_or_file)
+    return None, text, _text_bytes(text)
 
 
 def _integer(token: str) -> int | None:
@@ -200,26 +236,39 @@ def read_edge_list(
     """
     if not comment:
         raise ValueError("comment must be a non-empty string")
+    parse = None
+    if not weighted and comment in _NATIVE_COMMENTS:
+        parse = lambda data: native.edge_list(data, ord(comment))  # noqa: E731
     with _span("graph.read", format="edge_list") as read:
         with _span("graph.tokenize"):
-            text = _read_text(path_or_file)
-            check = _edge_list_check(weighted)
-            try:
-                rows = _rows(path_or_file, text, weighted=weighted, comment=comment)
-            except ValueError as exc:
-                raise _bad_line(text, comment, check, exc) from exc
-            src, dst = rows["u"], rows["v"]
-            if src.size and min(src.min(), dst.min()) < 0:
-                raise _bad_line(text, comment, check, "negative vertex id")
+            edges, text, nbytes = _read_input(path_or_file, parse)
+            weights = None
+            if edges is None:
+                src, dst, weights = _edge_list_rows(
+                    path_or_file, text, weighted, comment
+                )
+            else:
+                src, dst = edges
+        read.set(engine="numpy" if edges is None else "native")
         with _span("graph.csr_build"):
             graph = CSRGraph.from_edges(
-                src,
-                dst,
-                weights=rows["w"] if weighted else None,
-                symmetrize=undirected,
+                src, dst, weights=weights, symmetrize=undirected
             )
-        read.set(bytes=_text_bytes(text), slots=graph.num_edges)
+        read.set(bytes=nbytes, slots=graph.num_edges)
     return graph
+
+
+def _edge_list_rows(path_or_file, text, weighted, comment):
+    """``(src, dst, weights)`` of an edge list, by the numpy reader."""
+    check = _edge_list_check(weighted)
+    try:
+        rows = _rows(path_or_file, text, weighted=weighted, comment=comment)
+    except ValueError as exc:
+        raise _bad_line(text, comment, check, exc) from exc
+    src, dst = rows["u"], rows["v"]
+    if src.size and min(src.min(), dst.min()) < 0:
+        raise _bad_line(text, comment, check, "negative vertex id")
+    return src, dst, rows["w"] if weighted else None
 
 
 def _edge_list_check(weighted):
@@ -278,24 +327,47 @@ def read_metis(path_or_file) -> CSRGraph:
     """
     with _span("graph.read", format="metis") as read:
         with _span("graph.tokenize"):
-            data = _read_text(path_or_file).encode("utf-8")
-            n, m, src, dst, weights = _metis_edges(data)
+            rows, text, nbytes = _read_input(path_or_file, _metis_rows)
+            if rows is None:
+                n, m, src, dst, weights = _metis_edges(text.encode("utf-8"))
+            else:
+                m, indptr, indices, longest = rows
+        read.set(engine="numpy" if rows is None else "native")
         with _span("graph.csr_build"):
-            graph = CSRGraph.from_edges(
-                src,
-                dst,
-                num_vertices=n,
-                weights=weights,
-                symmetrize=False,
-                coalesce=True,
-            )
-        read.set(bytes=len(data), slots=graph.num_edges)
+            if rows is None:
+                graph = CSRGraph.from_edges(
+                    src,
+                    dst,
+                    num_vertices=n,
+                    weights=weights,
+                    symmetrize=False,
+                    coalesce=True,
+                )
+            else:
+                indices = native.sort_rows(indptr, indices, longest)
+                graph = CSRGraph(indptr=indptr, indices=indices)
+        read.set(bytes=nbytes, slots=graph.num_edges)
     if graph.num_undirected_edges != m:
         raise GraphFormatError(
             f"METIS header declares {m} edges but adjacency lists encode "
             f"{graph.num_undirected_edges}"
         )
     return graph
+
+
+def _metis_rows(data: bytes):
+    """``(m, indptr, indices, longest row)`` of an unweighted METIS file
+    from the compiled reader, its rows unsorted; ``None`` to decline.
+    Python parses the header (:data:`_METIS_HEADER`), the library the
+    body."""
+    header = _METIS_HEADER.match(data)
+    if header is None:
+        return None
+    n = int(header["n"])
+    if n > MAX_KEYABLE_VERTICES:
+        return None
+    rows = native.metis_rows(data, header.end(), n)
+    return None if rows is None else (int(header["m"]), *rows)
 
 
 def _metis_edges(data: bytes):
@@ -534,7 +606,7 @@ def read_matrix_market(path_or_file) -> CSRGraph:
                 symmetrize=(symmetry == "symmetric"),
                 coalesce=True,
             )
-        read.set(bytes=_text_bytes(text), slots=graph.num_edges)
+        read.set(bytes=_text_bytes(text), slots=graph.num_edges, engine="numpy")
     return graph
 
 

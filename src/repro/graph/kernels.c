@@ -1,8 +1,9 @@
-/* Compiled kernels of sequential Rabbit Order: the aggregation sweep
- * (Algorithm 2 lines 3-8 with Algorithm 4's lazy aggregation), its setup
- * pass and degree visit order, and ordering generation (the dendrogram
- * DFS); at the end of the file, the level-synchronous BFS the analyses
- * and the BFS/RCM orderings run.
+/* The package's compiled kernels (loaded by repro/graph/native.py):
+ * sequential Rabbit Order's aggregation sweep (Algorithm 2 lines 3-8
+ * with Algorithm 4's lazy aggregation), its setup pass and degree visit
+ * order, and ordering generation (the dendrogram DFS); then the
+ * level-synchronous BFS the analyses and the BFS/RCM orderings run; at
+ * the end of the file, the graph file readers of repro/graph/io.py.
  *
  * Per vertex the sweep performs the dict engine's operations in the dict
  * engine's order (repro/rabbit/common.py, repro/rabbit/seq.py), so the
@@ -376,4 +377,151 @@ int64_t rabbit_bfs(const int64_t *indptr, const int64_t *indices,
     }
     *levels = nlevels;
     return len;
+}
+
+/* Graph file readers (repro.graph.io).  Each takes a small ASCII subset
+ * of its grammar and returns -1, declining, for anything else; the numpy
+ * reader then runs and reports every error exactly as it would alone.
+ * The subset:
+ *   - ids of 1 to MAX_DIGITS ASCII digits, with no sign;
+ *   - spaces and tabs between tokens, '\n' after each line;
+ *   - a comment: the comment byte, then printable ASCII or tabs.
+ * So a CR, a control or non-ASCII byte, a longer id, a short line, or a
+ * METIS id or row count the header does not allow declines.  Every read
+ * of buf is checked against len, and every write against the capacity
+ * the caller passes (the caller sizes it from the bytes, never from a
+ * header). */
+#define MAX_DIGITS 18
+
+static inline int is_blank(uint8_t c) { return c == ' ' || c == '\t'; }
+
+static inline int is_text(uint8_t c) {
+    return (c >= 0x20 && c <= 0x7e) || c == '\t';
+}
+
+/* The id at *pos: 1..MAX_DIGITS digits ending at a blank, '\n', the
+ * comment byte (-1: none) or the end.  Returns 0 and advances *pos, or
+ * returns -1. */
+static int read_id(const uint8_t *buf, int64_t len, int64_t *pos,
+                   int64_t comment, int64_t *value) {
+    const int64_t start = *pos;
+    /* one digit past the longest id, to see it is too long */
+    const int64_t stop = len - start > MAX_DIGITS ? start + MAX_DIGITS + 1 : len;
+    int64_t i = start;
+    uint64_t v = 0; /* 19 digits fit: no overflow before the check */
+    uint8_t d;
+    while (i < stop && (d = (uint8_t)(buf[i] - '0')) <= 9) {
+        v = 10 * v + d;
+        i++;
+    }
+    if (i == start || i - start > MAX_DIGITS ||
+        (i < len && !is_blank(buf[i]) && buf[i] != '\n' && buf[i] != comment))
+        return -1;
+    *pos = i;
+    *value = (int64_t)v;
+    return 0;
+}
+
+/* Advances *pos over text up to the line's '\n' (or the end), stopping
+ * early at the comment byte (-1: none); -1 on a byte outside is_text. */
+static int skip_text(const uint8_t *buf, int64_t len, int64_t *pos,
+                     int64_t comment) {
+    int64_t i = *pos;
+    for (; i < len && buf[i] != '\n' && buf[i] != comment; i++)
+        if (!is_text(buf[i]))
+            return -1;
+    *pos = i;
+    return 0;
+}
+
+/* An unweighted edge list: "u v" rows; further columns are skipped and
+ * the comment byte (printable, not a digit) ends a line's data.  Writes
+ * the rows' ids to src and dst (cap entries each) and returns the number
+ * of rows, or -1. */
+int64_t rabbit_read_edges(const uint8_t *buf, int64_t len, int64_t comment,
+                          int64_t cap, int64_t *src, int64_t *dst) {
+    int64_t i = 0, rows = 0;
+    while (i < len) {
+        while (i < len && is_blank(buf[i]))
+            i++;
+        if (i < len && buf[i] != '\n' && buf[i] != comment) {
+            int64_t u, v;
+            if (read_id(buf, len, &i, comment, &u) < 0 || i == len ||
+                !is_blank(buf[i]))
+                return -1;
+            while (i < len && is_blank(buf[i]))
+                i++;
+            if (read_id(buf, len, &i, comment, &v) < 0 || rows == cap)
+                return -1;
+            src[rows] = u;
+            dst[rows] = v;
+            rows++;
+        }
+        if (skip_text(buf, len, &i, comment) < 0 ||
+            skip_text(buf, len, &i, -1) < 0)
+            return -1;
+        i++; /* the '\n' */
+    }
+    return rows;
+}
+
+/* A METIS body from byte pos (the line after the header) for n vertices:
+ * each line whose first token starts with '%' is a comment, every other
+ * line, blank ones too, an adjacency list of 1-based ids in [1, n].
+ * Writes row r's 0-based ids to indices[indptr[r]..indptr[r + 1]) (cap
+ * entries; indptr holds n + 1) and the longest row to *longest.  Returns
+ * the number of ids, or -1; lines past the n-th must be blank. */
+int64_t rabbit_read_metis(const uint8_t *buf, int64_t len, int64_t pos,
+                          int64_t n, int64_t *indptr, int64_t *indices,
+                          int64_t cap, int64_t *longest) {
+    int64_t i = pos, row = 0, k = 0;
+    indptr[0] = 0;
+    *longest = 0;
+    while (i < len) {
+        while (i < len && is_blank(buf[i]))
+            i++;
+        if (i < len && buf[i] == '%') {
+            if (skip_text(buf, len, &i, -1) < 0)
+                return -1;
+            i++;
+            continue;
+        }
+        const int64_t first = k;
+        while (i < len && buf[i] != '\n') {
+            int64_t v;
+            if (row >= n || read_id(buf, len, &i, -1, &v) < 0 || v < 1 ||
+                v > n || k == cap)
+                return -1;
+            indices[k++] = v - 1;
+            while (i < len && is_blank(buf[i]))
+                i++;
+        }
+        if (row < n) {
+            indptr[row + 1] = k;
+            if (k - first > *longest)
+                *longest = k - first;
+        }
+        row++;
+        i++; /* the '\n' */
+    }
+    return row < n ? -1 : k;
+}
+
+/* Sorts each of the n rows of a CSR ascending (sort_level by id) and
+ * drops repeated ids, compacting indices and rewriting indptr in place:
+ * the rows CSRGraph.from_edges(coalesce=True) builds from unweighted
+ * slots.  buf holds the longest row.  Returns the number of ids kept. */
+int64_t rabbit_sort_rows(int64_t *indptr, int64_t *indices, int64_t n,
+                         int64_t *buf) {
+    int64_t out = 0, lo = indptr[0];
+    for (int64_t r = 0; r < n; r++) {
+        const int64_t hi = indptr[r + 1];
+        sort_level(indices + lo, buf, hi - lo, NULL);
+        for (int64_t j = lo; j < hi; j++)
+            if (j == lo || indices[j] != indices[out - 1])
+                indices[out++] = indices[j];
+        indptr[r + 1] = out;
+        lo = hi;
+    }
+    return out;
 }

@@ -471,6 +471,19 @@ def _cell_key(result: dict[str, Any]) -> tuple[str, str]:
     return (result["graph"], result["ordering"])
 
 
+#: Counters that name the engine a run took, not the work it did.
+_PROVENANCE = ("rabbit.engine.", "rabbit.native.")
+
+
+def _work_counters(result: dict[str, Any]) -> dict[str, float]:
+    """The cell's ``rabbit.*`` detection work counters."""
+    return {
+        name: float(value)
+        for name, value in (result.get("counters") or {}).items()
+        if name.startswith("rabbit.") and not name.startswith(_PROVENANCE)
+    }
+
+
 def _time_verdict(
     baseline: float, current: float, rel_tol: float, abs_floor: float
 ) -> str:
@@ -495,9 +508,14 @@ def compare(
     ``current > baseline * (1 + rel_tolerance) + abs_floor_s`` — the
     absolute floor keeps microsecond-scale cells from flapping.  The
     deterministic locality metric (``average_neighbor_gap``, larger is
-    worse) uses ``locality_tolerance`` with no floor.  Cells present in
-    the baseline but missing from the current run are failures
-    (``MISSING``); new cells are reported as ``ok``.
+    worse) uses ``locality_tolerance`` with no floor.  Detection work is
+    deterministic too: every ``rabbit.*`` work counter both cells carry
+    must match exactly (any difference is a ``REGRESSION``), and one the
+    baseline carries and the current cell lacks is ``MISSING``; the
+    provenance counters (``rabbit.engine.*``, ``rabbit.native.*``) say
+    which engine ran, not how much work it did, and are not judged.
+    Cells present in the baseline but missing from the current run are
+    failures (``MISSING``); new cells are reported as ``ok``.
     """
     require_valid_bench(baseline, source="baseline document")
     require_valid_bench(current, source="current document")
@@ -565,6 +583,11 @@ def compare(
                     _time_verdict(float(b_gap), float(c_gap), locality_tolerance, 0.0),
                 )
             )
+        base_work, cur_work = _work_counters(base), _work_counters(cur)
+        for name, b in sorted(base_work.items()):
+            c = cur_work.get(name)
+            verdict = MISSING if c is None else OK if c == b else REGRESSION
+            report.rows.append(CompareRow(graph, ordering, name, b, c, verdict))
     for key in sorted(cur_cells.keys() - base_cells.keys()):
         report.rows.append(CompareRow(key[0], key[1], "cell", None, None, OK))
     report.rows.sort(key=lambda r: (r.graph, r.ordering, r.metric))

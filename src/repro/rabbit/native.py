@@ -1,18 +1,17 @@
 """Compiled aggregation sweep: the engine behind ``engine="fast"``.
 
 The per-vertex work of the sequential sweep (trace, fold, score, merge)
-runs in ``sweep.c``, which performs the dict engine's operations in the
-dict engine's order, so the dendrogram, the stats and the permutation
-are bit-identical to the oracle (``tests/rabbit/test_fastseq_equivalence.py``).
-The setup is compiled too: one pass over the CSR gives the symmetry
-verdict, the Newman degrees and the self-loop weight
-(:func:`setup_pass`), and a counting sort the degree visit order
-(:func:`counting_argsort`).  So is ordering generation
-(:func:`dfs_visit_order`), which ``rabbit_order`` runs after every
-detection path.  Python keeps the chunking and the state, all of it
-numpy arrays the C reads and writes in place.  The same library holds
-the level-synchronous BFS of :mod:`repro.analysis.traversal`
-(:func:`bfs_walk`).
+runs in the compiled library (``repro/graph/kernels.c``, loaded by
+:mod:`repro.graph.native`), which performs the dict engine's operations
+in the dict engine's order, so the dendrogram, the stats and the
+permutation are bit-identical to the oracle
+(``tests/rabbit/test_fastseq_equivalence.py``).  The setup is compiled
+too: one pass over the CSR gives the symmetry verdict, the Newman
+degrees and the self-loop weight (:func:`setup_pass`), and a counting
+sort the degree visit order (:func:`counting_argsort`).  So is ordering
+generation (:func:`dfs_visit_order`), which ``rabbit_order`` runs after
+every detection path.  Python keeps the chunking and the state, all of
+it numpy arrays the C reads and writes in place.
 
 Chunks
 ------
@@ -25,38 +24,23 @@ checkpoints, so budgets, snapshots and resume keep their per-vertex
 contracts.  The entry pool is the checkpoint wire format: per-vertex
 ``(offset, length)`` slices of one key pool and one weight pool.
 
-Build
------
-The library is built on first use with the local C compiler
-(``cc -O2 -fPIC -shared -ffp-contract=off``; never ``-ffast-math``: a
-contracted multiply-add changes the last ulp of ΔQ) into
-``$XDG_CACHE_HOME/repro/native`` (default ``~/.cache``), named by the
-SHA-256 of the source, the flags and ``cc --version``, and installed
-atomically.  A cache directory or library that is not owned by the user
-or that others can write is refused.  With no compiler, no trusted
-cache or a failed build, ``engine="fast"`` runs the dict engine, warns,
-and counts the fallback as ``rabbit.native.fallback.<reason>``.
+Fallback
+--------
+Without the library (:func:`repro.graph.native.library` returns
+``None``), ``engine="fast"`` runs the dict engine, warns, and counts the
+fallback as ``rabbit.native.fallback.<reason>``.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import shutil
-import stat
-import subprocess
-import tempfile
-import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 
 from repro.community.dendrogram import NO_VERTEX, Dendrogram, dfs_error
 from repro.graph.csr import CSRGraph
+from repro.graph.native import fallback_reason, library, require_library
 from repro.graph.validate import not_symmetric_error
-from repro.ioutil import atomic_write_bytes
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.rabbit.common import RabbitStats
@@ -72,159 +56,14 @@ from repro.resilience.runtime import heartbeat
 
 __all__ = [
     "community_detection_fastseq",
-    "library",
-    "fallback_reason",
     "delta_q",
     "setup_pass",
     "counting_argsort",
     "dfs_visit_order",
-    "bfs_walk",
 ]
-
-SOURCE = Path(__file__).with_name("sweep.c")
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Folded items per library call: bounds the time between heartbeats.
 _CHUNK_WORK = 1 << 16
-
-_P = ctypes.c_void_p
-_I64 = ctypes.c_int64
-_F64 = ctypes.c_double
-_SIGNATURES = {
-    "rabbit_sweep": (
-        _I64,
-        [_P, _P, _P, _P, _I64, _I64, _I64, _P, _P, _P, _P, _P, _P, _P, _P, _P,
-         _I64, _P, _P, _F64, _F64, _P],
-    ),
-    "rabbit_delta_q": (None, [_P, _P, _I64, _F64, _F64, _P]),
-    "rabbit_setup": (_I64, [_P, _P, _P, _I64, _P, _P, _P]),
-    "rabbit_counting_sort": (_I64, [_P, _I64, _P, _I64, _P]),
-    "rabbit_dfs": (_I64, [_P, _P, _I64, _P, _I64, _P, _P, _P]),
-    "rabbit_bfs": (_I64, [_P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P]),
-}
-
-# repro: ignore[lock-in-lockfree-path]  guards the one-time library load
-# (build and dlopen), never the sweep: the C keeps no global state.
-_LOCK = threading.Lock()
-_STATE: dict = {}
-
-
-def _cache_root() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(base)
-
-
-def _trusted(path: Path) -> bool:
-    """Owned by this user and writable by nobody else."""
-    st = path.stat()
-    return st.st_uid == os.geteuid() and not st.st_mode & (
-        stat.S_IWGRP | stat.S_IWOTH
-    )
-
-
-def _compiler() -> tuple[str, str] | None:
-    """``(cc path, cc --version output)``, or ``None`` without one."""
-    cc = shutil.which("cc")
-    if cc is None:
-        return None
-    try:
-        proc = subprocess.run(
-            [cc, "--version"], capture_output=True, text=True, timeout=60
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return (cc, proc.stdout) if proc.returncode == 0 else None
-
-
-def _library_path(cache_root: Path, version: str) -> Path:
-    """Where the library built by a compiler reporting *version* lives."""
-    key = hashlib.sha256(
-        b"\0".join([SOURCE.read_bytes(), " ".join(FLAGS).encode(), version.encode()])
-    ).hexdigest()
-    return cache_root / "repro" / "native" / f"sweep-{key[:32]}.so"
-
-
-def _open(path: Path) -> ctypes.CDLL | None:
-    try:
-        lib = ctypes.CDLL(str(path))
-        for name, (restype, argtypes) in _SIGNATURES.items():
-            fn = getattr(lib, name)
-            fn.restype, fn.argtypes = restype, argtypes
-    except (OSError, AttributeError):
-        return None
-    return lib
-
-
-def _build(cc: str, path: Path) -> bool:
-    """Compile beside the cache and install atomically: concurrent
-    builders each install a complete library."""
-    try:
-        with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
-            out = Path(tmp) / path.name
-            proc = subprocess.run(
-                [cc, *FLAGS, "-o", str(out), str(SOURCE)],
-                capture_output=True,
-                timeout=300,
-            )
-            if proc.returncode != 0:
-                return False
-            atomic_write_bytes(path, out.read_bytes())
-    except (OSError, subprocess.SubprocessError):
-        return False
-    return True
-
-
-def _load(cache_root: Path) -> tuple[ctypes.CDLL | None, str | None]:
-    """Open the cached library, building it if missing or corrupt.
-    Returns ``(library, None)`` or ``(None, fallback reason)``."""
-    found = _compiler()
-    if found is None:
-        return None, "no-compiler"
-    cc, version = found
-    path = _library_path(cache_root, version)
-    # Both private levels get 0o700 explicitly: `parents=True` would
-    # create `repro/` with the umask's mode, group-writable under 002.
-    try:
-        path.parent.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        path.parent.mkdir(mode=0o700, exist_ok=True)
-    except OSError:
-        return None, "no-cache-dir"
-    if not (_trusted(path.parent) and _trusted(path.parent.parent)):
-        return None, "untrusted-cache"
-    if path.exists():
-        if not _trusted(path):
-            return None, "untrusted-cache"
-        lib = _open(path)
-        if lib is not None:
-            return lib, None
-    with span("rabbit.native.build", library=path.name):
-        built = _build(cc, path)
-    if not built:
-        return None, "build-failed"
-    lib = _open(path)
-    return (lib, None) if lib is not None else (None, "load-failed")
-
-
-def library() -> ctypes.CDLL | None:
-    """The compiled sweep, loaded (and built) once per process; ``None``
-    when unavailable (see :func:`fallback_reason`)."""
-    with _LOCK:
-        if "lib" not in _STATE:
-            _STATE["lib"], _STATE["reason"] = _load(_cache_root())
-        return _STATE["lib"]
-
-
-def fallback_reason() -> str | None:
-    """Why :func:`library` returned ``None`` (``None`` if it did not)."""
-    library()
-    return _STATE["reason"]
-
-
-def _require_library() -> ctypes.CDLL:
-    lib = library()
-    if lib is None:
-        raise RuntimeError(f"compiled sweep unavailable: {fallback_reason()}")
-    return lib
 
 
 def delta_q(
@@ -232,7 +71,7 @@ def delta_q(
 ) -> np.ndarray:
     """The sweep's ΔQ kernel, elementwise: ``2.0 * (w * inv_2m - deg *
     penalty)``.  Exported so tests can check it against numpy."""
-    lib = _require_library()
+    lib = require_library()
     w = np.ascontiguousarray(w, dtype=np.float64)
     deg = np.ascontiguousarray(deg, dtype=np.float64)
     out = np.empty_like(w)
@@ -253,7 +92,7 @@ def setup_pass(graph: CSRGraph) -> tuple[bool, np.ndarray, float]:
     The degrees are summed in ``newman_degrees``' order, bit for bit; the
     loop weight is summed in slot order, so it is exact for unit weights.
     """
-    lib = _require_library()
+    lib = require_library()
     n = graph.num_vertices
     indptr = np.ascontiguousarray(graph.indptr)
     indices = np.ascontiguousarray(graph.indices)
@@ -275,7 +114,7 @@ def counting_argsort(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for non-negative integer keys,
     by the compiled counting sort (``max(keys) + 1`` counters: meant for
     degrees, which never exceed the vertex count on a symmetric graph)."""
-    lib = _require_library()
+    lib = require_library()
     keys = np.ascontiguousarray(keys, dtype=np.int64)
     nbins = max(int(keys.max()) + 1, 0) if keys.size else 0
     count = np.empty(nbins, dtype=np.int64)
@@ -310,40 +149,6 @@ def dfs_visit_order(dendrogram: Dendrogram) -> np.ndarray:
     if size < 0:
         raise dfs_error(n, int(bad[0]) if size == -2 else None)
     return out[:size]
-
-
-def bfs_walk(
-    graph: CSRGraph,
-    seeds: np.ndarray,
-    level: np.ndarray,
-    parent: np.ndarray,
-    sorted_neighbors: bool,
-) -> tuple[np.ndarray, int]:
-    """The compiled level-synchronous BFS: one walk from each seed whose
-    ``level`` is still ``-1``, writing ``level`` and ``parent`` (int64,
-    C-contiguous, n entries, owned by the caller) in place.  Returns the
-    visit order and the number of non-empty levels summed over the walks.
-    The contract is :func:`repro.analysis.traversal.bfs`'s."""
-    lib = _require_library()
-    n = graph.num_vertices
-    indptr = np.ascontiguousarray(graph.indptr)
-    indices = np.ascontiguousarray(graph.indices)
-    seeds = np.ascontiguousarray(seeds, dtype=np.int64)
-    # The C indexes with every seed and writes n entries of each array.
-    if seeds.size and (seeds.min() < 0 or seeds.max() >= n):
-        raise ValueError(f"BFS seeds must lie in [0, {n})")
-    for arr in (level, parent):
-        if arr.dtype != np.int64 or arr.shape != (n,) or not arr.flags.c_contiguous:
-            raise ValueError("level and parent must be C-contiguous int64 of n")
-    order = np.empty(n, dtype=np.int64)
-    buf = np.empty(n, dtype=np.int64)
-    levels = np.zeros(1, dtype=np.int64)
-    size = lib.rabbit_bfs(
-        indptr.ctypes.data, indices.ctypes.data, seeds.ctypes.data, seeds.size,
-        int(sorted_neighbors), level.ctypes.data, parent.ctypes.data,
-        order.ctypes.data, buf.ctypes.data, levels.ctypes.data,
-    )
-    return order[:size], int(levels[0])
 
 
 def _pool_capacity(graph: CSRGraph) -> int:

@@ -295,11 +295,13 @@ def _list_edges(edges: Any) -> tuple[list[int], list[int], list[float] | None]:
         dst.append(v)
         if len(edge) == 3:
             weighted = True
-            if not isinstance(edge[2], (int, float)) or isinstance(edge[2], bool):
-                raise ProtocolError(
-                    f"edges[{i}]: weight must be a number, got {edge[2]!r}"
-                )
-            weights.append(float(edge[2]))
+            w = edge[2]
+            if not isinstance(w, (int, float)) or isinstance(w, bool):
+                raise ProtocolError(f"edges[{i}]: weight must be a number, got {w!r}")
+            try:
+                weights.append(float(w))
+            except OverflowError as exc:  # an int past the float range
+                raise ProtocolError(f"edges[{i}]: weight {exc}") from exc
         else:
             weights.append(1.0)
     return src, dst, weights if weighted else None

@@ -23,20 +23,12 @@ from repro.graph import CSRGraph
 from repro.graph.generators import erdos_renyi_graph, rmat_graph, road_lattice_graph
 from repro.obs import trace
 from repro.order.bfs_rcm import bfs_order, rcm_order
-from repro.rabbit import native
+from repro.graph import native
 from tests.conftest import to_networkx
 
 requires_cc = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler on PATH"
 )
-
-
-@pytest.fixture
-def no_compiler(monkeypatch):
-    """Forget the loaded library and hide the compiler from the loader,
-    so every walk takes the numpy path."""
-    monkeypatch.setattr(native, "_STATE", {})
-    monkeypatch.setattr(native.shutil, "which", lambda name: None)
 
 
 class TestBFS:

@@ -416,7 +416,7 @@ def mutant_tree(tmp_path_factory):
     daemon.write_text(text.replace(
         needle,
         "    async def _mutant_warm_up(self):\n"
-        "        from repro.rabbit import native\n"
+        "        from repro.graph import native\n"
         "        native.library()\n\n"
         "    async def _mutant_probe(self):\n"
         "        import socket\n"

@@ -119,6 +119,18 @@ def alarm():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """Forget the loaded compiled library and hide the compiler from its
+    loader, so every kernel takes its numpy or Python path: the BFS walk,
+    the graph file readers, the sweep (which warns and runs the dict
+    engine)."""
+    from repro.graph import native
+
+    monkeypatch.setattr(native, "_STATE", {})
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+
+
 #: An edge list whose largest id asks ``CSRGraph.from_edges`` for a
 #: 3,000,000,002-entry (22.4 GiB) row index.
 HUGE_ID_EDGE_LIST = "0 3000000000\n"
@@ -127,15 +139,19 @@ HUGE_ID_EDGE_LIST = "0 3000000000\n"
 @pytest.fixture
 def refuse_huge_arrays(monkeypatch):
     """``np.zeros`` of more than 2**31 elements raises ``MemoryError``,
-    as numpy does when the allocation fails, and never attempts it."""
+    as numpy does when the allocation fails, and never attempts it.
+    Yields the list of shapes it refused."""
     real = np.zeros
+    refused = []
 
     def zeros(shape, *args, **kwargs):
         if np.prod(shape, dtype=np.float64) > 2**31:
+            refused.append(shape)
             raise MemoryError(f"Unable to allocate an array with shape {shape}")
         return real(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", zeros)
+    return refused
 
 
 def to_networkx(graph: CSRGraph):

@@ -1,4 +1,9 @@
-"""Graph serialisation round-trips and malformed-input handling."""
+"""Graph serialisation round-trips and malformed-input handling.
+
+Every reader case runs twice: on the compiled readers where they apply
+(the default when a compiler is present), and, in the ``...Numpy``
+classes at the end, on the numpy readers alone (``no_compiler``).
+"""
 
 import io
 
@@ -6,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import CSRGraph
+from repro.graph import CSRGraph, native
 from repro.graph.io import (
     read_edge_list,
     read_matrix_market,
@@ -334,20 +339,24 @@ class TestReadSpans:
             ("matrix_market", write_matrix_market, read_matrix_market),
         ],
     )
-    def test_one_read_span_per_load(self, fmt, write, read, tmp_path, paper_graph):
+    def test_one_read_span_per_load(
+        self, fmt, write, read, tmp_path, paper_graph_unweighted
+    ):
         from repro.obs import trace
 
         path = tmp_path / "g.txt"
-        write(paper_graph, path)
+        write(paper_graph_unweighted, path)
         with trace.capture() as cap:
             graph = read(path)
         (root,) = cap.roots
         assert root.name == "graph.read"
         assert [c.name for c in root.children] == ["graph.tokenize", "graph.csr_build"]
+        compiled = fmt != "matrix_market" and native.library() is not None
         assert root.attrs == {
             "format": fmt,
             "bytes": path.stat().st_size,
             "slots": graph.num_edges,
+            "engine": "native" if compiled else "numpy",
         }
 
     def test_from_edges_opens_no_span(self):
@@ -356,3 +365,36 @@ class TestReadSpans:
         with trace.capture() as cap:
             CSRGraph.from_edges([0, 1], [1, 2])
         assert cap.roots == []
+
+
+# The reader cases again on the numpy readers alone.
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestEdgeListNumpy(TestEdgeList):
+    pass
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestMetisNumpy(TestMetis):
+    pass
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestMetisHardeningNumpy(TestMetisHardening):
+    pass
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestFailClosedNumpy(TestFailClosed):
+    pass
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestTokenGrammarNumpy(TestTokenGrammar):
+    pass
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestReadSpansNumpy(TestReadSpans):
+    pass

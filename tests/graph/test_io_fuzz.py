@@ -6,6 +6,8 @@ the oracle (:mod:`tests.graph.oracle`, the readers this package had
 before it tokenised whole files), from a stream and from a path.  A
 single mutated token must raise :class:`GraphFormatError` naming the
 mutated physical line.  The error path's token grammar must be numpy's.
+The reader cases run on the compiled readers where they apply, and again
+on the numpy readers alone (the ``...Numpy`` classes at the end).
 """
 
 import io
@@ -311,3 +313,21 @@ class TestErrorPathGrammar:
                 assert v == expected
             elif expected is not None:
                 assert abs(v) == 2**63 - 1
+
+
+# The reader cases again on the numpy readers alone.
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestNoisyWriterOutputNumpy(TestNoisyWriterOutput):
+    pass
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestMutatedTokenNumpy(TestMutatedToken):
+    pass
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestEmptyInputsNumpy(TestEmptyInputs):
+    pass

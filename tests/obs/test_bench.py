@@ -183,6 +183,41 @@ class TestCompare:
         grown["results"].append(extra)
         assert bench.compare(smoke_doc, grown).ok
 
+    def test_detection_counters_are_gated_exactly(self, smoke_doc):
+        rabbit = next(
+            i for i, r in enumerate(smoke_doc["results"])
+            if "rabbit.edges_scanned" in r["counters"]
+        )
+        report = bench.compare(smoke_doc, smoke_doc)
+        rows = {r.metric: r.verdict for r in report.rows if r.metric.startswith("rabbit.")}
+        assert rows["rabbit.edges_scanned"] == rows["rabbit.merges"] == bench.OK
+
+        more = copy.deepcopy(smoke_doc)
+        cell = more["results"][rabbit]
+        cell["counters"]["rabbit.edges_scanned"] += 1
+        report = bench.compare(smoke_doc, more)
+        assert not report.ok
+        (row,) = [r for r in report.regressions]
+        assert (row.graph, row.ordering) == (cell["graph"], cell["ordering"])
+        assert (row.metric, row.verdict) == ("rabbit.edges_scanned", bench.REGRESSION)
+
+        fewer = copy.deepcopy(smoke_doc)
+        del fewer["results"][rabbit]["counters"]["rabbit.merges"]
+        (row,) = bench.compare(smoke_doc, fewer).regressions
+        assert (row.metric, row.verdict) == ("rabbit.merges", bench.MISSING)
+
+    def test_engine_provenance_is_not_gated(self, smoke_doc):
+        other = copy.deepcopy(smoke_doc)
+        for r in other["results"]:
+            r["counters"]["rabbit.engine.dict"] = 7.0
+            r["counters"].pop("rabbit.engine.native", None)
+        base = copy.deepcopy(smoke_doc)
+        for r in base["results"]:
+            r["counters"]["rabbit.native.fallback.no-compiler"] = 1.0
+        report = bench.compare(base, other)
+        assert report.ok
+        assert not any(".engine." in r.metric or ".native." in r.metric for r in report.rows)
+
     def test_improvement_labelled(self, smoke_doc):
         fast = copy.deepcopy(smoke_doc)
         base = copy.deepcopy(smoke_doc)

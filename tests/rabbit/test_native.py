@@ -1,6 +1,7 @@
-"""The compiled sweep's loader: build on first use, a trusted private
-cache, concurrent cold builds, corrupt-library recovery, the dict
-fallback, and the provenance it leaves in traces and metrics."""
+"""The compiled library's loader (:mod:`repro.graph.native`): build on
+first use, a trusted private cache, concurrent cold builds,
+corrupt-library recovery, the sweep's dict fallback, and the provenance
+it leaves in traces and metrics."""
 
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import pytest
 from repro.graph.generators import rmat_graph
 from repro.obs import trace
 from repro.obs.metrics import counter_delta, get_registry
-from repro.rabbit import native, rabbit_order
+from repro.graph import native
+from repro.rabbit import rabbit_order
 from repro.rabbit.seq import community_detection_seq
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -51,7 +53,7 @@ class TestBuild:
         with trace.capture() as cap:
             assert native.library() is not None
         (build,) = cap.find("rabbit.native.build")
-        assert build.attrs["library"].startswith("sweep-")
+        assert build.attrs["library"].startswith("kernels-")
         monkeypatch.setattr(native, "_STATE", {})
         with trace.capture() as cap:
             assert native.library() is not None
@@ -109,7 +111,7 @@ class TestBuild:
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
                "PYTHONPATH": str(REPO_SRC)}
         code = (
-            "import sys; from repro.rabbit import native; "
+            "import sys; from repro.graph import native; "
             "sys.exit(0 if native.library() is not None else 1)"
         )
         procs = [
