@@ -26,13 +26,9 @@ from repro.errors import GraphFormatError
 __all__ = ["CSRGraph", "coalesce_edges"]
 
 
-#: The most vertices whose slot keys ``row * n + col`` fit in int64.
-MAX_KEYABLE_VERTICES = 3_037_000_499
-
-
 def _require_keyable(n: int) -> None:
     """Slot keys ``row * n + col`` must fit in int64 (n² < 2⁶³)."""
-    if n > MAX_KEYABLE_VERTICES:
+    if n > 3_037_000_499:
         raise GraphFormatError(
             f"{n} vertices overflow the int64 slot key row * n + col"
         )

@@ -5,18 +5,17 @@ DIMACS) commonly ship.  Parsers are strict and raise
 :class:`~repro.errors.GraphFormatError` with line numbers on malformed
 input; writers produce files the parsers round-trip exactly.
 
-Unweighted edge lists with a one-byte comment string, and unweighted
-METIS files, are read by the compiled library (:mod:`repro.graph.native`)
-when it loaded: it tokenises the bytes, and for METIS writes each
-adjacency line straight into the CSR, then sorts and deduplicates the
-rows.  It takes a small ASCII subset of each grammar and declines
-anything else.  The numpy readers run on a decline, without the library,
-and for every other input: the fixed-column formats (edge lists,
-MatrixMarket entries) are one ``np.loadtxt`` call, METIS adjacency
-lists one numpy pass over the body's bytes.  Either way no Python code
-runs per line or per token unless the input is malformed; then the
-numpy reader looks the offending physical line up, so every error is
-the numpy reader's.  The token grammar is numpy's (``docs/API.md``).
+Unweighted edge lists with a one-character comment string, and
+unweighted METIS files, are tokenised by the compiled library
+(:mod:`repro.graph.native`) when it loaded; ``CSRGraph.from_edges``
+builds the CSR either way.  The library takes a small ASCII subset of
+each grammar and declines anything else.  The numpy readers run on a
+decline, without the library, and for every other input: the
+fixed-column formats (edge lists, MatrixMarket entries) are one
+``np.loadtxt`` call, METIS adjacency lists one numpy pass over the
+body's bytes.  Either way no Python code runs per line or per token
+unless the input is malformed; then the numpy reader looks the
+offending physical line up, so every error is the numpy reader's.  The token grammar is numpy's (``docs/API.md``).
 Each read is one ``graph.read`` span, recording the ``engine``
 (``native`` or ``numpy``), with ``graph.tokenize`` and
 ``graph.csr_build`` children.
@@ -33,7 +32,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph import native
-from repro.graph.csr import MAX_KEYABLE_VERTICES, CSRGraph
+from repro.graph.csr import CSRGraph
 from repro.graph.native import _span
 from repro.graph.npz import load_npz
 
@@ -56,16 +55,6 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _DIGITS = 18
 #: Suffixes ``np.loadtxt`` would decompress when given a path.
 _COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
-#: Comment bytes the compiled edge-list reader takes: printable ASCII,
-#: not a digit.
-_NATIVE_COMMENTS = frozenset(chr(c) for c in range(0x21, 0x7F)) - set("0123456789")
-#: The blank and comment lines before a METIS header, and the header as
-#: the compiled reader takes it: unweighted (fmt ``0``/``00``), counts of
-#: at most ``_DIGITS`` digits, spaces and tabs, printable comments.
-_METIS_HEADER = re.compile(
-    rb"(?:[ \t]*(?:%[\t\x20-\x7e]*)?\n)*"
-    rb"[ \t]*(?P<n>[0-9]{1,18})[ \t]+(?P<m>[0-9]{1,18})(?:[ \t]+00?)?[ \t]*(?:\n|\Z)"
-)
 
 
 def _open_read(path_or_file):
@@ -103,8 +92,9 @@ def _read_input(path_or_file, parse=None):
     on a path's bytes (unless its suffix is a compressed one) or on a
     stream's text if that is ASCII.  Otherwise, and on a decline,
     ``parsed`` is ``None`` and ``text`` is the input as the numpy readers
-    take it (:func:`_read_text`).  ``nbytes`` is the input's size in
-    UTF-8 either way.
+    take it (:func:`_read_text`): a declined path is read again, once
+    its bytes are released.  ``nbytes`` is the input's size in UTF-8
+    either way.
     """
     if parse is not None and native.library() is not None:
         if not isinstance(path_or_file, (str, Path)):
@@ -117,6 +107,7 @@ def _read_input(path_or_file, parse=None):
             parsed = parse(data)
             if parsed is not None:
                 return parsed, None, len(data)
+            del data
     text = _read_text(path_or_file)
     return None, text, _text_bytes(text)
 
@@ -237,7 +228,7 @@ def read_edge_list(
     if not comment:
         raise ValueError("comment must be a non-empty string")
     parse = None
-    if not weighted and comment in _NATIVE_COMMENTS:
+    if not weighted and len(comment) == 1:
         parse = lambda data: native.edge_list(data, ord(comment))  # noqa: E731
     with _span("graph.read", format="edge_list") as read:
         with _span("graph.tokenize"):
@@ -327,25 +318,22 @@ def read_metis(path_or_file) -> CSRGraph:
     """
     with _span("graph.read", format="metis") as read:
         with _span("graph.tokenize"):
-            rows, text, nbytes = _read_input(path_or_file, _metis_rows)
-            if rows is None:
+            parsed, text, nbytes = _read_input(path_or_file, native.metis_edges)
+            weights = None
+            if parsed is None:
                 n, m, src, dst, weights = _metis_edges(text.encode("utf-8"))
             else:
-                m, indptr, indices, longest = rows
-        read.set(engine="numpy" if rows is None else "native")
+                n, m, src, dst = parsed
+        read.set(engine="numpy" if parsed is None else "native")
         with _span("graph.csr_build"):
-            if rows is None:
-                graph = CSRGraph.from_edges(
-                    src,
-                    dst,
-                    num_vertices=n,
-                    weights=weights,
-                    symmetrize=False,
-                    coalesce=True,
-                )
-            else:
-                indices = native.sort_rows(indptr, indices, longest)
-                graph = CSRGraph(indptr=indptr, indices=indices)
+            graph = CSRGraph.from_edges(
+                src,
+                dst,
+                num_vertices=n,
+                weights=weights,
+                symmetrize=False,
+                coalesce=True,
+            )
         read.set(bytes=nbytes, slots=graph.num_edges)
     if graph.num_undirected_edges != m:
         raise GraphFormatError(
@@ -353,21 +341,6 @@ def read_metis(path_or_file) -> CSRGraph:
             f"{graph.num_undirected_edges}"
         )
     return graph
-
-
-def _metis_rows(data: bytes):
-    """``(m, indptr, indices, longest row)`` of an unweighted METIS file
-    from the compiled reader, its rows unsorted; ``None`` to decline.
-    Python parses the header (:data:`_METIS_HEADER`), the library the
-    body."""
-    header = _METIS_HEADER.match(data)
-    if header is None:
-        return None
-    n = int(header["n"])
-    if n > MAX_KEYABLE_VERTICES:
-        return None
-    rows = native.metis_rows(data, header.end(), n)
-    return None if rows is None else (int(header["m"]), *rows)
 
 
 def _metis_edges(data: bytes):

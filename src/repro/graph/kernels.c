@@ -383,20 +383,28 @@ int64_t rabbit_bfs(const int64_t *indptr, const int64_t *indices,
  * of its grammar and returns -1, declining, for anything else; the numpy
  * reader then runs and reports every error exactly as it would alone.
  * The subset:
- *   - ids of 1 to MAX_DIGITS ASCII digits, with no sign;
+ *   - ids and counts of 1 to MAX_DIGITS ASCII digits, with no sign;
  *   - spaces and tabs between tokens, '\n' after each line;
- *   - a comment: the comment byte, then printable ASCII or tabs.
+ *   - a comment: the comment byte (printable ASCII, not a digit), then
+ *     printable ASCII or tabs.
  * So a CR, a control or non-ASCII byte, a longer id, a short line, or a
  * METIS id or row count the header does not allow declines.  Every read
  * of buf is checked against len, and every write against the capacity
- * the caller passes (the caller sizes it from the bytes, never from a
- * header). */
+ * the caller passes (the caller sizes it from the bytes; nothing is sized
+ * from a header). */
 #define MAX_DIGITS 18
 
 static inline int is_blank(uint8_t c) { return c == ' ' || c == '\t'; }
 
 static inline int is_text(uint8_t c) {
     return (c >= 0x20 && c <= 0x7e) || c == '\t';
+}
+
+static inline int64_t skip_blanks(const uint8_t *buf, int64_t len,
+                                  int64_t i) {
+    while (i < len && is_blank(buf[i]))
+        i++;
+    return i;
 }
 
 /* The id at *pos: 1..MAX_DIGITS digits ending at a blank, '\n', the
@@ -435,22 +443,21 @@ static int skip_text(const uint8_t *buf, int64_t len, int64_t *pos,
 }
 
 /* An unweighted edge list: "u v" rows; further columns are skipped and
- * the comment byte (printable, not a digit) ends a line's data.  Writes
- * the rows' ids to src and dst (cap entries each) and returns the number
- * of rows, or -1. */
+ * the comment byte ends a line's data.  Writes the rows' ids to src and
+ * dst (cap entries each) and returns the number of rows, or -1. */
 int64_t rabbit_read_edges(const uint8_t *buf, int64_t len, int64_t comment,
                           int64_t cap, int64_t *src, int64_t *dst) {
     int64_t i = 0, rows = 0;
+    if (comment < 0x21 || comment > 0x7e || (comment >= '0' && comment <= '9'))
+        return -1;
     while (i < len) {
-        while (i < len && is_blank(buf[i]))
-            i++;
+        i = skip_blanks(buf, len, i);
         if (i < len && buf[i] != '\n' && buf[i] != comment) {
             int64_t u, v;
             if (read_id(buf, len, &i, comment, &u) < 0 || i == len ||
                 !is_blank(buf[i]))
                 return -1;
-            while (i < len && is_blank(buf[i]))
-                i++;
+            i = skip_blanks(buf, len, i);
             if (read_id(buf, len, &i, comment, &v) < 0 || rows == cap)
                 return -1;
             src[rows] = u;
@@ -465,63 +472,56 @@ int64_t rabbit_read_edges(const uint8_t *buf, int64_t len, int64_t comment,
     return rows;
 }
 
-/* A METIS body from byte pos (the line after the header) for n vertices:
- * each line whose first token starts with '%' is a comment, every other
- * line, blank ones too, an adjacency list of 1-based ids in [1, n].
- * Writes row r's 0-based ids to indices[indptr[r]..indptr[r + 1]) (cap
- * entries; indptr holds n + 1) and the longest row to *longest.  Returns
- * the number of ids, or -1; lines past the n-th must be blank. */
-int64_t rabbit_read_metis(const uint8_t *buf, int64_t len, int64_t pos,
-                          int64_t n, int64_t *indptr, int64_t *indices,
-                          int64_t cap, int64_t *longest) {
-    int64_t i = pos, row = 0, k = 0;
-    indptr[0] = 0;
-    *longest = 0;
-    while (i < len) {
-        while (i < len && is_blank(buf[i]))
-            i++;
+/* An unweighted METIS file: blank and comment lines, the header "n m",
+ * optionally with fmt 0 or 00, then the adjacency lists.  A line whose
+ * first token starts with '%' is a comment; after the header every other
+ * line, blank ones too, is the list of the next vertex: 1-based ids in
+ * [1, n].  There must be n lists, and lines past the n-th must be blank.
+ * Writes each slot's 0-based row and id to src and dst (cap entries
+ * each), and n and m to counts[0] and counts[1].  Returns the number of
+ * slots, or -1. */
+int64_t rabbit_read_metis(const uint8_t *buf, int64_t len, int64_t cap,
+                          int64_t *src, int64_t *dst, int64_t *counts) {
+    int64_t i = 0, n, m, row = 0, k = 0;
+    for (;;) { /* blank and comment lines before the header */
+        i = skip_blanks(buf, len, i);
+        if (i < len && buf[i] == '%' && skip_text(buf, len, &i, -1) < 0)
+            return -1;
+        if (i == len || buf[i] != '\n')
+            break; /* the header's first byte, or the end */
+        i++;
+    }
+    if (read_id(buf, len, &i, -1, &n) < 0 || i == len || !is_blank(buf[i]))
+        return -1;
+    i = skip_blanks(buf, len, i);
+    if (read_id(buf, len, &i, -1, &m) < 0)
+        return -1;
+    i = skip_blanks(buf, len, i);
+    const int64_t fmt = i; /* none, 0 or 00 */
+    while (i < len && i - fmt < 2 && buf[i] == '0')
+        i++;
+    i = skip_blanks(buf, len, i);
+    if (i < len && buf[i] != '\n')
+        return -1;
+    counts[0] = n;
+    counts[1] = m;
+    for (i++; i < len; i++) { /* each line after the header's '\n' */
+        i = skip_blanks(buf, len, i);
         if (i < len && buf[i] == '%') {
             if (skip_text(buf, len, &i, -1) < 0)
                 return -1;
-            i++;
             continue;
         }
-        const int64_t first = k;
         while (i < len && buf[i] != '\n') {
             int64_t v;
             if (row >= n || read_id(buf, len, &i, -1, &v) < 0 || v < 1 ||
                 v > n || k == cap)
                 return -1;
-            indices[k++] = v - 1;
-            while (i < len && is_blank(buf[i]))
-                i++;
-        }
-        if (row < n) {
-            indptr[row + 1] = k;
-            if (k - first > *longest)
-                *longest = k - first;
+            src[k] = row;
+            dst[k++] = v - 1;
+            i = skip_blanks(buf, len, i);
         }
         row++;
-        i++; /* the '\n' */
     }
     return row < n ? -1 : k;
-}
-
-/* Sorts each of the n rows of a CSR ascending (sort_level by id) and
- * drops repeated ids, compacting indices and rewriting indptr in place:
- * the rows CSRGraph.from_edges(coalesce=True) builds from unweighted
- * slots.  buf holds the longest row.  Returns the number of ids kept. */
-int64_t rabbit_sort_rows(int64_t *indptr, int64_t *indices, int64_t n,
-                         int64_t *buf) {
-    int64_t out = 0, lo = indptr[0];
-    for (int64_t r = 0; r < n; r++) {
-        const int64_t hi = indptr[r + 1];
-        sort_level(indices + lo, buf, hi - lo, NULL);
-        for (int64_t j = lo; j < hi; j++)
-            if (j == lo || indices[j] != indices[out - 1])
-                indices[out++] = indices[j];
-        indptr[r + 1] = out;
-        lo = hi;
-    }
-    return out;
 }

@@ -5,9 +5,9 @@ Order sweep, its setup pass, the degree counting sort and the ordering
 DFS (wrapped by :mod:`repro.rabbit.native`), the level-synchronous BFS
 of :mod:`repro.analysis.traversal` (:func:`bfs_walk`), and the graph
 file readers of :mod:`repro.graph.io` (:func:`edge_list`,
-:func:`metis_rows`, :func:`sort_rows`).  They share one loader, so one
-build serves them all.  Every caller runs its numpy or Python
-equivalent when :func:`library` returns ``None``.
+:func:`metis_edges`).  They share one loader, so one build serves them
+all.  Every caller runs its numpy or Python equivalent when
+:func:`library` returns ``None``.
 
 Build
 -----
@@ -44,8 +44,7 @@ __all__ = [
     "require_library",
     "bfs_walk",
     "edge_list",
-    "metis_rows",
-    "sort_rows",
+    "metis_edges",
 ]
 
 SOURCE = Path(__file__).with_name("kernels.c")
@@ -66,8 +65,7 @@ _SIGNATURES = {
     "rabbit_dfs": (_I64, [_P, _P, _I64, _P, _I64, _P, _P, _P]),
     "rabbit_bfs": (_I64, [_P, _P, _P, _I64, _I64, _P, _P, _P, _P, _P]),
     "rabbit_read_edges": (_I64, [_P, _I64, _I64, _I64, _P, _P]),
-    "rabbit_read_metis": (_I64, [_P, _I64, _I64, _I64, _P, _P, _I64, _P]),
-    "rabbit_sort_rows": (_I64, [_P, _P, _I64, _P]),
+    "rabbit_read_metis": (_I64, [_P, _I64, _I64, _P, _P, _P]),
 }
 
 # Guards the one-time library load (build and dlopen), never a kernel:
@@ -241,10 +239,10 @@ def bfs_walk(
 
 def edge_list(data: bytes, comment: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The ``(src, dst)`` ids of an unweighted edge list's rows, in file
-    order, or ``None`` when *data* leaves the compiled reader's subset
-    (``kernels.c``, "Graph file readers"); *comment* is the comment
-    byte.  A row takes at least four bytes (``"u v\\n"``), which bounds
-    both arrays."""
+    order, or ``None`` when *data* or the comment character (*comment*,
+    a code point) leaves the compiled reader's subset (``kernels.c``,
+    "Graph file readers").  A row takes at least four bytes
+    (``"u v\\n"``), which bounds both arrays."""
     lib = require_library()
     buf = np.frombuffer(data, dtype=np.uint8)
     cap = (len(data) + 1) // 4
@@ -256,44 +254,23 @@ def edge_list(data: bytes, comment: int) -> tuple[np.ndarray, np.ndarray] | None
     return None if rows < 0 else (src[:rows], dst[:rows])
 
 
-def metis_rows(
-    data: bytes, start: int, n: int
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """The adjacency lines of a METIS body that starts at byte *start*,
-    for a header declaring *n* vertices: ``(indptr, indices, longest
-    row)`` with 0-based ids in file order, or ``None`` when the body
-    leaves the compiled reader's subset or does not hold *n* rows.
-
-    Nothing is sized by *n* before the body confirms it: *n* may not
-    exceed the body's line count, and every id takes at least two bytes
-    (a digit and a separator), which bounds ``indices``."""
+def metis_edges(data: bytes) -> tuple[int, int, np.ndarray, np.ndarray] | None:
+    """``(n, m, src, dst)`` of an unweighted METIS file: the header's
+    vertex and edge counts, and each adjacency list's slots in file order
+    (0-based row, 0-based id).  ``None`` when *data* leaves the compiled
+    reader's subset or does not hold the header's *n* lists.  Nothing is
+    sized from the header: every id takes at least two bytes (a digit
+    and a separator, or the end), which bounds both arrays."""
     lib = require_library()
     buf = np.frombuffer(data, dtype=np.uint8)
-    body = buf[start:]
-    lines = int(np.count_nonzero(body == ord("\n")))
-    if body.size and body[-1] != ord("\n"):
-        lines += 1  # an unended last line
-    if n > lines:
+    cap = len(data) // 2 + 1
+    src = np.empty(cap, dtype=np.int64)
+    dst = np.empty(cap, dtype=np.int64)
+    counts = np.zeros(2, dtype=np.int64)
+    slots = lib.rabbit_read_metis(
+        buf.ctypes.data, buf.size, cap, src.ctypes.data, dst.ctypes.data,
+        counts.ctypes.data,
+    )
+    if slots < 0:
         return None
-    cap = (len(data) - start) // 2 + 1
-    indptr = np.empty(n + 1, dtype=np.int64)
-    indices = np.empty(cap, dtype=np.int64)
-    longest = np.zeros(1, dtype=np.int64)
-    nnz = lib.rabbit_read_metis(
-        buf.ctypes.data, buf.size, start, n, indptr.ctypes.data,
-        indices.ctypes.data, cap, longest.ctypes.data,
-    )
-    return None if nnz < 0 else (indptr, indices[:nnz], int(longest[0]))
-
-
-def sort_rows(indptr: np.ndarray, indices: np.ndarray, longest: int) -> np.ndarray:
-    """Sort each CSR row ascending and drop repeated ids, as
-    ``CSRGraph.from_edges(..., coalesce=True)`` orders an unweighted row.
-    Rewrites *indptr* in place and returns the compacted indices;
-    *longest* is the longest row (:func:`metis_rows` reports it)."""
-    lib = require_library()
-    buf = np.empty(longest, dtype=np.int64)
-    nnz = lib.rabbit_sort_rows(
-        indptr.ctypes.data, indices.ctypes.data, indptr.size - 1, buf.ctypes.data
-    )
-    return indices[:nnz].copy()
+    return int(counts[0]), int(counts[1]), src[:slots], dst[:slots]

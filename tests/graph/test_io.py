@@ -340,24 +340,34 @@ class TestReadSpans:
         ],
     )
     def test_one_read_span_per_load(
-        self, fmt, write, read, tmp_path, paper_graph_unweighted
+        self, fmt, write, read, tmp_path, paper_graph, paper_graph_unweighted
     ):
+        """Weighted and unweighted files.  The compiled readers take
+        unweighted METIS and every edge list read without weights (a
+        weight column is skipped); a weighted METIS file is declined and
+        read again by the numpy reader."""
         from repro.obs import trace
 
-        path = tmp_path / "g.txt"
-        write(paper_graph_unweighted, path)
-        with trace.capture() as cap:
-            graph = read(path)
-        (root,) = cap.roots
-        assert root.name == "graph.read"
-        assert [c.name for c in root.children] == ["graph.tokenize", "graph.csr_build"]
-        compiled = fmt != "matrix_market" and native.library() is not None
-        assert root.attrs == {
-            "format": fmt,
-            "bytes": path.stat().st_size,
-            "slots": graph.num_edges,
-            "engine": "native" if compiled else "numpy",
-        }
+        for weighted, written in ((True, paper_graph), (False, paper_graph_unweighted)):
+            path = tmp_path / f"g-{weighted}.txt"
+            write(written, path)
+            with trace.capture() as cap:
+                graph = read(path)
+            (root,) = cap.roots
+            assert root.name == "graph.read"
+            assert [c.name for c in root.children] == [
+                "graph.tokenize",
+                "graph.csr_build",
+            ]
+            compiled = native.library() is not None and (
+                fmt == "edge_list" or (fmt == "metis" and not weighted)
+            )
+            assert root.attrs == {
+                "format": fmt,
+                "bytes": path.stat().st_size,
+                "slots": graph.num_edges,
+                "engine": "native" if compiled else "numpy",
+            }
 
     def test_from_edges_opens_no_span(self):
         from repro.obs import trace

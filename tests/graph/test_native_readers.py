@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
@@ -161,6 +161,18 @@ class TestEngineChoice:
         assert served == engine
         assert_equal_outcome(got, expected)
 
+    @pytest.mark.parametrize("comment", ["#", "%", "-", "~", "!", "0", "7", " ", "\t",
+                                         "\x7f", "é"])
+    def test_edge_list_comment_character(self, comment, tmp_path):
+        """Every one-character comment string reaches the compiled
+        reader, which takes printable ASCII other than a digit."""
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1 {comment} x\n{comment}\n1 2\n", encoding="utf-8")
+        got, expected, served = both_engines(read_edge_list, path, comment=comment)
+        printable = "!" <= comment <= "~" and not comment.isdigit()
+        assert served == ("native" if printable else "numpy")
+        assert_equal_outcome(got, expected)
+
     @pytest.mark.parametrize(
         "text,engine",
         [
@@ -173,6 +185,15 @@ class TestEngineChoice:
             ("2 1\n3\n1\n", "numpy"),
             ("2 1\n0\n1\n", "numpy"),
             ("2 1\n2 %x\n1\n", "numpy"),
+            ("2 1 0\n2\n1", "native"),
+            ("2 1\t00 \n2\n1\n", "native"),
+            ("2 1 000\n2\n1\n", "numpy"),
+            ("2 1 0 0\n2\n1\n", "numpy"),
+            ("2\t\n2\n1\n", "numpy"),
+            ("0 0", "native"),
+            ("% c\n", "numpy"),
+            ("1" * 19 + " 1\n", "numpy"),
+            ("2 " + "1" * 19 + "\n2\n1\n", "numpy"),
         ],
     )
     def test_metis(self, text, engine):
@@ -209,9 +230,10 @@ class TestFailClosed:
         assert "declares 1099511627776 vertices but file has 2" in str(expected)
         assert_equal_outcome(got, expected)
 
-    def test_metis_rows_refuses_more_vertices_than_lines(self):
-        assert native.metis_rows(b"2\n1\n", 0, 3) is None
-        assert native.metis_rows(b"", 0, 0)[0].tolist() == [0]
+    def test_metis_edges_wants_every_declared_list(self):
+        assert native.metis_edges(b"3 1\n2\n1\n") is None
+        n, m, src, dst = native.metis_edges(b"3 1\n2\n1\n\n")
+        assert (n, m, src.tolist(), dst.tolist()) == (3, 1, [0, 1], [1, 0])
 
     @pytest.mark.parametrize("token", ["99999999999999999999", "1" * 19])
     def test_long_edge_list_id_is_the_numpy_readers(self, token):
@@ -267,24 +289,7 @@ class TestWorkloadShapedInputs:
         assert np.array_equal(got.indices, g.indices)
         assert graph_fingerprint(got) == graph_fingerprint(expected)
 
-
-class TestSortRows:
-    """The row sort behind the compiled METIS build: insertion below 33
-    ids, radix sort above, repeated ids dropped."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.integers(0, 2**40), max_size=80), min_size=1, max_size=8))
-    def test_rows_sorted_and_deduplicated(self, rows):
-        lengths = [len(r) for r in rows]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(lengths)
-        flat = np.array([v for r in rows for v in r], dtype=np.int64)
-        got = native.sort_rows(indptr, flat, max(lengths))
-        want = [sorted(set(r)) for r in rows]
-        assert got.tolist() == [v for r in want for v in r]
-        assert np.diff(indptr).tolist() == [len(r) for r in want]
-
-    def test_writer_round_trip(self):
+    def test_edge_list_writer_round_trip(self):
         g = rmat_graph(8, edge_factor=16, rng=1)
         buf = io.StringIO()
         write_edge_list(g, buf)
