@@ -64,7 +64,7 @@ def _simulate_policy(start, bursts, policy: str, config) -> float:
     total = 0.0
 
     def reorder_cost_and_perm(g):
-        res = rabbit_order_result(g, parallel=False)
+        res = rabbit_order_result(g)
         return reordering_cycles(res.stats, config), res.permutation
 
     if policy == "jit":

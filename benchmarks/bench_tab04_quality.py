@@ -10,7 +10,11 @@ import pytest
 
 from repro.experiments.config import prepared
 from repro.experiments.quality import table4_table
-from repro.rabbit import rabbit_order
+from repro.rabbit import (
+    community_detection_par,
+    ordering_generation_seq,
+    rabbit_order,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +36,9 @@ def test_tab4_bench_sequential_rabbit(benchmark, config, table):
 def test_tab4_bench_parallel_rabbit(benchmark, config, table):
     g = prepared("ljournal", config).graph
     benchmark.pedantic(
-        lambda: rabbit_order(g, parallel=True, num_threads=8),
+        lambda: ordering_generation_seq(
+            community_detection_par(g, num_threads=8).dendrogram
+        ),
         rounds=3,
         iterations=1,
     )

@@ -103,10 +103,13 @@ def _reorder_resilient(args, graph):
 
     With budgets: run under the :class:`RunSupervisor` on the default
     ladder (the checkpoint directory, when given, carries progress across
-    degraded rungs).  With only checkpoint/resume flags: plain
-    :func:`~repro.rabbit.order.rabbit_order` with snapshotting.
-    Returns the :class:`~repro.rabbit.order.RabbitResult`.
+    degraded rungs), which picks the engines itself, so only ``Rabbit``
+    combines with a budget.  With only checkpoint/resume flags: plain
+    :func:`~repro.rabbit.order.rabbit_order` with snapshotting, on the
+    engine the algorithm's name implies.  Returns the
+    :class:`~repro.rabbit.order.RabbitResult`.
     """
+    from repro.order.rabbit_adapter import RABBIT_ENGINES
     from repro.rabbit.order import rabbit_order
     from repro.resilience import (
         Budgets,
@@ -123,15 +126,15 @@ def _reorder_resilient(args, graph):
     if args.time_budget is None and args.mem_budget is None:
         return rabbit_order(
             graph,
-            engine=args.engine or "fast",
+            engine=RABBIT_ENGINES[args.algorithm],
             checkpoint=checkpoint,
             resume=args.resume,
         )
-    if args.engine is not None:
+    if args.algorithm != "Rabbit":
         raise ReproError(
-            "--engine does not combine with --time-budget/--mem-budget: "
-            "supervised runs take their engines from the ladder "
-            "(fastseq, then dict)"
+            f"-a {args.algorithm} does not combine with "
+            "--time-budget/--mem-budget: supervised runs take their "
+            "engines from the ladder (fastseq, then dict)"
         )
     if args.resume is not None:
         raise ReproError(
@@ -155,14 +158,13 @@ def _reorder_resilient(args, graph):
 def _cmd_reorder(args) -> int:
     from repro.graph.io import read_graph
     from repro.order import get_algorithm
+    from repro.order.rabbit_adapter import RABBIT_ENGINES
 
     resilient = _resilience_flags(args)
-    if (args.engine or resilient) and args.algorithm not in (
-        "Rabbit", "RabbitDict"
-    ):
+    if resilient and args.algorithm not in RABBIT_ENGINES:
         print(
-            f"error: --engine and the resilience flags apply to the Rabbit "
-            f"orderings, not {args.algorithm!r}",
+            f"error: the resilience flags apply to the Rabbit orderings "
+            f"({', '.join(RABBIT_ENGINES)}), not {args.algorithm!r}",
             file=sys.stderr,
         )
         return 2
@@ -179,13 +181,8 @@ def _cmd_reorder(args) -> int:
         )
         permutation = res.permutation
     else:
-        kwargs = {}
-        if args.engine:
-            kwargs["engine"] = args.engine
         with trace.capture() as cap:
-            result = get_algorithm(args.algorithm)(
-                graph, rng=args.seed, **kwargs
-            )
+            result = get_algorithm(args.algorithm)(graph, rng=args.seed)
         dt = sum(root.duration for root in cap.roots)
         print(
             f"{args.algorithm} reordered {graph.num_vertices} vertices / "
@@ -219,7 +216,12 @@ def _cmd_resume(args) -> int:
     """
     from repro.errors import CheckpointError
     from repro.graph.io import read_graph
-    from repro.rabbit.order import rabbit_order, resolve_resume
+    from repro.rabbit.order import (
+        ordering_generation_seq,
+        rabbit_order,
+        resolve_resume,
+    )
+    from repro.rabbit.par import community_detection_par
     from repro.resilience import CheckpointConfig
 
     _require_positive(args, "threads")
@@ -246,30 +248,32 @@ def _cmd_resume(args) -> int:
             directory=checkpoint_dir,
             every=int(cfg.get("checkpoint_every", 1024)),
         )
-    if cfg.get("parallel", False):
-        kwargs.update(
-            parallel=True,
-            num_threads=int(args.threads or cfg.get("num_threads", 4)),
-            scheduler_seed=int(cfg.get("scheduler_seed") or 0),
-        )
-    else:
-        kwargs["engine"] = cfg.get("engine", "fast")
     with trace.capture() as cap:
-        res = rabbit_order(graph, **kwargs)
+        if cfg.get("parallel", False):
+            res = community_detection_par(
+                graph,
+                num_threads=int(args.threads or cfg.get("num_threads", 4)),
+                scheduler_seed=int(cfg.get("scheduler_seed") or 0),
+                **kwargs,
+            )
+            permutation = ordering_generation_seq(res.dendrogram)
+        else:
+            res = rabbit_order(graph, engine=cfg.get("engine", "fast"), **kwargs)
+            permutation = res.permutation
     dt = sum(root.duration for root in cap.roots)
     print(
         f"resumed {cfg.get('engine', '?')} detection at "
         f"{snap.progress}/{graph.num_vertices} vertices; finished in "
-        f"{dt:.2f}s ({res.num_communities} communities, "
+        f"{dt:.2f}s ({res.dendrogram.toplevel.size} communities, "
         f"{res.stats.merges} merges)"
     )
     if args.verbose:
         print(cap.format())
     if args.perm_out:
-        _save_permutation(args.perm_out, res.permutation)
+        _save_permutation(args.perm_out, permutation)
         print(f"permutation -> {args.perm_out}")
     if args.graph_out:
-        _save_graph(graph.permute(res.permutation), args.graph_out)
+        _save_graph(graph.permute(permutation), args.graph_out)
         print(f"reordered graph -> {args.graph_out}")
     return 0
 
@@ -523,11 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reorder", help="reorder a graph")
     p.add_argument("input", help="graph file (.npz/.graph/.mtx/edge list)")
-    p.add_argument("--algorithm", "-a", default="Rabbit")
-    p.add_argument("--engine", choices=["fast", "dict"],
-                   help="Rabbit aggregation engine: the compiled sweep "
-                        "(fast, default) or the reference dict engine; "
-                        "both produce identical permutations")
+    p.add_argument("--algorithm", "-a", default="Rabbit",
+                   help="ordering (Rabbit: the compiled sweep; RabbitDict: "
+                        "the reference dict engine, same permutation)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perm-out", help="write pi as .npy")
     p.add_argument("--graph-out", help="write the reordered graph")

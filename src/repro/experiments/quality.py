@@ -18,7 +18,11 @@ from repro.cache.costmodel import spmv_iteration_cycles
 from repro.community.modularity import modularity
 from repro.experiments.config import ExperimentConfig, prepared
 from repro.experiments.report import format_table
-from repro.rabbit import rabbit_order
+from repro.rabbit import (
+    community_detection_par,
+    ordering_generation_seq,
+    rabbit_order,
+)
 
 __all__ = ["QualityRow", "table4", "table4_table"]
 
@@ -49,8 +53,9 @@ def table4(
     for ds in config.dataset_names():
         prep = prepared(ds, config)
         g = prep.graph
-        seq = rabbit_order(g, parallel=False)
-        par = rabbit_order(g, parallel=True, num_threads=num_threads)
+        seq = rabbit_order(g)
+        par = community_detection_par(g, num_threads=num_threads)
+        par_perm = ordering_generation_seq(par.dendrogram)
         q_seq = modularity(g, seq.dendrogram.community_labels())
         q_par = modularity(g, par.dendrogram.community_labels())
         cyc_seq = spmv_iteration_cycles(
@@ -59,7 +64,7 @@ def table4(
             iterations=prep.pagerank_iterations,
         ).total_cycles
         cyc_par = spmv_iteration_cycles(
-            g.permute(par.permutation),
+            g.permute(par_perm),
             config.machine,
             iterations=prep.pagerank_iterations,
         ).total_cycles

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig, prepared, run_ordering
 from repro.experiments.report import format_table
-from repro.order.rabbit_adapter import rabbit_order_result
+from repro.order.rabbit_adapter import rabbit_par_order_result
 from repro.parallel.costmodel import projected_speedup
 
 __all__ = ["FIG10_ALGORITHMS", "FIG10_THREADS", "ScalabilityRow", "figure10", "figure10_table"]
@@ -63,16 +63,15 @@ def figure10(
         g = prepared(ds, config).graph
         for alg in algorithms:
             if alg == "Rabbit":
-                base = rabbit_order_result(g, parallel=True, num_threads=1)
+                base = rabbit_par_order_result(g, num_threads=1)
                 for p in threads:
                     # The span of the dendrogram depends on the schedule,
                     # so average the projection over two seeded schedules
                     # at the (capped) modelled concurrency.
                     speedups = []
                     for seed in PROBE_SEEDS:
-                        probe = rabbit_order_result(
+                        probe = rabbit_par_order_result(
                             g,
-                            parallel=True,
                             num_threads=min(p, 16),
                             scheduler_seed=seed,
                         )

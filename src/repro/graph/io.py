@@ -55,6 +55,9 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _DIGITS = 18
 #: Suffixes ``np.loadtxt`` would decompress when given a path.
 _COMPRESSED = (".bz2", ".gz", ".xz", ".lzma")
+#: Code points past U+FFFF, on which ``np.loadtxt``'s tokenizer can
+#: crash the process (numpy 2.4.6 died by SIGSEGV on such edge lists).
+_ASTRAL = re.compile("[\U00010000-\U0010ffff]")
 
 
 def _open_read(path_or_file):
@@ -143,15 +146,24 @@ def _rows(path_or_file, text, *, weighted, comment, skip=0, pos=0):
     A path is handed to numpy, whose own buffered file reader is twice
     as fast as reading any stream: made absolute, so that numpy never
     takes it for a URL, unless its suffix is one numpy would decompress
-    (then *text* is read).  Raises ``ValueError`` on a row numpy cannot
-    read; the caller names the line.
+    (then *text* is read).  Text holding a code point past U+FFFF is
+    never handed to numpy: it reads a copy with the comments cut off
+    and each such code point replaced by U+FFFD, which is not a digit,
+    a space or a line break, so no token changes verdict and no line
+    moves.  Raises ``ValueError`` on a row numpy cannot read; the
+    caller names the line from *text*.
     """
     fields = [("u", np.int64), ("v", np.int64)]
     if weighted:
         fields.append(("w", np.float64))
     if _content_line(text, comment, pos) is None:
         return np.empty(0, dtype=fields)  # np.loadtxt warns on no data
-    if isinstance(path_or_file, (str, Path)) and not str(path_or_file).endswith(
+    comments = comment
+    if not text.isascii() and _ASTRAL.search(text):
+        uncommented = re.sub(f"{re.escape(comment)}[^\n]*", "", text)
+        source = io.StringIO(_ASTRAL.sub("\ufffd", uncommented))
+        comments = None
+    elif isinstance(path_or_file, (str, Path)) and not str(path_or_file).endswith(
         _COMPRESSED
     ):
         source = os.path.abspath(path_or_file)
@@ -160,7 +172,7 @@ def _rows(path_or_file, text, *, weighted, comment, skip=0, pos=0):
     return np.loadtxt(
         source,
         dtype=fields,
-        comments=comment,
+        comments=comments,
         usecols=range(len(fields)),
         skiprows=skip,
         ndmin=1,

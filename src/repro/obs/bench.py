@@ -43,7 +43,7 @@ from repro.metrics.locality import (
     diagonal_block_density,
 )
 from repro.obs import trace
-from repro.obs.metrics import counter_delta, get_registry
+from repro.obs.metrics import counter_delta, get_registry, nearest_rank
 from repro.obs.schema import (
     PERCENTILE_LABELS,
     SCHEMA_ID,
@@ -266,14 +266,10 @@ def percentile_summary(samples: "Iterable[float]") -> dict[str, float]:
     """Exact nearest-rank p50/p95/p99 of *samples* (the ``percentiles``
     entry format of the v2 bench schema)."""
     ordered = sorted(float(s) for s in samples)
-    if not ordered:
-        return {label: 0.0 for label in PERCENTILE_LABELS}
-    out = {}
-    for label in PERCENTILE_LABELS:
-        q = float(label[1:])
-        idx = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
-        out[label] = ordered[idx]
-    return out
+    return {
+        label: nearest_rank(ordered, float(label[1:]))
+        for label in PERCENTILE_LABELS
+    }
 
 
 def _run_cell(

@@ -18,7 +18,7 @@ concurrently.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 __all__ = [
     "Counter",
@@ -28,11 +28,21 @@ __all__ = [
     "get_registry",
     "set_registry",
     "counter_delta",
+    "nearest_rank",
 ]
 
 #: Histograms keep raw observations up to this many samples (for exact
 #: percentiles); beyond it only the running aggregates keep updating.
 _HISTOGRAM_SAMPLE_CAP = 8192
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Exact q-th percentile (0..100) of the sorted samples *ordered*:
+    the sample at the nearest rank, or 0.0 when there are none."""
+    if not ordered:
+        return 0.0
+    rank = int(round(q / 100.0 * (len(ordered) - 1)))
+    return ordered[min(len(ordered) - 1, rank)]
 
 
 class Counter:
@@ -114,10 +124,7 @@ class Histogram:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
         with self._lock:
             samples = sorted(self._samples)
-        if not samples:
-            return 0.0
-        idx = min(len(samples) - 1, int(round(q / 100.0 * (len(samples) - 1))))
-        return samples[idx]
+        return nearest_rank(samples, q)
 
     def snapshot(self) -> dict[str, Any]:
         return {

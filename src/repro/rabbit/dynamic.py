@@ -55,14 +55,10 @@ class DynamicReorderer:
         gap is above this value.  0.1 means: once 10% of the edge set is
         "stale" (inserted since the last reorder and poorly placed),
         reorder again.
-    parallel / num_threads:
-        forwarded to :func:`rabbit_order` at each reorder.
     """
 
     graph: CSRGraph
     staleness_threshold: float = 0.1
-    parallel: bool = False
-    num_threads: int = 4
     permutation: np.ndarray = field(init=False)
     events: list[ReorderEvent] = field(init=False, default_factory=list)
     _pending_src: list[int] = field(init=False, default_factory=list)
@@ -171,9 +167,7 @@ class DynamicReorderer:
         staleness = self.staleness()
         with span("rabbit.dynamic.reorder", staleness=round(staleness, 4)):
             g = self._materialize()
-            result = rabbit_order(
-                g, parallel=self.parallel, num_threads=self.num_threads
-            )
+            result = rabbit_order(g)
         self.permutation = result.permutation
         self._edges_at_last_reorder = g.num_edges
         self._inserted_since_reorder = 0

@@ -1,8 +1,11 @@
 """Rabbit Order public entry point (Algorithm 2).
 
-:func:`rabbit_order` runs hierarchical community detection (sequential or
-parallel) followed by ordering generation (the post-order DFS over the
-dendrogram, §III-C), returning the permutation π with ``π[old] = new``.
+:func:`rabbit_order` runs sequential hierarchical community detection
+followed by ordering generation (the post-order DFS over the dendrogram,
+§III-C), returning the permutation π with ``π[old] = new``.  Algorithm 3,
+the parallel model, has its own entry point,
+:func:`~repro.rabbit.par.community_detection_par`; its dendrogram orders
+through :func:`ordering_generation_seq` like any other.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from repro.graph.perm import permutation_from_order
 from repro.obs.trace import span
 from repro.rabbit import native
 from repro.rabbit.common import RabbitStats
-from repro.rabbit.par import ParallelDetectionResult, community_detection_par
 from repro.rabbit.seq import community_detection_seq
 from repro.resilience.checkpoint import (
     Snapshot,
@@ -61,7 +63,6 @@ class RabbitResult:
     permutation: np.ndarray  # pi[old] = new
     dendrogram: Dendrogram
     stats: RabbitStats
-    parallel: ParallelDetectionResult | None = None
 
     @property
     def num_communities(self) -> int:
@@ -70,34 +71,27 @@ class RabbitResult:
 
 def ordering_generation_seq(dendrogram: Dendrogram) -> np.ndarray:
     """Sequential ordering generation (Algorithm 2, ORDERINGGENERATION):
-    one DFS over the whole forest, returning π.  The DFS is compiled
-    when the library loaded (:func:`~repro.rabbit.native.dfs_visit_order`);
-    without it, :meth:`Dendrogram.dfs_visit_order` gives the same order.
-    A forest whose roots do not reach every vertex exactly once raises
+    one DFS over the whole forest, returning π, in the
+    ``rabbit.ordering`` span.  The DFS is compiled when the library
+    loaded (:func:`~repro.rabbit.native.dfs_visit_order`); without it,
+    :meth:`Dendrogram.dfs_visit_order` gives the same order, and the
+    span's ``engine`` says which walk ran.  A forest whose roots do not
+    reach every vertex exactly once raises
     :func:`~repro.community.dendrogram.require_partition`'s
     ``GraphFormatError``: π would not cover the graph."""
-    order = native.dfs_visit_order(dendrogram)
-    require_partition(order, dendrogram.num_vertices)
-    return permutation_from_order(order)
-
-
-def _ordering_span(parallel: bool):
-    """The ``rabbit.ordering`` span, naming the DFS that runs in it."""
-    engine = "python" if native.library() is None else "native"
-    return span("rabbit.ordering", parallel=parallel, engine=engine)
+    walk = "python" if native.library() is None else "native"
+    with span("rabbit.ordering", parallel=False, engine=walk):
+        order = native.dfs_visit_order(dendrogram)
+        require_partition(order, dendrogram.num_vertices)
+        return permutation_from_order(order)
 
 
 def rabbit_order(
     graph: CSRGraph,
     *,
-    parallel: bool = False,
-    num_threads: int = 4,
-    scheduler_seed: int = 0,
+    engine: str = "fast",
     merge_threshold: float = 0.0,
     collect_vertex_work: bool = False,
-    fault_plan=None,
-    audit: bool = False,
-    engine: str = "fast",
     checkpoint=None,
     resume: "Snapshot | str | Path | None" = None,
 ) -> RabbitResult:
@@ -105,30 +99,15 @@ def rabbit_order(
 
     Parameters
     ----------
-    parallel:
-        run Algorithm 3 (lock-free CAS merges with lazy aggregation) under
-        the seeded interleaving model instead of the sequential engine.
-        The model exists for paper fidelity, fault injection and race
-        certification; the sequential engine is the fast path.
-    num_threads:
-        when *parallel*, the modelled hardware threads (the interleaving
-        scheduler's window).
     engine:
-        sequential detection engine: ``"fast"`` (the compiled sweep,
-        the default) or ``"dict"`` (the reference per-edge
-        oracle).  Both are bit-identical.  The parallel model always runs
-        on the dict oracle's aggregation state.
-    scheduler_seed:
-        when *parallel*, the seed of the interleaving schedule (the same
-        seed replays the same run).
+        detection engine: ``"fast"`` (the compiled sweep, the default)
+        or ``"dict"`` (the reference per-edge oracle).  Both are
+        bit-identical.
     merge_threshold:
         minimum ΔQ required to merge (paper: 0).
-    fault_plan:
-        when *parallel*, a :class:`~repro.parallel.faults.FaultPlan` to
-        inject (with crash recovery) during detection.
-    audit:
-        when *parallel*, run the post-run dendrogram auditor and raise
-        :class:`~repro.errors.AuditError` on any violated invariant.
+    collect_vertex_work:
+        record the edges each vertex's aggregation scanned in
+        ``stats.vertex_work`` (the cost model's span input).
     checkpoint:
         a :class:`~repro.resilience.checkpoint.CheckpointConfig` (or
         live ``Checkpointer``): snapshot detection state periodically so
@@ -145,27 +124,6 @@ def rabbit_order(
         with ``permutation[old_id] = new_id``.
     """
     resume = resolve_resume(resume)
-    if parallel:
-        with span("rabbit.detect", parallel=True, n=graph.num_vertices):
-            result = community_detection_par(
-                graph,
-                num_threads=num_threads,
-                scheduler_seed=scheduler_seed,
-                merge_threshold=merge_threshold,
-                collect_vertex_work=collect_vertex_work,
-                fault_plan=fault_plan,
-                audit=audit,
-                checkpoint=checkpoint,
-                resume=resume,
-            )
-        with _ordering_span(parallel=True):
-            perm = ordering_generation_seq(result.dendrogram)
-        return RabbitResult(
-            permutation=perm,
-            dendrogram=result.dendrogram,
-            stats=result.stats,
-            parallel=result,
-        )
     with span("rabbit.detect", parallel=False, n=graph.num_vertices, engine=engine):
         dendrogram, stats = community_detection_seq(
             graph,
@@ -175,6 +133,5 @@ def rabbit_order(
             checkpoint=checkpoint,
             resume=resume,
         )
-    with _ordering_span(parallel=False):
-        perm = ordering_generation_seq(dendrogram)
+    perm = ordering_generation_seq(dendrogram)
     return RabbitResult(permutation=perm, dendrogram=dendrogram, stats=stats)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.errors import GraphFormatError
 from repro.graph import CSRGraph
 from repro.graph import io as gio
+from tests.conftest import run_in_fresh_interpreter
 from tests.graph import oracle
 
 FORMATS = {
@@ -237,6 +238,115 @@ class TestMutatedToken:
         assert MUTATIONS[fmt, kind] in str(err.value)
 
 
+astral_chars = st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF)
+
+
+@pytest.mark.parametrize("fmt", ["edge_list", "matrix_market"])
+class TestAstralCodePoints:
+    """Code points past U+FFFF, which ``np.loadtxt``'s tokenizer can
+    crash on, read like any other character there: in a comment or an
+    extra column they change nothing the oracle reads, and in an id or
+    a weight they are a non-digit, named by its line."""
+
+    @settings(SETTINGS, max_examples=50)
+    @given(data=st.data())
+    def test_reads_like_any_other_character(self, fmt, data, tmp_path):
+        doc = data.draw(documents(fmt))
+        comment = COMMENT[fmt]
+        astral = data.draw(st.text(astral_chars, min_size=1, max_size=3))
+        where = data.draw(st.sampled_from(["comment", "extra column", "token"]))
+        if where != "comment" and not doc.entries:
+            return
+        if where == "comment":
+            at = data.draw(st.integers(int(fmt == "matrix_market"), len(doc.lines)))
+            doc.lines.insert(at, data.draw(spaces) + comment + astral)
+        elif where == "extra column":
+            i = data.draw(st.sampled_from(doc.entries))
+            doc.lines[i] += data.draw(gaps) + astral + data.draw(
+                st.sampled_from(["", comment + astral])
+            )
+        else:
+            i = data.draw(st.sampled_from(doc.entries))
+            tokens = list(doc.tokens[i])
+            k = data.draw(st.sampled_from(range(3 if doc.weighted else 2)))
+            cut = data.draw(st.integers(0, len(tokens[k])))
+            tokens[k] = tokens[k][:cut] + astral + tokens[k][cut:]
+            doc.lines[i] = " ".join(tokens)
+        text = render(doc.lines, crlf=data.draw(st.booleans()))
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode("utf-8"))
+        _, read, read_oracle = FORMATS[fmt]
+        for source in (io.StringIO(text), path):
+            if where != "token":
+                expected = read_oracle(io.StringIO(text), **doc.kwargs)
+                assert_same(read(source, **doc.kwargs), expected)
+                continue
+            phrase = "non-numeric" if k == 2 else "non-integer"
+            with pytest.raises(GraphFormatError, match=rf"line {i + 1}\b") as err:
+                read(source, **doc.kwargs)
+            assert phrase in str(err.value)
+
+
+#: Comment lines on which numpy 2.4.6's ``np.loadtxt`` died by SIGSEGV
+#: (CR, control and astral-plane bytes; the CR ends the comment, so the
+#: rest of that line is a data line).
+ASTRAL_COMMENTS = (
+    b"\t#\xf2\xa6\xba\xb0\xc2\x8e\xc2\xb7E\r\xf4\x81\x9e\xa3\x05\xc3\x92"
+    b"\xf2\xad\x89\xa1u\x14\xf1\xb5\x83\xbb\xf2\x9b\x9b\x86\n"
+    b"  #\xf2\xa6\xba\xb0\xc2\x8e\xc2\xb7E\xf4\x81\x9e\xa3\x05\xc3\x92"
+    b"\xf2\xad\x89\xa1u\x14\xf1\xb5\x83\xbb\xf2\x9b\x9b\x86\n"
+)
+#: That data line, as the error path quotes it.
+ASTRAL_LINE = "\U001017a3\x05\xd2\U000ad261u\x14\U000750fb\U0009b6c6"
+#: (file name, bytes, reader, the error the error path names).
+ASTRAL_INPUTS = [
+    ("g.txt", b"  0\t\t0\n" + ASTRAL_COMMENTS, "read_edge_list",
+     f"line 3: expected u v, got {ASTRAL_LINE!r}"),
+    ("h.txt", b"0 0\n\xf4\x81\x9e\xa3 1\n", "read_edge_list",
+     f"line 2: non-integer vertex id in {ASTRAL_LINE[0] + ' 1'!r}"),
+    ("g.mtx", b"%%MatrixMarket matrix coordinate pattern general\n1 1 2\n"
+     b"  1\t\t1\n" + ASTRAL_COMMENTS.replace(b"#", b"%"), "read_matrix_market",
+     f"line 5: entry needs 'row col', got {ASTRAL_LINE!r}"),
+]
+
+_ASTRAL_CHILD = """
+import sys
+from repro.errors import GraphFormatError
+from repro.graph import io as gio, native
+
+wrong = set()
+for engine in ("native", "numpy"):
+    if engine == "numpy":  # the no_compiler fixture, in this process
+        native._STATE.clear()
+        native.shutil.which = lambda name: None
+    for path, reader, expected in {cases!r}:
+        kwargs = {{"undirected": False}} if reader == "read_edge_list" else {{}}
+        for _ in range(50):
+            try:
+                getattr(gio, reader)(path, **kwargs)
+                got = "read without an error"
+            except GraphFormatError as exc:
+                got = str(exc)
+            if got != expected:
+                wrong.add(f"{{engine}} {{path}}: {{got}}")
+sys.exit("\\n".join(sorted(wrong)) or None)
+"""
+
+
+def test_astral_inputs_do_not_crash_the_reader(tmp_path):
+    """Each pinned input, read 50 times on both engines in a fresh
+    process, ends in the error path's message every time.  While numpy
+    saw these code points, most such processes died by SIGSEGV, and
+    some read the astral id as a number.  The reads run in a child
+    process so that a crash fails this test instead of the test run."""
+    cases = []
+    for name, data, reader, expected in ASTRAL_INPUTS:
+        (tmp_path / name).write_bytes(data)
+        cases.append((str(tmp_path / name), reader, expected))
+    proc = run_in_fresh_interpreter(_ASTRAL_CHILD.format(cases=cases))
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+
+
 class TestEmptyInputs:
     """Empty and comment-only inputs are a 0-vertex graph, with no
     warning from numpy (which warns on a body without data)."""
@@ -330,4 +440,9 @@ class TestMutatedTokenNumpy(TestMutatedToken):
 
 @pytest.mark.usefixtures("no_compiler")
 class TestEmptyInputsNumpy(TestEmptyInputs):
+    pass
+
+
+@pytest.mark.usefixtures("no_compiler")
+class TestAstralCodePointsNumpy(TestAstralCodePoints):
     pass

@@ -41,7 +41,7 @@ class TestSpanCensus:
 
         g = hierarchical_community_graph(300, rng=2).graph
         with trace.capture() as cap:
-            rabbit_order(g, parallel=False)
+            rabbit_order(g)
         count = sum(1 for _ in cap.walk())
         assert 0 < count < 20, (
             f"{count} spans for a 300-vertex run -- per-vertex "
@@ -49,11 +49,11 @@ class TestSpanCensus:
         )
 
     def test_no_per_vertex_spans_in_parallel_pipeline(self):
-        from repro.rabbit.order import rabbit_order
+        from repro.rabbit import community_detection_par, ordering_generation_seq
 
         g = hierarchical_community_graph(300, rng=2).graph
         with trace.capture() as cap:
-            rabbit_order(g, parallel=True)
+            ordering_generation_seq(community_detection_par(g).dendrogram)
         count = sum(1 for _ in cap.walk())
         assert 0 < count < 20
 

@@ -5,23 +5,27 @@ import pytest
 
 from repro.community import NO_VERTEX, Dendrogram
 from repro.graph.generators import hierarchical_community_graph
-from repro.order.rabbit_adapter import dendrogram_critical_path, rabbit_order_result
+from repro.order.rabbit_adapter import (
+    dendrogram_critical_path,
+    rabbit_order_result,
+    rabbit_par_order_result,
+)
 
 
 class TestAdapter:
     def test_sequential_mode(self, paper_graph):
-        res = rabbit_order_result(paper_graph, parallel=False)
+        res = rabbit_order_result(paper_graph)
         assert res.name == "Rabbit"
         assert res.extra["num_communities"] == 2
 
     def test_parallel_mode_carries_op_counts(self, paper_graph):
-        res = rabbit_order_result(paper_graph, parallel=True, num_threads=2)
+        res = rabbit_par_order_result(paper_graph, num_threads=2)
         assert "op_counter" in res.extra
         assert res.extra["op_counter"]["cas_success"] == res.extra["merges"]
 
     def test_span_below_work(self):
         g = hierarchical_community_graph(300, rng=1).graph
-        res = rabbit_order_result(g, parallel=False)
+        res = rabbit_order_result(g)
         assert 0 < res.stats.span < res.stats.work
 
     def test_improves_locality(self):
@@ -30,7 +34,7 @@ class TestAdapter:
 
         g = hierarchical_community_graph(400, rng=2).graph
         base = g.permute(random_permutation(400, rng=0))
-        res = rabbit_order_result(base, parallel=False)
+        res = rabbit_order_result(base)
         assert average_neighbor_gap(
             base.permute(res.permutation)
         ) < 0.5 * average_neighbor_gap(base)

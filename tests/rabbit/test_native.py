@@ -19,7 +19,11 @@ from repro.graph.generators import rmat_graph
 from repro.obs import trace
 from repro.obs.metrics import counter_delta, get_registry
 from repro.graph import native
-from repro.rabbit import rabbit_order
+from repro.rabbit import (
+    community_detection_par,
+    ordering_generation_seq,
+    rabbit_order,
+)
 from repro.rabbit.seq import community_detection_seq
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -161,19 +165,24 @@ class TestFallbackAndProvenance:
 
     @requires_cc
     def test_ordering_span_names_the_dfs(self, monkeypatch, fresh_loader):
+        """The sweep's ordering and the model's, by its own entry point."""
         g = rmat_graph(6, edge_factor=4, rng=2)
-        for parallel in (False, True):
+        runs = (
+            lambda: rabbit_order(g),
+            lambda: ordering_generation_seq(community_detection_par(g).dendrogram),
+        )
+        for run in runs:
             with trace.capture() as cap:
-                rabbit_order(g, parallel=parallel)
+                run()
             (span,) = cap.find("rabbit.ordering")
-            assert span.attrs == {"parallel": parallel, "engine": "native"}
+            assert span.attrs == {"parallel": False, "engine": "native"}
         _without_compiler(monkeypatch)
-        for parallel in (False, True):
+        for run in runs:
             with trace.capture() as cap, warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                rabbit_order(g, parallel=parallel)
+                run()
             (span,) = cap.find("rabbit.ordering")
-            assert span.attrs == {"parallel": parallel, "engine": "python"}
+            assert span.attrs == {"parallel": False, "engine": "python"}
 
     @requires_cc
     def test_registry_counts_runs_per_engine(self):

@@ -26,7 +26,12 @@ from repro.community.modularity import newman_degrees
 from repro.errors import GraphFormatError
 from repro.graph import CSRGraph
 from repro.graph.generators import rmat_graph
-from repro.rabbit import native, ordering_generation_seq, rabbit_order
+from repro.rabbit import (
+    community_detection_par,
+    native,
+    ordering_generation_seq,
+    rabbit_order,
+)
 from tests.conftest import GRAPH_ZOO, make_paper_graph
 from tests.rabbit.not_forests import NOT_FORESTS
 
@@ -113,8 +118,8 @@ class TestDFS:
     @pytest.mark.parametrize("threads", [1, 4])
     def test_parallel_model_runs(self, seed, threads):
         g = rmat_graph(8, edge_factor=6, rng=seed)
-        res = rabbit_order(g, parallel=True, num_threads=threads,
-                           scheduler_seed=seed)
+        res = community_detection_par(g, num_threads=threads,
+                                      scheduler_seed=seed)
         assert_walks_agree(res.dendrogram)
 
 

@@ -17,9 +17,17 @@ from repro.graph.generators import (
 from repro.rabbit import (
     community_detection_par,
     community_detection_seq,
+    ordering_generation_seq,
     rabbit_order,
 )
 from tests.conftest import PAPER_COMMUNITIES
+
+
+def par_order(graph, **kwargs):
+    """Algorithm 3's dendrogram and the permutation it orders to."""
+    dendrogram = community_detection_par(graph, **kwargs).dendrogram
+    return dendrogram, ordering_generation_seq(dendrogram)
+
 
 #: Graph families for the oracle check: R-MAT, hierarchical, and the
 #: classic random-graph generators.
@@ -77,18 +85,16 @@ class TestInterleavedDeterministic:
     def test_many_interleavings_stay_valid(self, paper_graph, seed):
         """Whatever the schedule, the result must be a valid forest
         partition with a valid permutation."""
-        res = rabbit_order(paper_graph, parallel=True, scheduler_seed=seed)
-        res.dendrogram.validate()
-        validate_permutation(res.permutation, paper_graph.num_vertices)
+        dendrogram, perm = par_order(paper_graph, scheduler_seed=seed)
+        dendrogram.validate()
+        validate_permutation(perm, paper_graph.num_vertices)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_interleavings_on_random_graph(self, seed):
         g = rmat_graph(7, edge_factor=4, rng=3)
-        res = rabbit_order(
-            g, parallel=True, scheduler_seed=seed, num_threads=8
-        )
-        res.dendrogram.validate()
-        validate_permutation(res.permutation, g.num_vertices)
+        dendrogram, perm = par_order(g, scheduler_seed=seed, num_threads=8)
+        dendrogram.validate()
+        validate_permutation(perm, g.num_vertices)
 
     def test_small_chunks_force_conflicts(self, paper_graph):
         """Chunk size 1 puts every vertex on its own task, maximising
@@ -116,15 +122,15 @@ class TestThreaded:
 
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_valid_at_every_thread_count(self, paper_graph, threads):
-        res = rabbit_order(paper_graph, parallel=True, num_threads=threads)
-        res.dendrogram.validate()
-        validate_permutation(res.permutation, paper_graph.num_vertices)
+        dendrogram, perm = par_order(paper_graph, num_threads=threads)
+        dendrogram.validate()
+        validate_permutation(perm, paper_graph.num_vertices)
 
     def test_threaded_on_larger_graph(self):
         hg = hierarchical_community_graph(800, rng=9)
-        res = rabbit_order(hg.graph, parallel=True, num_threads=8)
-        res.dendrogram.validate()
-        validate_permutation(res.permutation, hg.graph.num_vertices)
+        dendrogram, perm = par_order(hg.graph, num_threads=8)
+        dendrogram.validate()
+        validate_permutation(perm, hg.graph.num_vertices)
 
     def test_parallel_quality_close_to_sequential(self):
         """Table IV's claim: parallel execution does not meaningfully
@@ -138,7 +144,7 @@ class TestThreaded:
         )
         q_par = modularity(
             g,
-            rabbit_order(g, parallel=True, num_threads=8)
+            community_detection_par(g, num_threads=8)
             .dendrogram.community_labels(),
         )
         assert q_par >= q_seq - 0.1

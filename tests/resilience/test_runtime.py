@@ -71,14 +71,15 @@ def test_engines_beat_under_installed_control():
     """Both sequential engines and the parallel driver feed the counter."""
     from repro.graph.generators import erdos_renyi_graph
     from repro.rabbit.order import rabbit_order
+    from repro.rabbit.par import community_detection_par
 
     g = erdos_renyi_graph(50, 0.1, rng=3)
-    for kwargs in (
-        {"engine": "fast"},
-        {"engine": "dict"},
-        {"parallel": True, "scheduler_seed": 0},
+    for name, run in (
+        ("fast", lambda: rabbit_order(g, engine="fast")),
+        ("dict", lambda: rabbit_order(g, engine="dict")),
+        ("par", lambda: community_detection_par(g, scheduler_seed=0)),
     ):
         control = RunControl()
         with control.installed():
-            rabbit_order(g, **kwargs)
-        assert control.progress == g.num_vertices, kwargs
+            run()
+        assert control.progress == g.num_vertices, name

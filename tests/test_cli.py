@@ -316,6 +316,25 @@ class TestReorderResilience:
         validate_permutation(perm, g.num_vertices)
         assert np.array_equal(np.load(base_out), perm)
 
+    def test_resume_verb_finishes_a_model_run(self, graph_file, tmp_path, capsys):
+        """A snapshot of the Algorithm 3 model resumes through
+        ``community_detection_par`` with its own threads and seed."""
+        from repro.rabbit import community_detection_par, ordering_generation_seq
+        from repro.resilience import CheckpointConfig
+
+        path, g = graph_file
+        ck = tmp_path / "ck"
+        res = community_detection_par(
+            g, num_threads=2, scheduler_seed=3,
+            checkpoint=CheckpointConfig(directory=ck, every=50),
+        )
+        resumed_out = str(tmp_path / "resumed.npy")
+        assert main(["resume", str(ck), path, "--perm-out", resumed_out]) == 0
+        assert "resumed par detection" in capsys.readouterr().out
+        assert np.array_equal(
+            np.load(resumed_out), ordering_generation_seq(res.dendrogram)
+        )
+
     def test_supervised_ladder_prints_report(self, graph_file, tmp_path, capsys):
         path, g = graph_file
         perm_out = str(tmp_path / "perm.npy")
@@ -369,16 +388,42 @@ class TestReorderResilience:
     def test_engine_combined_with_budget_rejected(
         self, graph_file, tmp_path, capsys, budget
     ):
+        """A budgeted run takes its engines from the ladder, so naming
+        the dict engine beside a budget is refused, not overridden."""
         path, _ = graph_file
         perm_out = tmp_path / "perm.npy"
         rc = main(
-            ["reorder", path, "-a", "Rabbit", "--engine", "dict",
+            ["reorder", path, "-a", "RabbitDict",
              "--perm-out", str(perm_out), *budget]
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --engine does not combine")
+        assert err.startswith("error: -a RabbitDict does not combine")
         assert not perm_out.exists()
+
+    @pytest.mark.parametrize("algorithm,engine", [("Rabbit", "fast"),
+                                                  ("RabbitDict", "dict")])
+    def test_algorithm_name_picks_the_checkpoint_engine(
+        self, graph_file, tmp_path, capsys, algorithm, engine
+    ):
+        from repro.resilience.checkpoint import load_checkpoint
+
+        path, g = graph_file
+        ck = tmp_path / "ck"
+        base_out = str(tmp_path / "base.npy")
+        assert main(
+            ["reorder", path, "-a", algorithm, "--perm-out", base_out,
+             "--checkpoint-dir", str(ck), "--checkpoint-every", "50"]
+        ) == 0
+        snapshots = sorted(ck.glob("*.rbk"))
+        assert snapshots
+        assert {load_checkpoint(p).engine for p in snapshots} == {engine}
+        resumed_out = str(tmp_path / "resumed.npy")
+        assert main(
+            ["reorder", path, "-a", algorithm, "--perm-out", resumed_out,
+             "--resume", str(snapshots[0])]
+        ) == 0
+        assert np.array_equal(np.load(base_out), np.load(resumed_out))
 
     def test_ladder_flags_are_gone(self, graph_file, capsys):
         path, _ = graph_file
@@ -388,6 +433,19 @@ class TestReorderResilience:
                 main(argv)
             assert exc_info.value.code == 2
             assert "--ladder" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--time-budget", "60"]])
+    def test_engine_flag_is_gone(self, graph_file, tmp_path, capsys, extra):
+        """``-a Rabbit`` and ``-a RabbitDict`` name the engine; there is
+        no second way to pick it."""
+        path, _ = graph_file
+        perm_out = tmp_path / "perm.npy"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["reorder", path, "--engine", "dict",
+                  "--perm-out", str(perm_out), *extra])
+        assert exc_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+        assert not perm_out.exists()
 
     def test_resume_verb_missing_checkpoint_fails_cleanly(
         self, graph_file, tmp_path, capsys

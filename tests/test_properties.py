@@ -23,7 +23,11 @@ from repro.graph import (
 )
 from repro.graph.perm import apply_permutation_to_values
 from repro.order import ALGORITHMS
-from repro.rabbit import rabbit_order
+from repro.rabbit import (
+    community_detection_par,
+    ordering_generation_seq,
+    rabbit_order,
+)
 
 
 def random_graph(seed: int, n_max: int = 40, density: float = 0.15) -> CSRGraph:
@@ -108,11 +112,13 @@ class TestRabbitContiguity:
     @given(st.integers(0, 2**31 - 1), st.integers(0, 100))
     def test_parallel_interleavings_always_valid(self, seed, sched_seed):
         g = random_graph(seed, n_max=25)
-        res = rabbit_order(
-            g, parallel=True, scheduler_seed=sched_seed, num_threads=4
+        res = community_detection_par(
+            g, scheduler_seed=sched_seed, num_threads=4
         )
         res.dendrogram.validate()
-        validate_permutation(res.permutation, g.num_vertices)
+        validate_permutation(
+            ordering_generation_seq(res.dendrogram), g.num_vertices
+        )
 
 
 class TestOrderingAlgorithmsContract:
