@@ -43,6 +43,7 @@ list.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -142,12 +143,12 @@ def _reorder_resilient(args, graph):
             "(--time-budget/--mem-budget) resume from the checkpoint "
             "directory automatically"
         )
+    mem = args.mem_budget
+    if mem is not None and not 0 < mem < math.inf:
+        raise ReproError(f"--mem-budget must be positive and finite, got {mem}")
     budgets = Budgets(
         time_s=args.time_budget,
-        rss_bytes=(
-            None if args.mem_budget is None
-            else int(args.mem_budget * 2**20)
-        ),
+        rss_bytes=None if mem is None else int(mem * 2**20),
     )
     policy = SupervisorPolicy(budgets=budgets, checkpoint=checkpoint)
     result, report = supervised_rabbit_order(graph, policy=policy)
@@ -336,6 +337,8 @@ def _cmd_stats(args) -> int:
         spy,
     )
 
+    if args.spy < 0:
+        raise ReproError(f"--spy must be >= 0, got {args.spy}")
     g = read_graph(args.input)
     deg = g.degrees()
     print(f"vertices        {g.num_vertices}")

@@ -197,14 +197,6 @@ class Dendrogram:
             dfs_preorder(*self._link_lists(), [int(v)]), dtype=np.int64
         )
 
-    def parents(self) -> np.ndarray:
-        """Reconstruct ``parent[u]`` (``NO_VERTEX`` for roots) from every
-        vertex's chain (the chain walk)."""
-        owners, links = chain_walk(*self._link_lists(), range(self.num_vertices))
-        parent = np.full(self.num_vertices, NO_VERTEX, dtype=np.int64)
-        parent[links] = owners
-        return parent
-
     def community_labels(self) -> np.ndarray:
         """Label each vertex with the index of its top-level root (the
         paper's extracted communities).  The ordering DFS from every root
@@ -218,17 +210,6 @@ class Dendrogram:
         labels = np.empty(n, dtype=np.int64)
         labels[pops] = self.toplevel.size - np.cumsum(is_root[pops])
         return labels
-
-    def subtree_sizes(self) -> np.ndarray:
-        """Size of each vertex's subtree (itself included)."""
-        parent = self.parents().tolist()
-        sizes = [1] * self.num_vertices
-        # The post-order visit puts children before their parents.
-        for v in self.dfs_visit_order().tolist():
-            p = parent[v]
-            if p != NO_VERTEX:
-                sizes[p] += sizes[v]
-        return np.array(sizes, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def _link_lists(self) -> tuple[list[int], list[int]]:

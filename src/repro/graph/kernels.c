@@ -64,7 +64,7 @@ static inline int64_t trace(int64_t *dest, int64_t v) {
  * vertex i) once max_work items were folded or when vertex i's entry
  * might not fit the pool; then st[4] is the pool size it needs.
  * st = {pool_used, toplevels, edges_scanned, merges, pool_need}.
- * weights and vertex_work may be NULL; pos is all -1 on entry and exit. */
+ * weights may be NULL; pos is all -1 on entry and exit. */
 int64_t rabbit_sweep(const int64_t *indptr, const int64_t *indices,
                      const double *weights, const int64_t *order,
                      int64_t start, int64_t stop, int64_t max_work,
@@ -121,8 +121,7 @@ int64_t rabbit_sweep(const int64_t *indptr, const int64_t *indices,
         st[0] += cnt + 1;
         st[2] += total;
         work += total;
-        if (vertex_work)
-            vertex_work[u] += total;
+        vertex_work[u] += total;
         if (best_v < 0 || best_dq <= merge_threshold) {
             toplevel[st[1]++] = u;
         } else {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.community.dendrogram import NO_VERTEX, Dendrogram
+from repro.community.dendrogram import NO_VERTEX, Dendrogram, require_partition
 from repro.graph.csr import CSRGraph
 from repro.graph.perm import invert_permutation
 from repro.order.base import OrderingResult, OrderingStats
@@ -36,28 +36,37 @@ RABBIT_ENGINES = {"Rabbit": "fast", "RabbitDict": "dict"}
 def dendrogram_critical_path(
     dendrogram: Dendrogram, vertex_work: np.ndarray
 ) -> float:
-    """Maximum root-to-leaf sum of *vertex_work* over the merge forest."""
-    return _critical_path(dendrogram, dendrogram.dfs_visit_order(), vertex_work)
+    """Maximum root-to-leaf sum of *vertex_work* over the merge forest.
+    Links whose walk from the roots does not reach every vertex exactly
+    once raise ``GraphFormatError``."""
+    order = dendrogram.dfs_visit_order()
+    require_partition(order, dendrogram.num_vertices)
+    return _critical_path(dendrogram, order, vertex_work)
 
 
 def _critical_path(
     dendrogram: Dendrogram, order: np.ndarray, vertex_work: np.ndarray
 ) -> float:
     """:func:`dendrogram_critical_path`, given the forest's post-order
-    visit *order*."""
-    if dendrogram.num_vertices == 0:
-        return 0.0
-    parent = dendrogram.parents().tolist()
-    path = vertex_work.astype(np.float64).tolist()
-    # Children appear before parents in the post-order visit, so a single
-    # forward pass over it propagates the heaviest child path upward.
-    best_child = [0.0] * len(parent)
-    for v in order.tolist():
-        path[v] += best_child[v]
-        p = parent[v]
-        if p != NO_VERTEX and path[v] > best_child[p]:
-            best_child[p] = path[v]
-    return float(np.asarray(path)[dendrogram.toplevel].max(initial=0.0))
+    visit *order*.
+
+    One top-down fold: the reversed visit puts every parent before its
+    children, so each vertex adds its root path's work to the children
+    on its child→sibling chain, and the heaviest path ends at the
+    largest sum.  The sums are exact integers.
+    """
+    down = order[::-1]
+    heads = down[dendrogram.child[down] != NO_VERTEX]  # leaves pass nothing
+    child = dendrogram.child.tolist()
+    sibling = dendrogram.sibling.tolist()
+    depth = vertex_work.tolist()
+    for v in heads.tolist():
+        d = depth[v]
+        c = child[v]
+        while c != NO_VERTEX:
+            depth[c] += d
+            c = sibling[c]
+    return float(max(depth, default=0))
 
 
 def _profiled(
@@ -67,17 +76,13 @@ def _profiled(
     dendrogram: Dendrogram,
     stats: RabbitStats,
 ) -> OrderingResult:
-    """Package one Rabbit run (detection with ``collect_vertex_work``)
-    as an :class:`OrderingResult` carrying the cost model's work/span
-    profile."""
+    """Package one Rabbit run as an :class:`OrderingResult` carrying the
+    cost model's work/span profile."""
     profile = OrderingStats()
     work = float(stats.edges_scanned)
-    vertex_work = stats.vertex_work
-    if vertex_work is None:  # edgeless graphs skip aggregation entirely
-        vertex_work = np.zeros(graph.num_vertices, dtype=np.int64)
     # The permutation inverts to the forest's post-order visit.
     order = invert_permutation(permutation)
-    span = _critical_path(dendrogram, order, vertex_work)
+    span = _critical_path(dendrogram, order, stats.vertex_work)
     profile.add("aggregate", work=work, span=span, barriers=1.0)
     n = graph.num_vertices
     # Ordering generation: parallel DFS per top-level; span is the largest
@@ -98,9 +103,7 @@ def _profiled(
 
 
 def _sequential(name: str, graph: CSRGraph) -> OrderingResult:
-    res = rabbit_order(
-        graph, collect_vertex_work=True, engine=RABBIT_ENGINES[name]
-    )
+    res = rabbit_order(graph, engine=RABBIT_ENGINES[name])
     return _profiled(name, graph, res.permutation, res.dendrogram, res.stats)
 
 
@@ -148,10 +151,7 @@ def rabbit_par_order_result(
     if scheduler_seed is None:
         scheduler_seed = rng if isinstance(rng, int) else 0
     res = community_detection_par(
-        graph,
-        num_threads=num_threads,
-        scheduler_seed=scheduler_seed,
-        collect_vertex_work=True,
+        graph, num_threads=num_threads, scheduler_seed=scheduler_seed
     )
     permutation = ordering_generation_seq(res.dendrogram)
     result = _profiled("RabbitPar", graph, permutation, res.dendrogram, res.stats)

@@ -52,7 +52,9 @@ class RabbitStats:
     partial_repairs: int = 0  # committed-but-unrecorded merges repaired
     fallback_merges: int = 0
     fallback_toplevels: int = 0
-    vertex_work: np.ndarray | None = None  # per-vertex edges scanned
+    # Per-vertex edges scanned: one n-sized int64 array per detection
+    # run, shared by the model's per-chunk stats.
+    vertex_work: np.ndarray | None = None
 
     def merge_from(self, other: "RabbitStats") -> None:
         self.edges_scanned += other.edges_scanned
@@ -199,8 +201,7 @@ def aggregate_vertex(
             else:
                 acc[v] = acc.get(v, 0.0) + w
     stats.edges_scanned += scanned
-    if stats.vertex_work is not None:
-        stats.vertex_work[u] += scanned
+    stats.vertex_work[u] += scanned
     acc[u] = loop
     state.adj[u] = acc
     return acc

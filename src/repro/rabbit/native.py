@@ -171,7 +171,6 @@ def _entries(adj_off: np.ndarray, adj_len: np.ndarray, keys, ws):
 def community_detection_fastseq(
     graph: CSRGraph,
     *,
-    collect_vertex_work: bool = False,
     merge_threshold: float = 0.0,
     visit: str = "degree",
     visit_rng: int | None = 0,
@@ -197,7 +196,6 @@ def community_detection_fastseq(
         return community_detection_seq(
             graph,
             engine="dict",
-            collect_vertex_work=collect_vertex_work,
             merge_threshold=merge_threshold,
             visit=visit,
             visit_rng=visit_rng,
@@ -214,9 +212,7 @@ def community_detection_fastseq(
         if not symmetric:
             raise not_symmetric_error("Rabbit Order")
         ckpt = as_checkpointer(checkpoint)
-        stats = RabbitStats()
-        if collect_vertex_work:
-            stats.vertex_work = np.zeros(n, dtype=np.int64)
+        stats = RabbitStats(vertex_work=np.zeros(n, dtype=np.int64))
         if graph.weights is None:
             # total_edge_weight's sum: unit weights make every term an
             # exact integer, so the slot-order loop weight is numpy's.
@@ -290,7 +286,6 @@ def community_detection_fastseq(
             "engine": "fast",
             "visit": visit,
             "visit_rng": visit_rng,
-            "collect_vertex_work": collect_vertex_work,
             "parallel": False,
         }
     with span("rabbit.seq.aggregate", n=n, engine="native") as agg:
@@ -306,8 +301,7 @@ def community_detection_fastseq(
                 dest.ctypes.data, child.ctypes.data, sibling.ctypes.data,
                 comm_deg.ctypes.data, pos.ctypes.data, adj_off.ctypes.data,
                 adj_len.ctypes.data, keys.ctypes.data, ws.ctypes.data, keys.size,
-                toplevel.ctypes.data,
-                None if stats.vertex_work is None else stats.vertex_work.ctypes.data,
+                toplevel.ctypes.data, stats.vertex_work.ctypes.data,
                 2.0 * m, merge_threshold, st.ctypes.data,
             )
             chunks += 1

@@ -91,7 +91,6 @@ def rabbit_order(
     *,
     engine: str = "fast",
     merge_threshold: float = 0.0,
-    collect_vertex_work: bool = False,
     checkpoint=None,
     resume: "Snapshot | str | Path | None" = None,
 ) -> RabbitResult:
@@ -105,9 +104,6 @@ def rabbit_order(
         bit-identical.
     merge_threshold:
         minimum ΔQ required to merge (paper: 0).
-    collect_vertex_work:
-        record the edges each vertex's aggregation scanned in
-        ``stats.vertex_work`` (the cost model's span input).
     checkpoint:
         a :class:`~repro.resilience.checkpoint.CheckpointConfig` (or
         live ``Checkpointer``): snapshot detection state periodically so
@@ -121,14 +117,15 @@ def rabbit_order(
     Returns
     -------
     RabbitResult
-        with ``permutation[old_id] = new_id``.
+        with ``permutation[old_id] = new_id``; ``stats.vertex_work``
+        holds the edges each vertex's aggregation scanned (the cost
+        model's span input).
     """
     resume = resolve_resume(resume)
     with span("rabbit.detect", parallel=False, n=graph.num_vertices, engine=engine):
         dendrogram, stats = community_detection_seq(
             graph,
             merge_threshold=merge_threshold,
-            collect_vertex_work=collect_vertex_work,
             engine=engine,
             checkpoint=checkpoint,
             resume=resume,

@@ -250,6 +250,7 @@ def _recover_from_faults(
     sinks: list[list[int]],
     admitted: np.ndarray,
     *,
+    vertex_work: np.ndarray,
     merge_threshold: float,
     max_attempts: int,
 ) -> RabbitStats:
@@ -279,7 +280,8 @@ def _recover_from_faults(
     vertices are always admitted, so steps 1–2 need no mask.  With
     injection off and every community degree valid, no retry path can
     trigger, so this pass terminates in one sweep — bounded livelock
-    degrades to guaranteed termination with a complete dendrogram.
+    degrades to guaranteed termination with a complete dendrogram.  The
+    fallback pass counts its work into the run's *vertex_work*.
     """
     rec = RabbitStats()
     n = base_degrees.size
@@ -320,7 +322,7 @@ def _recover_from_faults(
     # admission policy as the parallel run).
     order = orphans[np.argsort(base_degrees[orphans], kind="stable")]
     rec_sink: list[int] = []
-    fallback = RabbitStats()
+    fallback = RabbitStats(vertex_work=vertex_work)
     drive(
         _worker(
             state,
@@ -347,7 +349,6 @@ def community_detection_par(
     chunk_size: int | None = None,
     merge_threshold: float = 0.0,
     max_attempts: int = 100,
-    collect_vertex_work: bool = False,
     fault_plan: FaultPlan | None = None,
     audit: bool = False,
     detect_races: bool = False,
@@ -405,7 +406,7 @@ def community_detection_par(
             "the race log cannot span a quiescence boundary"
         )
     if graph.total_edge_weight() <= 0.0:
-        stats = RabbitStats(toplevels=n)
+        stats = RabbitStats(toplevels=n, vertex_work=np.zeros(n, dtype=np.int64))
         dendrogram = Dendrogram(
             child=np.full(n, NO_VERTEX, dtype=np.int64),
             sibling=np.full(n, NO_VERTEX, dtype=np.int64),
@@ -438,9 +439,9 @@ def community_detection_par(
         # the paper's single 16-byte record guarantees: alias the dendrogram
         # child links to the atomic array's storage.
         state.child = atoms.children_view()
-        stats = RabbitStats()
-        if collect_vertex_work:
-            stats.vertex_work = np.zeros(n, dtype=np.int64)
+        # One per-vertex work array for the whole run: every worker task
+        # and the recovery pass count into it.
+        stats = RabbitStats(vertex_work=np.zeros(n, dtype=np.int64))
         toplevel: list[int] = []
         worker_work: list[int] = []  # edges folded per completed chunk
         if checkpointed:
@@ -506,7 +507,6 @@ def community_detection_par(
                 "checkpoint_every": int(every),
                 "merge_threshold": float(merge_threshold),
                 "max_attempts": int(max_attempts),
-                "collect_vertex_work": bool(collect_vertex_work),
                 "parallel": True,
             }
 
@@ -517,10 +517,9 @@ def community_detection_par(
     ):
         for first in range(0, len(chunks), round_chunks):
             batch = chunks[first : first + round_chunks]
-            batch_stats = [RabbitStats() for _ in batch]
-            if collect_vertex_work:
-                for s in batch_stats:
-                    s.vertex_work = np.zeros(n, dtype=np.int64)
+            batch_stats = [
+                RabbitStats(vertex_work=stats.vertex_work) for _ in batch
+            ]
             sinks: list[list[int]] = [[] for _ in batch]
             tasks = [
                 _worker(state, atoms, chunk, sinks[j], batch_stats[j],
@@ -558,14 +557,13 @@ def community_detection_par(
                 with span("rabbit.par.recover", n=n):
                     recovery_stats = _recover_from_faults(
                         state, atoms, base_degrees, sinks, admitted,
+                        vertex_work=stats.vertex_work,
                         merge_threshold=merge_threshold, max_attempts=max_attempts,
                     )
                 del sinks[0]
             for s in batch_stats:
                 stats.merge_from(s)
                 worker_work.append(s.edges_scanned)
-                if collect_vertex_work and s.vertex_work is not None:
-                    stats.vertex_work += s.vertex_work
             if recovery_stats is not None:
                 stats.merge_from(recovery_stats)
             for sink in sinks:

@@ -53,18 +53,19 @@ def visit_order(
 
 
 def restore_stats(stats: RabbitStats, snapshot: Snapshot) -> None:
-    """Carry a snapshot's counters into a fresh :class:`RabbitStats`
-    (cross-engine resume keeps e.g. a parallel prefix's retry counts)."""
+    """Carry a snapshot's counters and per-vertex work into a fresh
+    :class:`RabbitStats` (cross-engine resume keeps e.g. a parallel
+    prefix's retry counts).  A snapshot without per-vertex work leaves
+    its prefix's work at 0."""
     for name, value in snapshot.stats_dict().items():
         setattr(stats, name, value)
-    if stats.vertex_work is not None and snapshot.vertex_work.size:
+    if snapshot.vertex_work.size:
         stats.vertex_work[:] = snapshot.vertex_work
 
 
 def community_detection_seq(
     graph: CSRGraph,
     *,
-    collect_vertex_work: bool = False,
     merge_threshold: float = 0.0,
     visit: str = "degree",
     visit_rng: int | None = 0,
@@ -76,9 +77,6 @@ def community_detection_seq(
 
     Parameters
     ----------
-    collect_vertex_work:
-        also record per-vertex work (edges folded) in the returned stats,
-        used by the span estimator of the scalability model.
     merge_threshold:
         merge only when ``dQ > merge_threshold``.  The paper uses 0; the
         ablation bench sweeps it to probe community resolution.
@@ -107,13 +105,15 @@ def community_detection_seq(
     Returns
     -------
     (dendrogram, stats)
+        ``stats.vertex_work[u]`` is the edges folded when ``u`` was
+        decided, so it sums to ``stats.edges_scanned`` (the span
+        estimator of the scalability model reads it).
     """
     if engine == "fast":
         from repro.rabbit.native import community_detection_fastseq
 
         return community_detection_fastseq(
             graph,
-            collect_vertex_work=collect_vertex_work,
             merge_threshold=merge_threshold,
             visit=visit,
             visit_rng=visit_rng,
@@ -131,9 +131,7 @@ def community_detection_seq(
         require_symmetric(graph, "Rabbit Order")
         ckpt = as_checkpointer(checkpoint)
         state = AggregationState.initialize(graph)
-        stats = RabbitStats()
-        if collect_vertex_work:
-            stats.vertex_work = np.zeros(n, dtype=np.int64)
+        stats = RabbitStats(vertex_work=np.zeros(n, dtype=np.int64))
         comm_deg = newman_degrees(graph)
         m = state.total_weight
         toplevel: list[int] = []
@@ -172,7 +170,6 @@ def community_detection_seq(
             "engine": "dict",
             "visit": visit,
             "visit_rng": visit_rng,
-            "collect_vertex_work": collect_vertex_work,
             "parallel": False,
         }
         dest = state.dest

@@ -127,7 +127,8 @@ class Snapshot:
     chunk_edges: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64)
     )
-    #: only when the run collects per-vertex work
+    #: per-vertex edges scanned so far (empty in snapshots written
+    #: before every run counted it)
     vertex_work: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.int64)
     )
@@ -194,6 +195,11 @@ class Snapshot:
                     f"snapshot array {name!r} has {getattr(self, name).size} "
                     f"entries, expected {n}"
                 )
+        if self.vertex_work.size not in (0, n):
+            raise CheckpointError(
+                f"snapshot array 'vertex_work' has {self.vertex_work.size} "
+                f"entries, expected 0 or {n}"
+            )
         if self.order.size != n:
             raise CheckpointError(
                 f"snapshot visit order has {self.order.size} entries, expected {n}"
@@ -359,11 +365,6 @@ def build_snapshot(
     }
     if fault_counters is not None:
         meta["fault_counters"] = {k: int(v) for k, v in fault_counters.items()}
-    vertex_work = (
-        np.ascontiguousarray(stats.vertex_work, dtype=np.int64)
-        if getattr(stats, "vertex_work", None) is not None
-        else np.zeros(0, dtype=np.int64)
-    )
     return Snapshot(
         order=np.ascontiguousarray(order, dtype=np.int64),
         dest=dest,
@@ -376,7 +377,7 @@ def build_snapshot(
         adj_keys=adj_keys,
         adj_ws=adj_ws,
         chunk_edges=np.asarray(list(chunk_edges), dtype=np.int64),
-        vertex_work=vertex_work,
+        vertex_work=np.ascontiguousarray(stats.vertex_work, dtype=np.int64),
         meta=meta,
     )
 

@@ -17,6 +17,7 @@ same engine outcomes) make the same decisions in the same order:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,13 +65,17 @@ class Budgets:
     poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
+        # NaN fails both comparisons, so it is refused with the rest.
         for name in ("time_s", "rss_bytes", "stall_s"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ReproError(f"budget {name} must be positive, got {value}")
-        if self.poll_interval_s <= 0:
+            if value is not None and not 0 < value < math.inf:
+                raise ReproError(
+                    f"budget {name} must be positive and finite, got {value}"
+                )
+        if not 0 < self.poll_interval_s < math.inf:
             raise ReproError(
-                f"poll_interval_s must be positive, got {self.poll_interval_s}"
+                "poll_interval_s must be positive and finite, got "
+                f"{self.poll_interval_s}"
             )
 
     @property

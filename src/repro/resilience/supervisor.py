@@ -336,7 +336,6 @@ def supervised_rabbit_order(
     *,
     policy: SupervisorPolicy | None = None,
     merge_threshold: float = 0.0,
-    collect_vertex_work: bool = False,
 ):
     """Supervised :func:`~repro.rabbit.order.rabbit_order`.
 
@@ -366,7 +365,6 @@ def supervised_rabbit_order(
             graph,
             engine=rung.engine,
             merge_threshold=merge_threshold,
-            collect_vertex_work=collect_vertex_work,
             checkpoint=checkpoint,
             resume=resume,
         )

@@ -28,6 +28,7 @@ completion (bounded by ``drain_timeout_s``).
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import threading
 import time
@@ -73,9 +74,6 @@ class ServerConfig:
     compute_workers: int = 4
     #: how long shutdown waits for in-flight requests before giving up.
     drain_timeout_s: float = 10.0
-    #: test hook: artificial delay inside each cache-miss computation,
-    #: used to deterministically exercise the coalescing path.
-    compute_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.unix_path is None and self.host is None:
@@ -88,6 +86,16 @@ class ServerConfig:
             raise ServeError(
                 f"drain_timeout_s must be >= 0, got {self.drain_timeout_s}"
             )
+        # Checked at boot: a bad budget would otherwise fail every cache
+        # miss, and NaN compares false everywhere (a NaN budget never
+        # trips, a NaN threshold merges every vertex).
+        budget = self.time_budget_s
+        if budget is not None and not 0 < budget < math.inf:
+            raise ServeError(
+                f"time_budget_s must be positive and finite, got {budget}"
+            )
+        if math.isnan(self.merge_threshold):
+            raise ServeError("merge_threshold must be a number, got nan")
 
 
 @dataclass
@@ -417,8 +425,6 @@ class ReorderServer:
         from repro.resilience.policy import Budgets, SupervisorPolicy, parse_ladder
         from repro.resilience.supervisor import supervised_rabbit_order
 
-        if self.config.compute_delay_s > 0.0:
-            time.sleep(self.config.compute_delay_s)
         policy = SupervisorPolicy(
             budgets=Budgets(time_s=self.config.time_budget_s),
             ladder=parse_ladder(self.config.ladder_spec),

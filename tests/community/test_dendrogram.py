@@ -50,24 +50,12 @@ class TestPaperExample:
         assert set(d.members(4).tolist()) == {0, 2, 4, 5, 7}
         assert set(d.members(6).tolist()) == {1, 3, 6}
 
-    def test_parents(self):
-        d = paper_dendrogram()
-        p = d.parents()
-        assert p[5] == 7 and p[7] == 4 and p[2] == 4 and p[0] == 2
-        assert p[4] == NO_VERTEX and p[6] == NO_VERTEX
-
     def test_community_labels(self):
         d = paper_dendrogram()
         labels = d.community_labels()
         assert labels[4] == labels[5] == labels[0] == labels[2] == labels[7]
         assert labels[1] == labels[3] == labels[6]
         assert labels[0] != labels[1]
-
-    def test_subtree_sizes(self):
-        d = paper_dendrogram()
-        sizes = d.subtree_sizes()
-        assert sizes[4] == 5 and sizes[6] == 3
-        assert sizes[7] == 2 and sizes[5] == 1
 
     def test_validate_passes(self):
         paper_dendrogram().validate()
@@ -136,4 +124,3 @@ class TestDeepTrees:
             toplevel=np.arange(n),
         )
         assert d.dfs_visit_order().tolist() == [0, 1, 2, 3]
-        assert np.array_equal(d.subtree_sizes(), np.ones(n, dtype=np.int64))

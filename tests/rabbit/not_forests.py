@@ -8,11 +8,11 @@ meeting its damage raises, and says which walks meet it:
   ``community_labels``) meets every case;
 * a walk from one root at a time (``members``) misses damage that is
   only a vertex reached from two roots (``between_roots``);
-* the chain walk (``children``, ``parents``, crash recovery's parent
-  scan) reads no roots, so it meets only a chain that leaves
-  ``[0, n)`` or never ends (``in_chains``), and, when it follows the
-  chains of every vertex at once (``parents``, recovery), a vertex
-  linked from two heads (``linked_twice``).
+* the chain walk (``children``, crash recovery's parent scan) reads no
+  roots, so it meets only a chain that leaves ``[0, n)`` or never ends
+  (``in_chains``), and, when it follows the chains of every vertex at
+  once (``chain_walk`` itself, recovery), a vertex linked from two heads
+  (``linked_twice``).
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ FROM_THE_ROOTS = {
     "ordering": lambda d: d.ordering(),
     "validate": lambda d: d.validate(),
     "ordering_generation_seq": ordering_generation_seq,
-    "subtree_sizes": lambda d: d.subtree_sizes(),
     "critical_path": lambda d: dendrogram_critical_path(
         d, np.ones(d.num_vertices)
     ),
@@ -53,7 +52,6 @@ FROM_ONE_ROOT = {
 ALONG_CHAINS = {
     "chain_walk": lambda d: chain_walk(d.child, d.sibling, range(d.num_vertices)),
     "children": lambda d: [d.children(v) for v in range(d.num_vertices)],
-    "parents": lambda d: d.parents(),
 }
 
 #: Chain walks that follow one vertex's chain per call, so a vertex
@@ -137,5 +135,6 @@ def test_recovery_raises_audit_error(name):
     with pytest.raises(AuditError, match=NOT_FORESTS[name].phrase):
         _recover_from_faults(
             state, atoms, np.ones(n), [], np.ones(n, dtype=bool),
+            vertex_work=np.zeros(n, dtype=np.int64),
             merge_threshold=0.0, max_attempts=4,
         )

@@ -63,15 +63,13 @@ def tiny_chunks(monkeypatch):
 
 def assert_engines_identical(graph: CSRGraph, **kwargs):
     ref_dend, ref_stats = community_detection_seq(
-        graph, engine="dict", collect_vertex_work=True, **kwargs
+        graph, engine="dict", **kwargs
     )
     for regime in ("default", "tiny"):
         with pytest.MonkeyPatch.context() as mp:
             if regime == "tiny":
                 tiny_chunks(mp)
-            dend, stats = community_detection_fastseq(
-                graph, collect_vertex_work=True, **kwargs
-            )
+            dend, stats = community_detection_fastseq(graph, **kwargs)
         ctx = f"chunking={regime}"
         assert np.array_equal(ref_dend.child, dend.child), ctx
         assert np.array_equal(ref_dend.sibling, dend.sibling), ctx
@@ -124,7 +122,7 @@ class TestEdgeCases:
 
     def test_edgeless_stats(self):
         g = CSRGraph.empty(7)
-        dend, stats = community_detection_fastseq(g, collect_vertex_work=True)
+        dend, stats = community_detection_fastseq(g)
         assert stats.toplevels == 7
         assert stats.merges == 0
         assert np.array_equal(dend.toplevel, np.arange(7))
@@ -170,7 +168,7 @@ class TestChunkSeams:
         assert agg.attrs["chunks"] == 1
         tiny_chunks(monkeypatch)
         with trace.capture() as cap:
-            _, stats = community_detection_fastseq(g, collect_vertex_work=True)
+            _, stats = community_detection_fastseq(g)
         (agg,) = cap.find("rabbit.seq.aggregate")
         # a call ends after each vertex that folds anything
         assert agg.attrs["chunks"] >= np.count_nonzero(stats.vertex_work)

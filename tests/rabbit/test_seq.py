@@ -82,7 +82,7 @@ class TestInvariants:
         assert strict.num_communities == paper_graph.num_vertices
 
     def test_vertex_work_collection(self, paper_graph):
-        _, stats = community_detection_seq(paper_graph, collect_vertex_work=True)
+        _, stats = community_detection_seq(paper_graph)
         assert stats.vertex_work is not None
         assert stats.vertex_work.sum() == stats.edges_scanned
 

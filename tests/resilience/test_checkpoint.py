@@ -270,6 +270,18 @@ def test_vertex_ids_outside_the_graph_are_refused(graph, tmp_path, field, value)
         community_detection_seq(graph, resume=snap)
 
 
+def test_vertex_work_of_another_size_is_refused(graph, tmp_path):
+    """Every resume copies the snapshot's per-vertex work into the run's
+    n-sized array, so a snapshot holding another size fails closed."""
+    (path,) = snapshots_of(graph, tmp_path, every=30, keep=1)
+    snap = load_checkpoint(path)
+    snap.vertex_work = snap.vertex_work[:-1]
+    with pytest.raises(CheckpointError, match="vertex_work"):
+        snap.validate()
+    with pytest.raises(CheckpointError, match="vertex_work"):
+        community_detection_seq(graph, resume=snap)
+
+
 def test_more_toplevels_than_decided_vertices_are_refused(graph, tmp_path):
     (path,) = snapshots_of(graph, tmp_path, every=30, keep=1)
     snap = load_checkpoint(path)

@@ -16,6 +16,7 @@ metrics registry and every assertion can use exact counter deltas.
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from repro.obs.metrics import counter_delta, get_registry
 from repro.serve import protocol
 from repro.serve.cache import entry_path
 from repro.serve.client import ServeClient
-from repro.serve.daemon import ServerConfig, ServerThread
+from repro.serve.daemon import ReorderServer, ServerConfig, ServerThread
 from tests.conftest import HUGE_ID_EDGE_LIST, forge_graph_npz
 
 EDGES = [
@@ -85,12 +86,18 @@ class TestReorder:
             assert second["permutation"] == first["permutation"]
             assert second["key"] == first["key"]
 
-    def test_two_concurrent_clients_coalesce(self, sock):
+    def test_two_concurrent_clients_coalesce(self, sock, monkeypatch):
         """The acceptance criterion: one run, coalesced counter == 1,
         bit-identical permutations for both clients."""
-        config = ServerConfig(
-            unix_path=sock, cache_dir=None, compute_delay_s=0.5
-        )
+        compute = ReorderServer._compute_sync
+
+        def slow_compute(self, graph):
+            # Hold the first miss open so the second request finds it.
+            time.sleep(0.5)
+            return compute(self, graph)
+
+        monkeypatch.setattr(ReorderServer, "_compute_sync", slow_compute)
+        config = ServerConfig(unix_path=sock, cache_dir=None)
         with ServerThread(config):
             # Connect both clients first so the two requests are fired
             # as close to simultaneously as threads allow.
@@ -509,3 +516,15 @@ class TestConfigValidation:
     def test_rejects_negative_drain_timeout(self, sock):
         with pytest.raises(ServeError, match="drain_timeout"):
             ServerConfig(unix_path=sock, drain_timeout_s=-1.0)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_budget_that_fails_or_never_trips(self, sock, budget):
+        """Refused at boot: zero or less would fail every cache miss
+        with a 500, NaN and infinity would never trip."""
+        with pytest.raises(ServeError, match="time_budget_s"):
+            ServerConfig(unix_path=sock, time_budget_s=budget)
+
+    def test_rejects_nan_merge_threshold(self, sock):
+        """Every ΔQ test is false against NaN, so every vertex would merge."""
+        with pytest.raises(ServeError, match="merge_threshold"):
+            ServerConfig(unix_path=sock, merge_threshold=float("nan"))

@@ -495,6 +495,58 @@ class TestWorkerCountValidation:
         assert "all runs passed the audit" in capsys.readouterr().out
 
 
+class TestNumericFlagsFailClosed:
+    """A numeric flag outside its range is ``error: ...`` and exit 2:
+    never a traceback, never a run without the budget asked for."""
+
+    def test_negative_spy_grid(self, graph_file, capsys):
+        path, _ = graph_file
+        assert main(["stats", path, "--spy", "-2"]) == 2
+        assert capsys.readouterr().err.startswith("error: --spy must be >= 0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_mem_budget_is_checked_before_conversion(
+        self, graph_file, tmp_path, capsys, value
+    ):
+        path, _ = graph_file
+        perm_out = tmp_path / "perm.npy"
+        rc = main(["reorder", path, "--perm-out", str(perm_out),
+                   "--mem-budget", value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --mem-budget must be positive and finite")
+        assert not perm_out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_time_budget_that_never_trips(
+        self, graph_file, tmp_path, capsys, value
+    ):
+        path, _ = graph_file
+        perm_out = tmp_path / "perm.npy"
+        rc = main(["reorder", path, "--perm-out", str(perm_out),
+                   "--time-budget", value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: budget time_s must be positive and finite")
+        assert not perm_out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--time-budget", "0"],
+        ["--time-budget", "-1"],
+        ["--time-budget", "nan"],
+        ["--merge-threshold", "nan"],
+    ])
+    def test_serve_refuses_at_boot(self, tmp_path, capsys, monkeypatch, flags):
+        import repro.serve.daemon as daemon
+
+        booted = []
+        monkeypatch.setattr(daemon, "run_server", booted.append)
+        rc = main(["serve", "--socket", str(tmp_path / "s.sock"), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert booted == []
+
+
 class TestResumeRetiredSnapshot:
     """Snapshots written by the removed thread and process-pool executors
     fail closed with a typed CheckpointError naming the executor."""
@@ -531,7 +583,7 @@ class TestResumeRetiredSnapshot:
             comm_deg=np.zeros(n),
             toplevel=[],
             adjacency=[None] * n,
-            stats=RabbitStats(),
+            stats=RabbitStats(vertex_work=np.zeros(n, dtype=np.int64)),
             fingerprint=graph_fingerprint(g),
             config=config,
         )
