@@ -202,39 +202,29 @@ def _cmd_reorder(args) -> int:
     return 0
 
 
-#: Detection paths that no longer exist; their snapshots cannot be resumed.
-_RETIRED_EXECUTORS = ("threads", "procs")
-
-
 def _cmd_resume(args) -> int:
     """``repro resume``: finish a checkpointed detection run.
 
-    The run configuration (engine, thread count, scheduler seed, merge
-    threshold, snapshot cadence) is reconstructed from the snapshot's own
-    metadata — the caller only points at the checkpoint and the graph it
-    came from (fingerprint-verified).  Snapshots written by a retired
-    executor fail closed with a :class:`~repro.errors.CheckpointError`.
+    The run configuration (engine, merge threshold, snapshot cadence) is
+    reconstructed from the snapshot's own metadata — the caller only
+    points at the checkpoint and the graph it came from
+    (fingerprint-verified).  Only the sequential engines checkpoint: a
+    snapshot naming any other engine (the Algorithm 3 model or a removed
+    executor) fails closed with a :class:`~repro.errors.CheckpointError`.
     """
     from repro.errors import CheckpointError
     from repro.graph.io import read_graph
-    from repro.rabbit.order import (
-        ordering_generation_seq,
-        rabbit_order,
-        resolve_resume,
-    )
-    from repro.rabbit.par import community_detection_par
+    from repro.rabbit.order import rabbit_order, resolve_resume
     from repro.resilience import CheckpointConfig
 
-    _require_positive(args, "threads")
     snap = resolve_resume(args.checkpoint)
+    if snap.engine not in ("fast", "dict"):
+        raise CheckpointError(
+            f"checkpoint was written by the {snap.engine!r} engine, which "
+            "cannot be resumed (only 'fast' and 'dict' snapshots can); "
+            "rerun detection from scratch"
+        )
     cfg = snap.config
-    for source in (snap.engine, cfg.get("executor")):
-        if source in _RETIRED_EXECUTORS:
-            raise CheckpointError(
-                f"checkpoint was written by the removed {source!r} "
-                "executor and cannot be resumed; rerun detection from "
-                "scratch"
-            )
     fingerprint = snap.meta.get("fingerprint", {})
     graph = read_graph(args.input)
     kwargs = {
@@ -250,20 +240,10 @@ def _cmd_resume(args) -> int:
             every=int(cfg.get("checkpoint_every", 1024)),
         )
     with trace.capture() as cap:
-        if cfg.get("parallel", False):
-            res = community_detection_par(
-                graph,
-                num_threads=int(args.threads or cfg.get("num_threads", 4)),
-                scheduler_seed=int(cfg.get("scheduler_seed") or 0),
-                **kwargs,
-            )
-            permutation = ordering_generation_seq(res.dendrogram)
-        else:
-            res = rabbit_order(graph, engine=cfg.get("engine", "fast"), **kwargs)
-            permutation = res.permutation
+        res = rabbit_order(graph, engine=snap.engine, **kwargs)
     dt = sum(root.duration for root in cap.roots)
     print(
-        f"resumed {cfg.get('engine', '?')} detection at "
+        f"resumed {snap.engine} detection at "
         f"{snap.progress}/{graph.num_vertices} vertices; finished in "
         f"{dt:.2f}s ({res.dendrogram.toplevel.size} communities, "
         f"{res.stats.merges} merges)"
@@ -271,10 +251,10 @@ def _cmd_resume(args) -> int:
     if args.verbose:
         print(cap.format())
     if args.perm_out:
-        _save_permutation(args.perm_out, permutation)
+        _save_permutation(args.perm_out, res.permutation)
         print(f"permutation -> {args.perm_out}")
     if args.graph_out:
-        _save_graph(graph.permute(permutation), args.graph_out)
+        _save_graph(graph.permute(res.permutation), args.graph_out)
         print(f"reordered graph -> {args.graph_out}")
     return 0
 
@@ -386,7 +366,6 @@ def _cmd_stress(args) -> int:
             edge_factor=args.edge_factor,
             graph_seed=args.graph_seed,
             num_seeds=args.seeds,
-            num_threads=args.threads,
             quick=args.quick,
         )
         print(report.table())
@@ -563,9 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", metavar="DIR",
                    help="continue snapshotting into DIR (default: the "
                         "checkpoint's own directory)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="override the snapshot's modelled thread count "
-                        "(the interleaving window) for parallel resumes")
     p.add_argument("--perm-out", help="write pi as .npy")
     p.add_argument("--graph-out", help="write the reordered graph")
     p.add_argument("--verbose", "-v", action="store_true",

@@ -219,7 +219,7 @@ class Dendrogram:
             object.__setattr__(self, "_links_cache", cached)
         return cached
 
-    def dfs_visit_order(self, toplevel_subset: np.ndarray | None = None) -> np.ndarray:
+    def dfs_visit_order(self) -> np.ndarray:
         """Post-order DFS visit order over the forest (old vertex ids in
         their new positions): for each root, children subtrees first
         (most-recent child first), then the root.
@@ -227,8 +227,7 @@ class Dendrogram:
         This is the paper's ORDERINGGENERATION output viewed as a visit
         order; invert it (``permutation_from_order``) to get π.
         """
-        roots = self.toplevel if toplevel_subset is None else toplevel_subset
-        pops = dfs_preorder(*self._link_lists(), np.asarray(roots).tolist())
+        pops = dfs_preorder(*self._link_lists(), self.toplevel.tolist())
         pops.reverse()
         return np.array(pops, dtype=np.int64)
 

@@ -24,7 +24,6 @@ __all__ = [
     "CheckpointError",
     "AttemptAbortedError",
     "BudgetExceededError",
-    "StallError",
     "ServeError",
     "ProtocolError",
     "QuotaExceededError",
@@ -105,11 +104,6 @@ class AttemptAbortedError(ReproError):
 
 class BudgetExceededError(AttemptAbortedError):
     """A supervised attempt exceeded its wall-clock or RSS budget."""
-
-
-class StallError(AttemptAbortedError):
-    """The progress watchdog saw no forward progress (metrics counters
-    frozen) for longer than the configured stall timeout."""
 
 
 class ServeError(ReproError):

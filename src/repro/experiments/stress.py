@@ -11,7 +11,8 @@ cell is replayable in isolation::
                             fault_plan=FaultPlan(seed=SEED, ...), audit=True)
 
 Run from the command line as ``python -m repro stress`` (``--quick`` for
-the CI smoke variant).
+the CI smoke variant).  ``--chaos`` runs :func:`run_chaos` instead: a
+SIGKILL-and-resume campaign over the checkpointing sequential engines.
 """
 
 from __future__ import annotations
@@ -267,59 +268,20 @@ def run_stress(
 # Chaos campaign: real SIGKILL of a checkpointing subprocess + resume.
 
 
-#: Fault plan composed with the SIGKILL on the parallel chaos cells, so
-#: the kill lands on a run that is *already* recovering from injected
-#: CAS storms, spurious invalid reads, stalls, and simulated crashes.
-CHAOS_KILL_PLAN = FaultPlan(
-    cas_failure_rate=0.3,
-    spurious_invalid_rate=0.1,
-    spurious_window=4,
-    stall_rate=0.02,
-    stall_steps=30,
-    max_stalls=8,
-    crash_rate=0.01,
-    max_crashes=2,
-)
-
 #: Exit code the chaos child returns when detection finished before the
 #: kill hook ever fired (a campaign bug, not a detection bug).
 _CHILD_NOT_KILLED = 3
 
 
 def _checkpointed_permutation(
-    graph,
-    *,
-    engine: str,
-    num_threads: int,
-    seed: int,
-    plan: FaultPlan | None,
-    directory,
-    every: int,
-    resume=None,
+    graph, *, engine: str, directory, every: int, resume=None
 ):
-    """One checkpointed detection run; returns the permutation π.
-
-    Baseline, child, and resumed runs all go through this same
-    configuration, so bit-identity comparisons are against the identical
-    checkpointed configuration (a checkpointed parallel run reseeds per
-    round and is only comparable to checkpointed runs).
-    """
+    """One checkpointed detection run on *engine*; returns the
+    permutation π.  Baseline and resumed runs both go through it."""
+    from repro.rabbit.seq import community_detection_seq
     from repro.resilience.checkpoint import CheckpointConfig
 
     checkpoint = CheckpointConfig(directory=directory, every=every)
-    if engine == "par":
-        res = community_detection_par(
-            graph,
-            num_threads=num_threads,
-            scheduler_seed=seed,
-            fault_plan=plan,
-            audit=True,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
-        return res.dendrogram.ordering()
-    from repro.rabbit.seq import community_detection_seq
-
     dendrogram, _ = community_detection_seq(
         graph, engine=engine, checkpoint=checkpoint, resume=resume
     )
@@ -336,6 +298,7 @@ def _chaos_child_main(spec_path: str) -> int:
     finishes first (the parent treats that as a campaign failure).
     """
     from repro.graph.npz import load_npz
+    from repro.rabbit.seq import community_detection_seq
     from repro.resilience.checkpoint import CheckpointConfig, Checkpointer
 
     spec = json.loads(Path(spec_path).read_text())
@@ -350,20 +313,7 @@ def _chaos_child_main(spec_path: str) -> int:
         CheckpointConfig(directory=spec["dir"], every=int(spec["every"])),
         on_save=kill_on_save,
     )
-    plan = None if spec["plan"] is None else FaultPlan(**spec["plan"])
-    engine = spec["engine"]
-    if engine == "par":
-        community_detection_par(
-            graph,
-            num_threads=int(spec["num_threads"]),
-            scheduler_seed=int(spec["seed"]),
-            fault_plan=plan,
-            checkpoint=checkpointer,
-        )
-    else:
-        from repro.rabbit.seq import community_detection_seq
-
-        community_detection_seq(graph, engine=engine, checkpoint=checkpointer)
+    community_detection_seq(graph, engine=spec["engine"], checkpoint=checkpointer)
     return _CHILD_NOT_KILLED
 
 
@@ -375,10 +325,9 @@ _CHILD_CODE = (
 
 @dataclass
 class ChaosOutcome:
-    """One (engine, case, seed) cell of the chaos campaign."""
+    """One (engine, seed) cell of the chaos campaign."""
 
     engine: str
-    case: str
     seed: int
     ok: bool
     #: progress of the newest checkpoint the killed child left behind
@@ -402,21 +351,16 @@ class ChaosReport:
         return [o for o in self.outcomes if not o.ok]
 
     def table(self) -> str:
-        header = (
-            f"{'engine':<8} {'case':<10} {'seed':>5} {'resumed@':>9} "
-            f"{'ok':>4}"
-        )
+        header = f"{'engine':<8} {'seed':>5} {'resumed@':>9} {'ok':>4}"
         lines = [f"chaos campaign on {self.graph_desc}", header,
                  "-" * len(header)]
         for o in self.outcomes:
             lines.append(
-                f"{o.engine:<8} {o.case:<10} {o.seed:>5} {o.resumed_from:>9} "
+                f"{o.engine:<8} {o.seed:>5} {o.resumed_from:>9} "
                 f"{'ok' if o.ok else 'FAIL':>4}"
             )
         for o in self.failures:
-            lines.append(
-                f"FAILED {o.engine}/{o.case} seed={o.seed}: {o.error}"
-            )
+            lines.append(f"FAILED {o.engine} seed={o.seed}: {o.error}")
         verdict = (
             "every killed run resumed to a verified permutation"
             if self.ok
@@ -435,42 +379,29 @@ def _run_chaos_cell(
     workdir,
     *,
     engine: str,
-    case: str,
-    plan: FaultPlan | None,
     seed: int,
-    num_threads: int,
     every: int,
 ) -> ChaosOutcome:
     """One chaos cell: uninterrupted baseline, SIGKILLed child, resume,
-    bit-compare."""
+    bit-compare.  The seed picks the kill point."""
     import repro
     from repro.resilience.checkpoint import latest_checkpoint
 
-    outcome = ChaosOutcome(engine=engine, case=case, seed=seed, ok=False)
-    plan = None if plan is None else replace(plan, seed=seed)
-    cell_dir = Path(workdir) / f"{engine}-{case}-{seed}"
+    outcome = ChaosOutcome(engine=engine, seed=seed, ok=False)
+    cell_dir = Path(workdir) / f"{engine}-{seed}"
     baseline_dir = cell_dir / "baseline"
     kill_dir = cell_dir / "kill"
     try:
         baseline = _checkpointed_permutation(
-            graph,
-            engine=engine,
-            num_threads=num_threads,
-            seed=seed,
-            plan=plan,
-            directory=baseline_dir,
-            every=every,
+            graph, engine=engine, directory=baseline_dir, every=every
         )
         spec = {
             "graph": str(graph_path),
             "engine": engine,
-            "num_threads": num_threads,
-            "seed": seed,
-            "plan": None if plan is None else plan.__dict__,
             "dir": str(kill_dir),
             "every": every,
             # vary the kill point across seeds (always a reachable
-            # snapshot: seq snapshots every ``every``, par every round)
+            # snapshot: one lands every ``every`` decided vertices)
             "kill_at": every * (1 + seed % 2),
         }
         spec_path = cell_dir / "spec.json"
@@ -496,13 +427,7 @@ def _run_chaos_cell(
             raise ReproError("killed child left no loadable checkpoint")
         outcome.resumed_from = found[1].progress
         resumed = _checkpointed_permutation(
-            graph,
-            engine=engine,
-            num_threads=num_threads,
-            seed=seed,
-            plan=plan,
-            directory=kill_dir,
-            every=every,
+            graph, engine=engine, directory=kill_dir, every=every,
             resume=found[1],
         )
         validate_permutation(resumed, graph.num_vertices)
@@ -527,9 +452,8 @@ def run_chaos(
     edge_factor: int = 4,
     graph_seed: int = 3,
     num_seeds: int = 5,
-    num_threads: int = 4,
     quick: bool = False,
-    engines: tuple[str, ...] | None = None,
+    engines: tuple[str, ...] = ("fast", "dict"),
 ) -> ChaosReport:
     """SIGKILL-and-resume campaign over engines × seeds.
 
@@ -538,15 +462,11 @@ def run_chaos(
     whose checkpointer SIGKILLs it mid-detection; (3) resume in-process
     from the newest snapshot the corpse left behind and require the
     finished permutation to be valid and bit-identical to the baseline.
-    Engines are ``par`` (Algorithm 3 under the interleaving model) and
-    the sequential ``fast``/``dict`` engines; ``par`` cells also run a
-    ``faulted`` case where the kill is composed with
-    :data:`CHAOS_KILL_PLAN` injection.
+    Engines are the checkpointing sequential ones, ``fast`` (the
+    compiled sweep) and ``dict``; ``quick`` keeps 2 seeds each.
     """
     from repro.graph.npz import save_npz
 
-    if engines is None:
-        engines = ("par", "fast") if quick else ("par", "fast", "dict")
     if quick:
         num_seeds = min(num_seeds, 2)
     graph = rmat_graph(scale, edge_factor=edge_factor, rng=graph_seed)
@@ -562,22 +482,11 @@ def run_chaos(
         graph_path = Path(workdir) / "graph.npz"
         save_npz(graph, graph_path)
         for engine in engines:
-            cases: list[tuple[str, FaultPlan | None]] = [("clean", None)]
-            if engine == "par":
-                cases.append(("faulted", CHAOS_KILL_PLAN))
-            for case, plan in cases:
-                for seed in range(num_seeds):
-                    report.outcomes.append(
-                        _run_chaos_cell(
-                            graph,
-                            graph_path,
-                            workdir,
-                            engine=engine,
-                            case=case,
-                            plan=plan,
-                            seed=seed,
-                            num_threads=num_threads,
-                            every=every,
-                        )
+            for seed in range(num_seeds):
+                report.outcomes.append(
+                    _run_chaos_cell(
+                        graph, graph_path, workdir,
+                        engine=engine, seed=seed, every=every,
                     )
+                )
     return report

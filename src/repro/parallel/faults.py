@@ -142,24 +142,6 @@ class FaultInjector:
         self._enabled = False
         self._windows.clear()
 
-    def enable(self) -> None:
-        """Resume injecting after a :meth:`disable`: checkpointed runs
-        recover after every round, then inject again in the next."""
-        self._enabled = True
-
-    def reseed(self, seed: int) -> None:
-        """Restart the decision RNG from *seed*.
-
-        Checkpointed runs reseed at every round boundary with a seed
-        derived from ``(plan.seed, chunks_done)``, so a resumed run draws
-        exactly the fault sequence the uninterrupted run would have drawn
-        from that boundary on; an uncheckpointed run is one round on the
-        plan's own seed and never reseeds.  Counters are *not* reset: the
-        ``max_stalls``/``max_crashes`` caps stay cumulative across rounds
-        (and are restored from checkpoint meta on resume).
-        """
-        self._rng = np.random.default_rng(seed)
-
     @property
     def enabled(self) -> bool:
         return self._enabled

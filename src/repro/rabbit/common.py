@@ -93,10 +93,8 @@ class AggregationState:
     def restore(self, snapshot: "Snapshot") -> None:
         """Load a checkpoint's links and folded adjacency (resume).
 
-        Writes into the existing arrays, so a ``child`` aliased to an
-        atomic array's storage receives the links too.  Dict entries keep
-        the snapshot's first-encounter key order, which is what makes the
-        resumed accumulation bit-identical.
+        Dict entries keep the snapshot's first-encounter key order, which
+        is what makes the resumed accumulation bit-identical.
         """
         self.dest[:] = snapshot.dest
         self.child[:] = snapshot.child

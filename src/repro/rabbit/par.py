@@ -25,30 +25,23 @@ Faithfulness notes relative to the paper's pseudocode:
   decided from valid neighbours only — this bounds livelock between
   mutually-retrying vertices, a case the paper leaves unspecified.
 
-The driver runs the degree-ordered chunk list as a sequence of *rounds*:
-each round is one seeded scheduler run over a slice of the chunks, ends
-when every worker has quiesced, and is followed by crash recovery (under
-a fault plan) and a snapshot (when checkpointing).  An uncheckpointed run
-is a single round seeded with ``scheduler_seed`` and the fault plan's own
-seed.  With ``checkpoint=``/``resume=`` a round holds
-``ceil(every / chunk_size)`` chunks and is seeded with
-``derive_seed(seed, chunks_done)`` — its schedule depends only on where
-it starts, so a resumed run replays exactly the rounds the uninterrupted
-run executes.  Generator frames cannot be serialised, so a round boundary
-is the only point at which the shared state is a snapshot.
+:func:`community_detection_par` hands the degree-ordered chunk list to
+one seeded scheduler run (``scheduler_seed``, with the fault plan's own
+seed for injection); the run ends when every worker has quiesced.  The model does not
+checkpoint: generator frames cannot be serialised, and checkpoint/resume
+covers the sequential engines only.
 
 Fault tolerance (beyond the paper): with a
 :class:`~repro.parallel.faults.FaultPlan`, the scheduler may stall or
 *crash* workers and the atomics may lie (forced CAS failures, spurious
-invalidation windows).  After each round a recovery pass repairs the
+invalidation windows).  After the run one recovery pass repairs the
 shared state a dead worker left behind — committed CAS merges whose
 ``dest`` write never landed, dangling pre-CAS ``sibling`` writes,
 vertices stranded in the invalidated state — and drives the residual
 (orphaned) vertex set through a *sequential* fallback aggregation pass.
 The fallback runs with injection disabled and all community degrees
-restored, so it cannot retry indefinitely: termination is guaranteed, a
-checkpoint never stores a dead worker's partial writes, and the result
-is a complete dendrogram, auditable via ``audit=True``.
+restored, so it cannot retry indefinitely: termination is guaranteed and
+the result is a complete dendrogram, auditable via ``audit=True``.
 """
 
 from __future__ import annotations
@@ -79,15 +72,6 @@ from repro.parallel.faults import (
 from repro.parallel.scheduler import InterleavingScheduler, drive
 from repro.rabbit.audit import AuditReport, audit_dendrogram
 from repro.rabbit.common import AggregationState, RabbitStats, aggregate_vertex
-from repro.rabbit.seq import restore_stats
-from repro.resilience.checkpoint import (
-    Snapshot,
-    as_checkpointer,
-    graph_fingerprint,
-    require_fingerprint_match,
-)
-from repro.resilience.policy import derive_seed
-from repro.resilience.runtime import heartbeat
 
 __all__ = ["community_detection_par", "ParallelDetectionResult"]
 
@@ -146,9 +130,6 @@ def _worker(
     pending: deque[tuple[int, int]] = deque((int(u), 0) for u in chunk)
     while pending:
         u, attempts = pending.popleft()
-        # First attempts count as supervisor progress; retries do not, so
-        # a CAS-failure livelock storm registers as a stall, not progress.
-        heartbeat(1 if attempts == 0 else 0)
         yield
         degree_u = atoms.swap_degree(u, INVALID_DEGREE)  # invalidate u (line 9)
         yield
@@ -248,7 +229,6 @@ def _recover_from_faults(
     atoms: AtomicPairArray,
     base_degrees: np.ndarray,
     sinks: list[list[int]],
-    admitted: np.ndarray,
     *,
     vertex_work: np.ndarray,
     merge_threshold: float,
@@ -273,15 +253,12 @@ def _recover_from_faults(
     including untouched vertices from a dead worker's queue) are then
     driven through the normal worker logic *sequentially*.
 
-    *admitted* is the boolean mask of vertices the rounds so far have
-    handed to workers; the orphan scan is restricted to it, because
-    recovery runs after every round, when the unprocessed suffix of the
-    visit order is still legitimately untouched (not orphaned).  Chained
-    vertices are always admitted, so steps 1–2 need no mask.  With
-    injection off and every community degree valid, no retry path can
-    trigger, so this pass terminates in one sweep — bounded livelock
-    degrades to guaranteed termination with a complete dendrogram.  The
-    fallback pass counts its work into the run's *vertex_work*.
+    Recovery runs once, after the scheduler run has handed every vertex
+    to a worker.  With injection off and every community degree valid,
+    no retry path can trigger, so this pass terminates in one sweep —
+    bounded livelock degrades to guaranteed termination with a complete
+    dendrogram.  The fallback pass counts its work into the run's
+    *vertex_work*.
     """
     rec = RabbitStats()
     n = base_degrees.size
@@ -307,7 +284,7 @@ def _recover_from_faults(
         rec.merges += 1
         rec.partial_repairs += 1
     # 3. Orphans: neither merged, nor in a chain, nor decided top-level.
-    orphans = np.flatnonzero(unmerged & ~chained & ~in_sink & admitted)
+    orphans = np.flatnonzero(unmerged & ~chained & ~in_sink)
     if orphans.size == 0:
         return rec
     rec.orphans_recovered = int(orphans.size)
@@ -352,8 +329,6 @@ def community_detection_par(
     fault_plan: FaultPlan | None = None,
     audit: bool = False,
     detect_races: bool = False,
-    checkpoint=None,
-    resume: Snapshot | None = None,
 ) -> ParallelDetectionResult:
     """Parallel incremental aggregation (Algorithm 3) under the seeded
     interleaving model.
@@ -372,7 +347,7 @@ def community_detection_par(
     fault_plan:
         inject faults from this seed-replayable plan (forced CAS
         failures, spurious invalidation windows, worker stalls/crashes)
-        and run crash recovery after every round.  ``None`` (the
+        and run crash recovery after the scheduler run.  ``None`` (the
         default) uses the unfaulted atomics and no scheduler hook.
     audit:
         run the post-run integrity auditor
@@ -384,27 +359,9 @@ def community_detection_par(
         (:mod:`repro.check.races`) over the log; the verdict is attached
         as ``result.race_report``.  Off by default (a single predictable
         ``None`` test per atomic operation).
-    checkpoint:
-        a :class:`~repro.resilience.checkpoint.CheckpointConfig` or
-        :class:`~repro.resilience.checkpoint.Checkpointer`: split the run
-        into rounds of ~``every`` vertices and snapshot the shared state
-        after each (module docstring).  Incompatible with
-        ``detect_races`` (the tracing proxies cannot cross a round
-        boundary).
-    resume:
-        a :class:`~repro.resilience.checkpoint.Snapshot` (from any
-        engine) to restore and continue from.  The completed run is
-        bit-identical to an uninterrupted run in the same checkpointed
-        mode.
     """
     require_symmetric(graph, "Rabbit Order")
     n = graph.num_vertices
-    checkpointed = checkpoint is not None or resume is not None
-    if checkpointed and detect_races:
-        raise ValueError(
-            "detect_races cannot be combined with checkpoint/resume: "
-            "the race log cannot span a quiescence boundary"
-        )
     if graph.total_edge_weight() <= 0.0:
         stats = RabbitStats(toplevels=n, vertex_work=np.zeros(n, dtype=np.int64))
         dendrogram = Dendrogram(
@@ -425,7 +382,6 @@ def community_detection_par(
             worker_work=np.zeros(0, dtype=np.int64),
             audit_report=audit_report,
         )
-    checkpointer = as_checkpointer(checkpoint)
     with span("rabbit.par.setup", n=n):
         state = AggregationState.initialize(graph)
         counter = OpCounter()
@@ -442,29 +398,7 @@ def community_detection_par(
         # One per-vertex work array for the whole run: every worker task
         # and the recovery pass count into it.
         stats = RabbitStats(vertex_work=np.zeros(n, dtype=np.int64))
-        toplevel: list[int] = []
-        worker_work: list[int] = []  # edges folded per completed chunk
-        if checkpointed:
-            fingerprint = graph_fingerprint(graph, merge_threshold=merge_threshold)
-        if resume is None:
-            start = 0
-            order = np.argsort(graph.degrees(), kind="stable")
-        else:
-            require_fingerprint_match(resume, fingerprint)
-            start = resume.progress
-            order = resume.order.copy()
-            state.restore(resume)  # child links land in the atomics (aliased)
-            # Merged vertices legitimately carry INVALID_DEGREE, which the
-            # constructor would reject: restore through the view.
-            atoms.degrees_view()[:] = resume.degrees
-            toplevel = resume.toplevel.tolist()
-            worker_work = resume.chunk_edges.tolist()
-            restore_stats(stats, resume)
-            if injector is not None:
-                # Fault caps (max_crashes/max_stalls) are cumulative
-                # across the whole logical run, not per process.
-                for name, value in resume.fault_counters.items():
-                    setattr(injector.counters, name, value)
+        order = np.argsort(graph.degrees(), kind="stable")
         race_log = None
         if detect_races:
             from repro.check.races import (
@@ -485,108 +419,45 @@ def community_detection_par(
             state.child = TracingArray(state.child, race_log, "child")
             state.adj = TracingList(state.adj, race_log, "adj")
         if chunk_size is None:
-            stored = None if resume is None else resume.config.get("chunk_size")
-            chunk_size = (
-                int(stored) if stored else _default_chunk_size(n, num_threads)
-            )
-        chunks = [order[i : i + chunk_size] for i in range(start, n, chunk_size)]
-        chunks_done = start // chunk_size
-        round_chunks = max(1, len(chunks))
-        if checkpointed:
-            every = (
-                checkpointer.every
-                if checkpointer is not None
-                else int(resume.config.get("checkpoint_every", chunk_size))
-            )
-            round_chunks = max(1, -(-every // chunk_size))
-            config = {
-                "engine": "par",
-                "num_threads": int(num_threads),
-                "scheduler_seed": int(scheduler_seed),
-                "chunk_size": int(chunk_size),
-                "checkpoint_every": int(every),
-                "merge_threshold": float(merge_threshold),
-                "max_attempts": int(max_attempts),
-                "parallel": True,
-            }
+            chunk_size = _default_chunk_size(n, num_threads)
+        chunks = [order[i : i + chunk_size] for i in range(0, n, chunk_size)]
 
-    pos = start
     race_report = None
     with span(
         "rabbit.par.aggregate", n=n, workers=len(chunks), threads=num_threads
     ):
-        for first in range(0, len(chunks), round_chunks):
-            batch = chunks[first : first + round_chunks]
-            batch_stats = [
-                RabbitStats(vertex_work=stats.vertex_work) for _ in batch
-            ]
-            sinks: list[list[int]] = [[] for _ in batch]
-            tasks = [
-                _worker(state, atoms, chunk, sinks[j], batch_stats[j],
-                        merge_threshold=merge_threshold, max_attempts=max_attempts)
-                for j, chunk in enumerate(batch)
-            ]
-            seed = scheduler_seed
-            if checkpointed:
-                seed = derive_seed(scheduler_seed, chunks_done)
-                if injector is not None:
-                    injector.reseed(derive_seed(fault_plan.seed, chunks_done))
-                    injector.enable()
-            if race_log is not None:
-                from repro.check.races import tag_worker
+        chunk_stats = [RabbitStats(vertex_work=stats.vertex_work) for _ in chunks]
+        sinks: list[list[int]] = [[] for _ in chunks]
+        tasks = [
+            _worker(state, atoms, chunk, sinks[j], chunk_stats[j],
+                    merge_threshold=merge_threshold, max_attempts=max_attempts)
+            for j, chunk in enumerate(chunks)
+        ]
+        if race_log is not None:
+            from repro.check.races import tag_worker
 
-                tasks = [tag_worker(task, first + j) for j, task in enumerate(tasks)]
-            # Window = thread count: the scheduler models num_threads hardware
-            # threads, each advancing one task, admitted in degree order.
-            InterleavingScheduler(seed=seed, faults=injector).run(
-                tasks, window=num_threads
-            )
-            chunks_done += len(batch)
-            pos += sum(len(c) for c in batch)
-
-            if race_log is not None:
-                race_report = _close_race_log(race_log, state, atoms)
-            recovery_stats = None
-            if injector is not None:
-                # Recovery (and its sequential fallback pass) must see
-                # truthful atomics: no further injected lies or crashes.
-                injector.disable()
-                admitted = np.zeros(n, dtype=bool)
-                admitted[order[:pos]] = True
-                sinks.insert(0, toplevel)
-                with span("rabbit.par.recover", n=n):
-                    recovery_stats = _recover_from_faults(
-                        state, atoms, base_degrees, sinks, admitted,
-                        vertex_work=stats.vertex_work,
-                        merge_threshold=merge_threshold, max_attempts=max_attempts,
-                    )
-                del sinks[0]
-            for s in batch_stats:
-                stats.merge_from(s)
-                worker_work.append(s.edges_scanned)
-            if recovery_stats is not None:
-                stats.merge_from(recovery_stats)
-            for sink in sinks:
-                toplevel.extend(sink)
-            if checkpointer is not None:
-                checkpointer.save(
-                    state.capture(
-                        engine="par",
-                        progress=pos,
-                        order=order,
-                        comm_deg=atoms.degrees_view(),
-                        toplevel=toplevel,
-                        stats=stats,
-                        fingerprint=fingerprint,
-                        config=config,
-                        chunk_edges=worker_work,
-                        fault_counters=(
-                            None
-                            if injector is None
-                            else injector.counters.snapshot()
-                        ),
-                    )
-                )
+            tasks = [tag_worker(task, j) for j, task in enumerate(tasks)]
+        # Window = thread count: the scheduler models num_threads hardware
+        # threads, each advancing one task, admitted in degree order.
+        InterleavingScheduler(seed=scheduler_seed, faults=injector).run(
+            tasks, window=num_threads
+        )
+        if race_log is not None:
+            race_report = _close_race_log(race_log, state, atoms)
+        for s in chunk_stats:
+            stats.merge_from(s)
+        worker_work = np.array([s.edges_scanned for s in chunk_stats], dtype=np.int64)
+        if injector is not None:
+            # Recovery (and its sequential fallback pass) must see
+            # truthful atomics: no further injected lies or crashes.
+            injector.disable()
+            with span("rabbit.par.recover", n=n):
+                stats.merge_from(_recover_from_faults(
+                    state, atoms, base_degrees, sinks,
+                    vertex_work=stats.vertex_work,
+                    merge_threshold=merge_threshold, max_attempts=max_attempts,
+                ))
+        toplevel = [u for sink in sinks for u in sink]
 
     # The dendrogram's child links live in atoms (authoritative); state.child
     # aliases them, so the atomic array's view is exact once workers quiesce.
@@ -613,8 +484,8 @@ def community_detection_par(
         dendrogram=dendrogram,
         stats=stats,
         op_counter=counter,
-        num_workers=len(worker_work),
-        worker_work=np.array(worker_work, dtype=np.int64),
+        num_workers=len(chunks),
+        worker_work=worker_work,
         fault_counters=None if injector is None else injector.counters,
         audit_report=audit_report,
         race_report=race_report,

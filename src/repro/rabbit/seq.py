@@ -54,8 +54,8 @@ def visit_order(
 
 def restore_stats(stats: RabbitStats, snapshot: Snapshot) -> None:
     """Carry a snapshot's counters and per-vertex work into a fresh
-    :class:`RabbitStats` (cross-engine resume keeps e.g. a parallel
-    prefix's retry counts).  A snapshot without per-vertex work leaves
+    :class:`RabbitStats` (:meth:`Snapshot.validate` admits only the
+    ``STAT_FIELDS`` counters).  A snapshot without per-vertex work leaves
     its prefix's work at 0."""
     for name, value in snapshot.stats_dict().items():
         setattr(stats, name, value)

@@ -2,14 +2,16 @@
 
 The paper's pitch is that reordering is cheap enough to run *just in
 time* inside a production pipeline — which means a run must survive what
-production brings: killed processes, stalled workers, and wall-clock /
-memory budgets.  This package provides the three pieces:
+production brings: killed processes and wall-clock / memory budgets.
+This package provides the three pieces, for the sequential engines
+(``fast`` and ``dict``; the Algorithm 3 model neither checkpoints nor
+runs supervised):
 
 * :mod:`repro.resilience.checkpoint` — periodic, atomically-written,
-  CRC-guarded snapshots of the aggregation state, restorable into any
-  detection engine (``resume=`` on the detection entry points);
+  CRC-guarded snapshots of the aggregation state, restorable into either
+  sequential engine (``resume=`` on the detection entry points);
 * :mod:`repro.resilience.supervisor` — a :class:`RunSupervisor` wrapping
-  an entry point with budgets, a progress watchdog, and a degradation
+  an entry point with budgets, a budget watchdog, and a degradation
   ladder ``fastseq → dict``;
 * :mod:`repro.resilience.policy` — the declarative budget/ladder policy the
   supervisor executes.
@@ -37,7 +39,6 @@ from repro.resilience.policy import (
     LadderRung,
     SupervisorPolicy,
     default_ladder,
-    derive_seed,
     parse_ladder,
 )
 from repro.resilience.runtime import RunControl, current_control, heartbeat
@@ -64,7 +65,6 @@ __all__ = [
     "LadderRung",
     "SupervisorPolicy",
     "default_ladder",
-    "derive_seed",
     "parse_ladder",
     "RunControl",
     "current_control",

@@ -1,10 +1,11 @@
 """Checkpoint/resume for incremental aggregation.
 
-One engine-agnostic snapshot schema covers all three detection engines
-(dict, compiled sweep, parallel), which is what makes the supervisor's
-degradation ladder possible: a run interrupted on one rung can resume on
-any other, because everything an engine needs to continue is the shared
-aggregation state, not engine internals:
+One engine-agnostic snapshot schema covers both sequential detection
+engines (dict and the compiled sweep), which is what makes the
+supervisor's degradation ladder possible: a run interrupted on one rung
+can resume on the other, because everything an engine needs to continue
+is the shared aggregation state, not engine internals.  The Algorithm 3
+model does not checkpoint.  A snapshot holds:
 
 * ``order``      — the full visit order (frozen at run start, so the
   RNG used by ``visit="random"`` never has to be re-wound);
@@ -12,8 +13,8 @@ aggregation state, not engine internals:
 * ``dest`` / ``child`` / ``sibling`` — the union-find and dendrogram
   links (path-compression state is irrelevant: only roots decide);
 * ``degrees``    — community degrees, with merged vertices normalised to
-  ``INVALID_DEGREE`` (the parallel engine's convention; the sequential
-  engines never read a non-root degree, so the normalisation is free);
+  ``INVALID_DEGREE`` (the engines never read a non-root degree, so the
+  normalisation is free);
 * ``toplevel``   — the decided top-level prefix, in final output order;
 * the folded adjacency of every processed vertex, flattened into
   ``(offsets, lengths, keys, ws)`` pools.  First-encounter key order is
@@ -82,7 +83,6 @@ _ARRAY_FIELDS = (
     ("adj_lengths", np.int64),
     ("adj_keys", np.int64),
     ("adj_ws", np.float64),
-    ("chunk_edges", np.int64),
     ("vertex_work", np.int64),
 )
 
@@ -123,10 +123,6 @@ class Snapshot:
     adj_keys: np.ndarray
     adj_ws: np.ndarray
     meta: dict[str, Any]
-    #: parallel engine only: per-completed-chunk edges_scanned
-    chunk_edges: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64)
-    )
     #: per-vertex edges scanned so far (empty in snapshots written
     #: before every run counted it)
     vertex_work: np.ndarray = field(
@@ -150,13 +146,6 @@ class Snapshot:
         """Engine configuration recorded at save time (``repro resume``
         uses it to relaunch without re-specifying flags)."""
         return dict(self.meta.get("config", {}))
-
-    @property
-    def fault_counters(self) -> dict[str, int]:
-        """Fault tallies at save time (empty when injection was off)."""
-        return {
-            k: int(v) for k, v in self.meta.get("fault_counters", {}).items()
-        }
 
     def stats_dict(self) -> dict[str, int]:
         return {k: int(v) for k, v in self.meta.get("stats", {}).items()}
@@ -182,12 +171,18 @@ class Snapshot:
             raise CheckpointError("snapshot meta needs an integer 'progress'")
         if not isinstance(meta.get("engine"), str):
             raise CheckpointError("snapshot meta needs an 'engine' name")
-        for key in ("stats", "fault_counters", "fingerprint", "config"):
+        for key in ("stats", "fingerprint", "config"):
             if not isinstance(meta.get(key, {}), dict):
                 raise CheckpointError(f"snapshot meta {key!r} is not an object")
-        for key in ("stats", "fault_counters"):
-            if not all(isinstance(v, int) for v in meta.get(key, {}).values()):
-                raise CheckpointError(f"snapshot meta {key!r} holds a non-integer")
+        stats = meta.get("stats", {})
+        # Resume assigns each entry to the RabbitStats field it names.
+        unknown = sorted(set(stats) - set(STAT_FIELDS))
+        if unknown:
+            raise CheckpointError(
+                f"snapshot meta 'stats' names unknown counters {unknown}"
+            )
+        if not all(isinstance(v, int) for v in stats.values()):
+            raise CheckpointError("snapshot meta 'stats' holds a non-integer")
         n = self.dest.size
         for name in ("child", "sibling", "degrees", "adj_offsets", "adj_lengths"):
             if getattr(self, name).size != n:
@@ -338,17 +333,13 @@ def build_snapshot(
     stats: Any,
     fingerprint: dict[str, Any],
     config: dict[str, Any],
-    chunk_edges: Iterable[int] = (),
-    fault_counters: dict[str, int] | None = None,
 ) -> Snapshot:
     """Assemble the engine-agnostic :class:`Snapshot` from live state.
 
     Community degrees of *merged* vertices are normalised to
-    ``INVALID_DEGREE`` regardless of source engine: the parallel engine
-    already stores that sentinel, while the sequential engines leave a
-    stale pre-merge value behind — which no engine ever reads again, so
-    the normalisation is free and makes every checkpoint restorable into
-    the :class:`~repro.parallel.atomics.AtomicPairArray` convention.
+    ``INVALID_DEGREE``: the engines leave a stale pre-merge value
+    behind, which no engine ever reads again, so the normalisation is
+    free and the stored degrees hold no engine-specific leftovers.
     """
     dest = np.ascontiguousarray(dest, dtype=np.int64)
     n = dest.size
@@ -363,8 +354,6 @@ def build_snapshot(
         "fingerprint": dict(fingerprint),
         "config": dict(config),
     }
-    if fault_counters is not None:
-        meta["fault_counters"] = {k: int(v) for k, v in fault_counters.items()}
     return Snapshot(
         order=np.ascontiguousarray(order, dtype=np.int64),
         dest=dest,
@@ -376,7 +365,6 @@ def build_snapshot(
         adj_lengths=adj_lengths,
         adj_keys=adj_keys,
         adj_ws=adj_ws,
-        chunk_edges=np.asarray(list(chunk_edges), dtype=np.int64),
         vertex_work=np.ascontiguousarray(stats.vertex_work, dtype=np.int64),
         meta=meta,
     )
@@ -449,10 +437,9 @@ def latest_checkpoint(directory: str | Path) -> tuple[Path, Snapshot] | None:
 class CheckpointConfig:
     """Where and how often to snapshot.
 
-    ``every`` counts *decided vertices* between snapshots; the parallel
-    engine rounds it up to whole scheduling chunks (its natural
-    quiescence boundary).  ``keep`` retains the newest snapshots so a
-    checkpoint torn by a crash still leaves an older complete one.
+    ``every`` counts *decided vertices* between snapshots.  ``keep``
+    retains the newest snapshots so a checkpoint torn by a crash still
+    leaves an older complete one.
     """
 
     directory: str | Path

@@ -1,26 +1,21 @@
-"""Declarative supervision policy: budgets, ladder, seeds.
+"""Declarative supervision policy: budgets and ladder.
 
 A :class:`SupervisorPolicy` is pure data — everything the
 :class:`~repro.resilience.supervisor.RunSupervisor` does is derived from
 it deterministically, so two supervisors given the same policy (and the
 same engine outcomes) make the same decisions in the same order:
 
-* :class:`Budgets` — per-attempt wall-clock / RSS ceilings and the stall
-  window the progress watchdog enforces;
+* :class:`Budgets` — per-attempt wall-clock / RSS ceilings the
+  watchdog enforces;
 * the **ladder** — an ordered tuple of :class:`LadderRung`\\ s, each one
   sequential engine, tried once in order (default ``fastseq → dict``:
-  the production engine, then the reference oracle);
-* :func:`derive_seed` — the one way any resilience component derives a
-  sub-seed (per-round scheduler and fault seeds) from a base seed plus
-  integer context, via :class:`numpy.random.SeedSequence`.
+  the production engine, then the reference oracle).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import ReproError
 from repro.resilience.checkpoint import CheckpointConfig
@@ -30,43 +25,26 @@ __all__ = [
     "LadderRung",
     "SupervisorPolicy",
     "default_ladder",
-    "derive_seed",
     "parse_ladder",
     "RUNG_NAMES",
 ]
-
-
-def derive_seed(base: int, *context: int) -> int:
-    """Deterministically derive a sub-seed from *base* and integer
-    *context* (round index, ...).
-
-    Uses :class:`numpy.random.SeedSequence` spawning semantics so derived
-    streams are statistically independent — reusing ``base`` directly for
-    every round would replay the same schedule each round.
-    """
-    entropy = [int(base) & 0xFFFFFFFF] + [int(c) & 0xFFFFFFFF for c in context]
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
 class Budgets:
     """Per-attempt resource ceilings (``None`` = unlimited).
 
-    ``stall_s`` is the progress-watchdog window: if the
-    ``resilience.progress`` metrics counter does not move for this many
-    seconds the attempt is aborted with
-    :class:`~repro.errors.StallError`.  ``poll_interval_s`` is how often
-    the watchdog thread samples clocks, RSS, and counters.
+    ``poll_interval_s`` is how often the watchdog thread samples the
+    clock and RSS.
     """
 
     time_s: float | None = None
     rss_bytes: int | None = None
-    stall_s: float | None = None
     poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
         # NaN fails both comparisons, so it is refused with the rest.
-        for name in ("time_s", "rss_bytes", "stall_s"):
+        for name in ("time_s", "rss_bytes"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ReproError(
@@ -80,7 +58,7 @@ class Budgets:
 
     @property
     def unlimited(self) -> bool:
-        return self.time_s is None and self.rss_bytes is None and self.stall_s is None
+        return self.time_s is None and self.rss_bytes is None
 
 
 @dataclass(frozen=True)

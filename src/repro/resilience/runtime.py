@@ -1,23 +1,19 @@
 """Cooperative cancellation and progress heartbeats.
 
-The supervisor cannot preempt a Python engine loop; instead the engines
-*cooperate*: every engine calls :func:`heartbeat` once per decided
-vertex.  When no :class:`RunControl` is installed (the normal,
-unsupervised case) a heartbeat is a single module-global read and a
-``None`` test — the hot paths pay essentially nothing.  Under a
-supervisor, each beat
+The supervisor cannot preempt an engine loop; instead the sequential
+engines *cooperate*: the dict engine calls :func:`heartbeat` once per
+decided vertex, the compiled sweep once per library call with the
+number of vertices that call decided.  When no :class:`RunControl` is
+installed (the normal, unsupervised case) a heartbeat is a single
+module-global read and a ``None`` test — the hot paths pay essentially
+nothing.  Under a supervisor, each beat
 
 1. increments the ``resilience.progress`` counter in the process-wide
-   :mod:`repro.obs.metrics` registry (the signal the stall watchdog
-   polls), and
+   :mod:`repro.obs.metrics` registry (the progress the run report
+   prints), and
 2. checks the control's cancel flag, raising the stored
    :class:`~repro.errors.AttemptAbortedError` subclass if the watchdog
    (or a budget) has cancelled the attempt.
-
-Progress counts *decided vertices*, not loop iterations: a retry storm
-that spins without deciding anything beats with ``units=0`` and
-therefore still registers as a stall — which is exactly the livelock
-signature the watchdog exists to catch.
 
 Cancellation is delivered at the next heartbeat on *every* thread that
 beats, so any number of beating threads unwind promptly once the
@@ -35,7 +31,7 @@ from repro.obs.metrics import Counter, get_registry
 
 __all__ = ["RunControl", "current_control", "heartbeat", "PROGRESS_COUNTER"]
 
-#: Metrics counter fed by heartbeats; the stall watchdog polls it.
+#: Metrics counter fed by heartbeats; the run report prints its progress.
 PROGRESS_COUNTER = "resilience.progress"
 
 

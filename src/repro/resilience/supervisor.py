@@ -1,20 +1,20 @@
-"""Run supervision: budgets, progress watchdog, degradation ladder.
+"""Run supervision: budgets, a budget watchdog, degradation ladder.
 
 A :class:`RunSupervisor` executes one logical computation through the
-rungs of a :class:`~repro.resilience.policy.SupervisorPolicy` ladder.
-Each attempt runs under an installed
+rungs of a :class:`~repro.resilience.policy.SupervisorPolicy` ladder of
+sequential engines.  Each attempt runs under an installed
 :class:`~repro.resilience.runtime.RunControl` while a daemon *watchdog*
-thread polls three signals every ``poll_interval_s``:
+thread polls two signals every ``poll_interval_s``:
 
 * **wall clock** — elapsed attempt time against ``Budgets.time_s``;
 * **RSS** — resident set size (``/proc/self/status`` ``VmRSS``, falling
-  back to ``ru_maxrss``) against ``Budgets.rss_bytes``;
-* **progress** — the ``resilience.progress`` metrics counter fed by the
-  engines' heartbeats; no movement for ``Budgets.stall_s`` seconds is a
-  stall (the livelock signature — retries beat zero units).
+  back to ``ru_maxrss``) against ``Budgets.rss_bytes``.
 
 A tripped budget cancels the attempt *cooperatively*: the watchdog can
-only deliver the abort at the engine's next heartbeat.
+only deliver the abort at the engine's next heartbeat (once per vertex
+on the dict engine, once per library call on the compiled sweep).  The
+heartbeats also feed the ``resilience.progress`` counter the run report
+prints.
 
 Each rung runs once; a failed attempt degrades at once to the next rung
 of the ladder (default ``fastseq → dict``).  When the policy carries a
@@ -37,12 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.errors import (
-    AttemptAbortedError,
-    BudgetExceededError,
-    ReproError,
-    StallError,
-)
+from repro.errors import AttemptAbortedError, BudgetExceededError, ReproError
 from repro.obs.trace import span
 from repro.resilience.checkpoint import latest_checkpoint
 from repro.resilience.policy import Budgets, LadderRung, SupervisorPolicy
@@ -88,7 +83,7 @@ class _Watchdog:
         self.budgets = budgets
         #: highest RSS sampled during the attempt (bytes; 0 = never read)
         self.rss_peak = 0
-        #: which budget tripped: "time" | "rss" | "stall" | None
+        #: which budget tripped: "time" | "rss" | None
         self.trigger: str | None = None
         self._stop = threading.Event()
         self._thread = threading.Thread(
@@ -106,8 +101,6 @@ class _Watchdog:
         budgets = self.budgets
         control = self.control
         start = time.monotonic()
-        last_progress = control.progress
-        last_change = start
         while not self._stop.wait(budgets.poll_interval_s):
             now = time.monotonic()
             rss = current_rss_bytes()
@@ -135,23 +128,6 @@ class _Watchdog:
                     )
                 )
                 return
-            progress = control.progress
-            if progress != last_progress:
-                last_progress = progress
-                last_change = now
-            elif (
-                budgets.stall_s is not None
-                and now - last_change > budgets.stall_s
-            ):
-                self.trigger = "stall"
-                control.cancel(
-                    StallError(
-                        f"no progress for {now - last_change:.2f}s "
-                        f"(stall budget {budgets.stall_s}s) after "
-                        f"{progress:.0f} units"
-                    )
-                )
-                return
 
 
 @dataclass
@@ -164,7 +140,7 @@ class RunAttempt:
     duration_s: float
     progress_units: float
     error: str | None = None
-    #: watchdog budget that tripped ("time" | "rss" | "stall"), if any
+    #: watchdog budget that tripped ("time" | "rss"), if any
     trigger: str | None = None
     rss_peak_bytes: int | None = None
 
@@ -232,8 +208,8 @@ class RunSupervisor:
     :class:`~repro.resilience.policy.LadderRung`, under an installed
     :class:`~repro.resilience.runtime.RunControl` and (when budgeted) a
     live watchdog.  It should raise
-    :class:`~repro.errors.AttemptAbortedError` subclasses for
-    budget/stall aborts (the heartbeat does this automatically) — any
+    :class:`~repro.errors.AttemptAbortedError` subclasses for budget
+    aborts (the heartbeat does this automatically) — any
     :class:`~repro.errors.ReproError` also degrades the ladder; other
     exceptions (genuine bugs) propagate immediately.
     """

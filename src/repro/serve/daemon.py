@@ -22,7 +22,9 @@ newline-delimited JSON protocol of :mod:`repro.serve.protocol`.
 Shutdown is a *graceful drain*: SIGTERM/SIGINT stop the listeners and
 flip the daemon into draining mode — new work is rejected with a 503
 (``kind="draining"``) while requests already in flight run to
-completion (bounded by ``drain_timeout_s``).
+completion (bounded by ``drain_timeout_s``).  Once none is left, the
+daemon closes the connections still open, so each idle client reads
+EOF.
 """
 
 from __future__ import annotations
@@ -128,6 +130,8 @@ class ReorderServer:
         self._active_requests = 0
         self._idle = asyncio.Event()
         self._idle.set()
+        #: open connections: handler task -> its writer
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._stop = asyncio.Event()
         self._servers: list[asyncio.AbstractServer] = []
         self._started_at = time.monotonic()
@@ -194,7 +198,10 @@ class ReorderServer:
         self._stop.set()
 
     async def drain(self) -> None:
-        """Stop listeners, wait (bounded) for in-flight work, shut down."""
+        """Stop listeners, wait (bounded) for in-flight work, close the
+        idle connections, shut down."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_timeout_s
         self._draining = True
         for server in self._servers:
             server.close()
@@ -207,6 +214,17 @@ class ReorderServer:
             )
         except asyncio.TimeoutError:
             self._metrics.counter("serve.drain.timeout").inc()
+        else:
+            # Every handler waits for its next request line: closing its
+            # writer makes it read EOF and return.  A handler still
+            # running when the loop ends is cancelled, and asyncio logs
+            # that as an error.
+            for writer in self._connections.values():
+                writer.close()
+            if self._connections:
+                await asyncio.wait(
+                    set(self._connections), timeout=max(0.0, deadline - loop.time())
+                )
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self.config.unix_path is not None:
             Path(self.config.unix_path).unlink(missing_ok=True)
@@ -217,6 +235,8 @@ class ReorderServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._metrics.counter("serve.connections").inc()
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -235,32 +255,46 @@ class ReorderServer:
                     return
                 if not line.strip():
                     continue
-                response = await self._handle_line(line)
+                # A request stays active until its response is sent, so an
+                # idle daemon has no response left to lose when it drains.
+                self._active_requests += 1
+                self._idle.clear()
                 try:
-                    await self._send(writer, response)
-                except ProtocolError as exc:
-                    # Response over the line ceiling (e.g. the permutation
-                    # of a multi-million-vertex graph_path graph).  The
-                    # error frame itself is small — tell the client instead
-                    # of dropping the connection mid-request.
-                    self._metrics.counter("serve.errors.response_too_large").inc()
-                    await self._send(
-                        writer,
-                        protocol.error_response(
-                            response.get("id"),
-                            protocol.RESPONSE_TOO_LARGE,
-                            "response-too-large",
-                            str(exc),
-                        ),
-                    )
+                    await self._answer(writer, line)
+                finally:
+                    self._active_requests -= 1
+                    if self._active_requests == 0:
+                        self._idle.set()
         except (ConnectionError, BrokenPipeError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, BrokenPipeError, OSError):
                 pass
+
+    async def _answer(self, writer: asyncio.StreamWriter, line: bytes) -> None:
+        """Handle one request line and send its response."""
+        response = await self._handle_line(line)
+        try:
+            await self._send(writer, response)
+        except ProtocolError as exc:
+            # Response over the line ceiling (e.g. the permutation of a
+            # multi-million-vertex graph_path graph).  The error frame
+            # itself is small — tell the client instead of dropping the
+            # connection mid-request.
+            self._metrics.counter("serve.errors.response_too_large").inc()
+            await self._send(
+                writer,
+                protocol.error_response(
+                    response.get("id"),
+                    protocol.RESPONSE_TOO_LARGE,
+                    "response-too-large",
+                    str(exc),
+                ),
+            )
 
     async def _send(self, writer: asyncio.StreamWriter, message: dict) -> None:
         # JSON-encoding a permutation response can be tens of MB of work;
@@ -286,8 +320,6 @@ class ReorderServer:
         started = time.monotonic()
         op = "unknown"
         self._metrics.counter("serve.requests").inc()
-        self._active_requests += 1
-        self._idle.clear()
         try:
             message: dict[str, Any] = {}
             try:
@@ -320,9 +352,6 @@ class ReorderServer:
             self._metrics.histogram(f"serve.latency.{op}_s").observe(
                 time.monotonic() - started
             )
-            self._active_requests -= 1
-            if self._active_requests == 0:
-                self._idle.set()
 
     async def _dispatch(self, op: str, request: dict[str, Any]) -> dict[str, Any]:
         req_id = request.get("id")

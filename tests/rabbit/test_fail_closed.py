@@ -134,7 +134,7 @@ def test_recovery_raises_audit_error(name):
     state.sibling[:] = d.sibling
     with pytest.raises(AuditError, match=NOT_FORESTS[name].phrase):
         _recover_from_faults(
-            state, atoms, np.ones(n), [], np.ones(n, dtype=bool),
+            state, atoms, np.ones(n), [],
             vertex_work=np.zeros(n, dtype=np.int64),
             merge_threshold=0.0, max_attempts=4,
         )

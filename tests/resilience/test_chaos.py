@@ -5,13 +5,8 @@ from repro.experiments.stress import run_chaos
 
 class TestChaosCampaign:
     def test_sigkill_resume_interleave(self):
-        report = run_chaos(
-            scale=6, num_seeds=1, engines=("par", "fast", "dict"),
-        )
+        report = run_chaos(scale=6, num_seeds=1, engines=("fast", "dict"))
         assert report.ok, report.table()
         # every cell really was killed mid-run and resumed from a snapshot
         assert all(o.resumed_from > 0 for o in report.outcomes)
-        # the par engine also ran its fault-injected case
-        assert {o.case for o in report.outcomes if o.engine == "par"} == {
-            "clean", "faulted"
-        }
+        assert [o.engine for o in report.outcomes] == ["fast", "dict"]

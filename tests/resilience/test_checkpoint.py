@@ -288,3 +288,65 @@ def test_more_toplevels_than_decided_vertices_are_refused(graph, tmp_path):
     snap.meta["progress"] = snap.toplevel.size - 1
     with pytest.raises(CheckpointError, match="top-level"):
         community_detection_seq(graph, resume=snap)
+
+
+def engine_snapshots(graph, directory, engine):
+    """Checkpoint a full *engine* run every 10 vertices; return its
+    permutation and the interior snapshot paths."""
+    ck = Checkpointer(CheckpointConfig(directory=directory, every=10, keep=1000))
+    dendrogram, _ = community_detection_seq(graph, engine=engine, checkpoint=ck)
+    interior = [p for p in ck.saved if load_checkpoint(p).progress < graph.num_vertices]
+    return dendrogram.ordering(), interior
+
+
+@pytest.mark.parametrize("engine", ["fast", "dict"])
+@pytest.mark.parametrize("extra", [{"vertex_work": 3}, {"bogus": 4}])
+def test_stats_naming_unknown_counters_are_refused(
+    graph, tmp_path, capsys, engine, extra
+):
+    """Resume assigns each stats entry to the counter it names, so a key
+    outside ``STAT_FIELDS`` fails closed at load: ``vertex_work`` would
+    replace the per-vertex array with an int, ``bogus`` would add an
+    attribute."""
+    from repro.cli import main
+    from repro.graph import save_npz
+
+    _, (path, *_) = engine_snapshots(graph, tmp_path / "ck", engine)
+    meta = load_checkpoint(path).meta
+    meta["stats"].update(extra)
+    reseal_meta(path, meta)
+    (key,) = extra
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+    graph_path = tmp_path / "g.npz"
+    save_npz(graph, graph_path)
+    assert main(["resume", str(path), str(graph_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("engine", ["fast", "dict"])
+def test_snapshot_with_a_chunk_edges_member_still_resumes(graph, tmp_path, engine):
+    """Snapshots once carried a ``chunk_edges`` member (empty for the
+    sequential engines).  The reader reads named members only, so such a
+    file loads and resumes to the uninterrupted run's permutation."""
+    from repro.ioutil import write_sealed
+
+    baseline, interior = engine_snapshots(graph, tmp_path / "ck", engine)
+    path = interior[len(interior) // 2]
+    payload = path.read_bytes()[SEAL_HEADER.size :]
+    with np.load(io.BytesIO(payload)) as data:
+        arrays = {n: data[n] for n in data.files if n != "meta_json"}
+    meta = load_checkpoint(path).meta
+    old = write_sealed(
+        tmp_path / "old.rbk", b"RBO-CKPT", SCHEMA_VERSION,
+        {**arrays, "chunk_edges": np.zeros(0, dtype=np.int64)}, meta,
+    )
+    with np.load(io.BytesIO(old.read_bytes()[SEAL_HEADER.size :])) as data:
+        assert "chunk_edges" in data.files
+    snap = load_checkpoint(old)
+    assert snap.progress == meta["progress"]
+    for other in ("fast", "dict"):
+        dendrogram, _ = community_detection_seq(graph, engine=other, resume=snap)
+        assert np.array_equal(dendrogram.ordering(), baseline), other

@@ -1,13 +1,12 @@
 """The resume property: a checkpoint taken after *any* prefix of the
-visit order must resume — on any engine — to the bit-identical
-permutation of the uninterrupted run."""
+visit order must resume — on either sequential engine — to the
+bit-identical permutation of the uninterrupted run."""
 
 import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi_graph
 from repro.rabbit.order import rabbit_order
-from repro.rabbit.par import community_detection_par
 from repro.rabbit.seq import community_detection_seq
 from repro.resilience.checkpoint import (
     CheckpointConfig,
@@ -52,55 +51,10 @@ class TestEveryPrefixEverySeed:
             )
 
 
-def par_perm(graph, seed, *, num_threads, directory, every, resume=None):
-    res = community_detection_par(
-        graph,
-        num_threads=num_threads,
-        scheduler_seed=seed,
-        checkpoint=CheckpointConfig(directory=directory, every=every),
-        resume=resume,
-        audit=True,
-    )
-    return res.dendrogram.ordering()
-
-
-class TestKillResumeSweep:
-    """The acceptance sweep: 25 seeds, parallel engine, at four modelled
-    threads and at one — resume from a mid-run checkpoint is
-    bit-identical to the same (checkpointed) run left uninterrupted."""
-
-    @pytest.mark.parametrize("num_threads", [
-        pytest.param(4, id="interleave-4"),
-        pytest.param(1, id="interleave-1"),
-    ])
-    def test_25_seed_sweep(self, tmp_path, num_threads):
-        for seed in range(25):
-            graph = erdos_renyi_graph(40, 0.12, rng=100 + seed)
-            every = max(1, graph.num_vertices // 4)
-            ckpt_dir = tmp_path / f"{num_threads}-{seed}"
-            baseline = par_perm(
-                graph, seed, num_threads=num_threads,
-                directory=ckpt_dir, every=every,
-            )
-            # the run's own snapshots stand in for the kill point: resume
-            # from an interior one, as a killed process would
-            interior = [
-                p for p in sorted(ckpt_dir.glob("*.rbk"))
-                if load_checkpoint(p).progress < graph.num_vertices
-            ]
-            assert interior, "expected a mid-run snapshot to resume from"
-            snap = load_checkpoint(interior[0])
-            resumed = par_perm(
-                graph, seed, num_threads=num_threads,
-                directory=ckpt_dir, every=every, resume=snap,
-            )
-            assert np.array_equal(resumed, baseline), (
-                f"num_threads={num_threads} seed={seed} from={snap.progress}"
-            )
-
-
 class TestSeqKillResumeSweep:
-    """Same 25-seed sweep for the sequential engines."""
+    """The acceptance sweep: 25 seeds per sequential engine — resume
+    from a mid-run checkpoint is bit-identical to the run left
+    uninterrupted."""
 
     @pytest.mark.parametrize("engine", ["dict", "fast"])
     def test_25_seed_sweep(self, tmp_path, engine):

@@ -7,16 +7,25 @@
   recomputing;
 * a poisoned disk entry triggers a recompute, not a 500;
 * quotas reject with 429 + ``retry_after_s``; draining rejects with 503;
-  malformed requests with 400; unknown ops/analyses with 404.
+  malformed requests with 400; unknown ops/analyses with 404;
+* a drain closes idle connections: the client reads EOF and asyncio
+  logs no cancelled handler.
 
 The daemon runs in-process (:class:`~repro.serve.daemon.ServerThread`)
 over a unix socket, so ``serve.*`` counters land in this process's
 metrics registry and every assertion can use exact counter deltas.
 """
 
+import contextlib
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,6 +511,76 @@ class TestRejections:
         config = ServerConfig(unix_path=sock)
         with ServerThread(config), ServeClient(unix_path=sock) as client:
             client.status()
+
+
+@contextlib.contextmanager
+def idle_connection(sock):
+    """A raw connection that has had one ``status`` answered and now
+    waits; yields its stream, whose next ``readline`` should see EOF."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+        raw.settimeout(30)
+        raw.connect(sock)
+        with raw.makefile("rwb") as stream:
+            stream.write(b'{"op": "status", "id": 1}\n')
+            stream.flush()
+            assert json.loads(stream.readline())["ok"]
+            yield stream
+
+
+class TestDrain:
+    """Python 3.11's stream server does not close the connections it
+    accepted, and it logs a handler cancelled at loop shutdown as an
+    error with a traceback.  So a drain closes every connection still
+    open once no request is left."""
+
+    def test_stop_closes_idle_connections(self, sock, caplog, capfd):
+        server = ServerThread(ServerConfig(unix_path=sock))
+        server.__enter__()
+        try:
+            with ServeClient(unix_path=sock) as client, \
+                    idle_connection(sock) as stream:
+                client.reorder(edges=EDGES)
+                server.stop()
+                assert stream.readline() == b""
+        finally:
+            server.stop()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "Exception in callback" not in err
+
+    def test_sigterm_closes_idle_connections(self, sock, tmp_path):
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        log = tmp_path / "serve.log"
+        with open(log, "wb") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--socket", sock,
+                 "--cache-dir", str(tmp_path / "cache")],
+                stdout=out, stderr=subprocess.STDOUT, env=env,
+            )
+        try:
+            deadline = time.monotonic() + 30
+            while b"listening on" not in log.read_bytes():
+                assert proc.poll() is None, log.read_text()
+                assert time.monotonic() < deadline, "daemon never listened"
+                time.sleep(0.05)
+            with ServeClient(unix_path=sock) as client, \
+                    idle_connection(sock) as stream:
+                client.reorder(edges=EDGES)
+                proc.send_signal(signal.SIGTERM)
+                assert stream.readline() == b""
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        output = log.read_text()
+        assert "draining" in output
+        assert "Traceback" not in output, output
+        assert "Exception in callback" not in output, output
 
 
 class TestConfigValidation:

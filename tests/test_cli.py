@@ -316,25 +316,6 @@ class TestReorderResilience:
         validate_permutation(perm, g.num_vertices)
         assert np.array_equal(np.load(base_out), perm)
 
-    def test_resume_verb_finishes_a_model_run(self, graph_file, tmp_path, capsys):
-        """A snapshot of the Algorithm 3 model resumes through
-        ``community_detection_par`` with its own threads and seed."""
-        from repro.rabbit import community_detection_par, ordering_generation_seq
-        from repro.resilience import CheckpointConfig
-
-        path, g = graph_file
-        ck = tmp_path / "ck"
-        res = community_detection_par(
-            g, num_threads=2, scheduler_seed=3,
-            checkpoint=CheckpointConfig(directory=ck, every=50),
-        )
-        resumed_out = str(tmp_path / "resumed.npy")
-        assert main(["resume", str(ck), path, "--perm-out", resumed_out]) == 0
-        assert "resumed par detection" in capsys.readouterr().out
-        assert np.array_equal(
-            np.load(resumed_out), ordering_generation_seq(res.dendrogram)
-        )
-
     def test_supervised_ladder_prints_report(self, graph_file, tmp_path, capsys):
         path, g = graph_file
         perm_out = str(tmp_path / "perm.npy")
@@ -469,18 +450,6 @@ class TestWorkerCountValidation:
     ``error: --threads must be >= 1`` on stderr, exit code 2."""
 
     @pytest.mark.parametrize("flag", ["--threads"])
-    def test_resume_rejects_nonpositive(self, graph_file, tmp_path, flag, capsys):
-        path, _ = graph_file
-        ck = tmp_path / "ck"
-        assert main(
-            ["reorder", path, "-a", "Rabbit",
-             "--checkpoint-dir", str(ck), "--checkpoint-every", "50"]
-        ) == 0
-        rc = main(["resume", str(ck), path, flag, "0"])
-        assert rc == 2
-        assert f"error: {flag} must be >= 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--threads"])
     def test_stress_rejects_nonpositive(self, flag, capsys):
         rc = main(["stress", "--quick", flag, "0"])
         assert rc == 2
@@ -549,7 +518,8 @@ class TestNumericFlagsFailClosed:
 
 class TestResumeRetiredSnapshot:
     """Snapshots written by the removed thread and process-pool executors
-    fail closed with a typed CheckpointError naming the executor."""
+    or by the Algorithm 3 model fail closed with a typed CheckpointError
+    naming the snapshot's engine: only ``fast`` and ``dict`` resume."""
 
     @pytest.mark.parametrize("engine,config", [
         ("par", {"engine": "par", "executor": "threads", "parallel": True,
@@ -557,6 +527,10 @@ class TestResumeRetiredSnapshot:
         ("procs", {"engine": "procs", "executor": "procs",
                    "parallel": True, "num_threads": 2}),
         ("procs", {"parallel": True}),
+        ("par", {"engine": "par", "num_threads": 4, "scheduler_seed": 0,
+                 "chunk_size": 4, "checkpoint_every": 50,
+                 "merge_threshold": 0.0, "max_attempts": 100,
+                 "parallel": True}),
     ])
     def test_retired_executor_fails_closed(
         self, graph_file, tmp_path, capsys, engine, config
@@ -588,11 +562,10 @@ class TestResumeRetiredSnapshot:
             config=config,
         )
         ck = save_checkpoint(tmp_path / "ckpt-000000000000.rbk", snap)
-        retired = config.get("executor", engine)
         args = build_parser().parse_args(["resume", str(ck), path])
-        with pytest.raises(CheckpointError, match=repr(retired)):
+        with pytest.raises(CheckpointError, match=repr(engine)):
             args.fn(args)
         assert main(["resume", str(tmp_path), path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(retired) in err
+        assert err.startswith("error: ") and repr(engine) in err
         assert "Traceback" not in err
